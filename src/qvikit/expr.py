@@ -28,6 +28,10 @@ FUNCTIONS = {"sin": 1, "cos": 1, "abs": 1, "sqrt": 1, "min": 2, "max": 2}
 
 # Guard against absurd folded exponent chains like 9^9^9.
 _MAX_EXPONENT = 1_000_000
+# Parentheses, unary minus, call arguments and exponent chains nest at most
+# this deep together, which keeps the recursive descent (up to eight Python
+# frames a level) far below the interpreter's recursion limit.
+_MAX_NESTING = 64
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,7 @@ class _Parser:
         self.tokens = tokens
         self.dim = dim
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -102,6 +107,16 @@ class _Parser:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
+
+    def nested(self, parse, offset):
+        """Run the sub-parser ``parse`` one nesting level deeper."""
+        if self.depth == _MAX_NESTING:
+            raise ParseError(f"expression nests deeper than {_MAX_NESTING} levels",
+                             offset)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def expect(self, kind):
         tok = self.peek()
@@ -125,8 +140,7 @@ class _Parser:
 
     def unary(self):
         if self.peek()[0] == "-":
-            self.advance()
-            return Unary(self.unary())
+            return Unary(self.nested(self.unary, self.advance()[2]))
         return self.power()
 
     def power(self):
@@ -147,8 +161,7 @@ class _Parser:
             raise ParseError("exponent must be a positive integer literal", tok[2])
         base = int(value)
         if self.peek()[0] == "^":
-            self.advance()
-            base = base ** self.exponent()
+            base = base ** self.nested(self.exponent, self.advance()[2])
         if base > _MAX_EXPONENT:
             raise ParseError(f"exponent {base} exceeds limit {_MAX_EXPONENT}", tok[2])
         return base
@@ -160,14 +173,14 @@ class _Parser:
             return Number(tok[1])
         if tok[0] == "(":
             self.advance()
-            node = self.expr()
+            node = self.nested(self.expr, tok[2])
             self.expect(")")
             return node
         if tok[0] == "ident":
             self.advance()
             name = tok[1]
             if name in FUNCTIONS:
-                return self.call(name, tok[2])
+                return self.nested(lambda: self.call(name, tok[2]), tok[2])
             m = re.fullmatch(r"x(\d+)", name)
             if m is None:
                 raise ParseError(f"unknown identifier {name!r}", tok[2])
@@ -196,7 +209,9 @@ class _Parser:
 
 def parse(text, dim):
     """Parse expression ``text`` over variables x1..x<dim> into an AST."""
-    if not text or not text.strip():
+    if not isinstance(text, str):
+        raise ParseError(f"expected an expression string, got {text!r}", 0)
+    if not text.strip():
         raise ParseError("empty expression", 0)
     parser = _Parser(_tokenize(text), dim)
     node = parser.expr()

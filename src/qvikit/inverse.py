@@ -17,11 +17,13 @@ contract.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor
+from scipy.linalg.lapack import dgetrs
 
 from .analysis import SamplingPlan, power_lambda_max, sample_pairs
 from .errors import (
@@ -32,19 +34,79 @@ from .errors import (
 )
 
 
-def _checked_lu(A, what):
-    with warnings.catch_warnings():
-        # scipy warns on exact zero pivots; the check below raises instead.
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(A, check_finite=True)
-    d = np.abs(np.diag(lu))
-    if not np.all(np.isfinite(lu)) or d.min() <= A.shape[0] * np.finfo(float).eps * d.max():
-        raise SingularLinearPart(f"{what} is numerically singular")
-    return lu, piv
+def _norm(u):
+    """Euclidean norm of a float vector, computed as np.linalg.norm does.
+
+    Without numpy's dispatch it costs a third as much; NaN or inf entries
+    still give a NaN or inf norm.
+    """
+    return math.sqrt(u.dot(u))
+
+
+class _LU:
+    """LU factors of a square matrix, checked for singularity, and its solves."""
+
+    def __init__(self, A, what):
+        with warnings.catch_warnings():
+            # scipy warns on exact zero pivots; the check below raises instead.
+            warnings.simplefilter("ignore", LinAlgWarning)
+            lu, piv = lu_factor(A, check_finite=True)
+        d = np.abs(np.diag(lu))
+        if not np.all(np.isfinite(lu)) or d.min() <= A.shape[0] * np.finfo(float).eps * d.max():
+            raise SingularLinearPart(f"{what} is numerically singular")
+        self.A, self.lu, self.piv = A, lu, piv
+
+    def solve(self, b, trans=0):
+        """A^{-1} b (A^{-T} b for trans=1) for a float vector b.
+
+        The LAPACK call of scipy.linalg.lu_solve, bit for bit, without its
+        wrapper's overhead. Its contract holds: a non-finite b raises
+        ValueError, and so does a nonzero LAPACK info.
+        """
+        if not np.isfinite(b).all():
+            raise ValueError("array must not contain infs or NaNs")
+        x, info = dgetrs(self.lu, self.piv, b, trans=trans)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
+        return x
+
+    def refined_solve(self, b):
+        """A^{-1} b plus one iterative-refinement pass, which keeps the
+        residual at rounding level even for an ill-scaled A."""
+        x = self.solve(b)
+        return x + self.solve(b - self.A.dot(x))
+
+    def inverse_norm(self):
+        """Spectral norm of A^{-1}: the root of the top eigenvalue of A^{-T} A^{-1}."""
+        def matvec(u):
+            return self.solve(self.solve(u), trans=1)
+
+        return float(np.sqrt(power_lambda_max(matvec, self.A.shape[0])))
+
+
+def _point(y, dim):
+    """``y`` as a float vector of length ``dim``, checked once per invert call
+    so that inner loops can evaluate fields without checks."""
+    y = np.asarray(y, float)
+    if dim is not None and y.shape != (dim,):
+        raise ValueError(f"dimension mismatch: {y.shape} vs ({dim},)")
+    return y
+
+
+def _unchecked(fn):
+    """Evaluator of a displacement for inner loops.
+
+    A model field's ``evaluate`` skips the point checks that ``fn(x)`` makes;
+    any other callable is called as is, its result made a float array.
+    """
+    evaluate = getattr(fn, "evaluate", None)
+    if evaluate is not None:
+        return evaluate
+    return lambda x: np.asarray(fn(x), float)
 
 
 def _verify(spec, x, vx, y):
-    res = float(np.linalg.norm(x - vx - y))
+    res = _norm(x - vx - y)
     if not res <= spec.inner_tol:
         raise NoConvergence(
             f"inverse residual {res:.3e} exceeds inner_tol {spec.inner_tol:.1e}",
@@ -66,25 +128,18 @@ class LinearExact:
         n = self.V.shape[0]
         if self.V.shape != (n, n):
             raise ValueError("V must be square")
-        self._A = np.eye(n) - self.V
-        self._lu = _checked_lu(self._A, "I - V")
+        self._lu = _LU(np.eye(n) - self.V, "I - V")
 
     def v(self, x):
-        return self.V @ x
+        return self.V.dot(x)
 
     def invert(self, y, inner_log=None):
-        y = np.asarray(y, float)
-        x = lu_solve(self._lu, y)
-        # One iterative-refinement pass keeps the residual at rounding level
-        # even for ill-scaled V.
-        x = x + lu_solve(self._lu, y - self._A @ x)
-        return _verify(self, x, self.V @ x, y)
+        y = _point(y, self.V.shape[0])
+        x = self._lu.refined_solve(y)
+        return _verify(self, x, self.V.dot(x), y)
 
     def lipschitz(self):
-        def matvec(u):
-            return lu_solve(self._lu, lu_solve(self._lu, u), trans=1)
-
-        return float(np.sqrt(power_lambda_max(matvec, self.V.shape[0])))
+        return self._lu.inverse_norm()
 
 
 @dataclass(eq=False)
@@ -99,22 +154,24 @@ class PicardContraction:
     def __post_init__(self):
         if not 0.0 <= self.l < 1.0:
             raise ConfigError(f"declared contraction l={self.l} must be < 1")
+        self._v = _unchecked(self.v_map)
 
     def v(self, x):
         return np.asarray(self.v_map(x), float)
 
     def invert(self, y, inner_log=None):
-        y = np.asarray(y, float)
+        y = _point(y, getattr(self.v_map, "dim", None))
+        v = self._v
         x = y.copy()
         for _ in range(self.max_inner):
-            xn = y + self.v(x)
-            step = float(np.linalg.norm(xn - x))
+            xn = y + v(x)
+            step = _norm(xn - x)
             if inner_log is not None:
                 inner_log.append(step)
             x = xn
             if step <= self.inner_tol:
                 break
-        return _verify(self, x, self.v(x), y)
+        return _verify(self, x, v(x), y)
 
     def lipschitz(self):
         return 1.0 / (1.0 - self.l)
@@ -138,14 +195,9 @@ class Semilinear:
 
     def __post_init__(self):
         self.A = np.asarray(self.A, float)
-        n = self.A.shape[0]
-        self._M = np.eye(n) - self.A
-        self._lu = _checked_lu(self._M, "I - A")
-
-        def matvec(u):
-            return lu_solve(self._lu, lu_solve(self._lu, u), trans=1)
-
-        self.inv_norm = float(np.sqrt(power_lambda_max(matvec, n)))
+        self._lu = _LU(np.eye(self.A.shape[0]) - self.A, "I - A")
+        self._g = _unchecked(self.g)
+        self.inv_norm = self._lu.inverse_norm()
         self.contraction = self.inv_norm * self.l_g
         if self.contraction >= 1.0:
             raise ConfigError(
@@ -153,17 +205,18 @@ class Semilinear:
             )
 
     def v(self, x):
-        return self.A @ x + np.asarray(self.g(x), float)
+        return self.A.dot(x) + self._g(x)
 
     def invert(self, y, inner_log=None):
-        y = np.asarray(y, float)
+        y = _point(y, self.A.shape[0])
+        solve, g = self._lu.solve, self._g
         # Stop on a step small enough that the g-increment bound keeps the
         # final residual under inner_tol even when l_g > 1.
         step_tol = 0.5 * self.inner_tol / max(1.0, self.l_g)
-        x = lu_solve(self._lu, y)
+        x = solve(y)
         for _ in range(self.max_inner):
-            xn = lu_solve(self._lu, y + np.asarray(self.g(x), float))
-            step = float(np.linalg.norm(xn - x))
+            xn = solve(y + g(x))
+            step = _norm(xn - x)
             if inner_log is not None:
                 inner_log.append(step)
             x = xn
@@ -191,12 +244,13 @@ class ScalarBracket:
             raise ValueError("bracket must satisfy a < b")
         if self.direction not in ("increasing", "decreasing"):
             raise ValueError("direction must be 'increasing' or 'decreasing'")
+        self._v = _unchecked(self.v_map)
 
     def v(self, x):
         return np.asarray(self.v_map(np.atleast_1d(np.asarray(x, float))), float)
 
     def _w(self, t):
-        return t - float(self.v(np.array([t]))[0])
+        return t - float(self._v(np.array([t]))[0])
 
     def invert(self, y, inner_log=None):
         target = float(np.asarray(y, float).ravel()[0])

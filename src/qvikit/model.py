@@ -17,7 +17,7 @@ import numpy as np
 
 from . import expr as edsl
 from .errors import ConfigError, EvalError
-from .inverse import invert
+from .inverse import _norm, invert
 
 
 def as_vector(values, dim=None):
@@ -72,7 +72,8 @@ def project(cset, z):
         return z.copy()
     if isinstance(cset, NonnegativeOrthant):
         return np.maximum(z, 0.0)
-    return np.clip(z, cset.lower, cset.upper)
+    # np.clip(z, lower, upper) bit for bit, signed zeros included, for less.
+    return np.minimum(np.maximum(z, cset.lower), cset.upper)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,16 +134,24 @@ class VectorField:
                 raise EvalError(f"component {i + 1}: {exc}") from exc
         return out
 
-    def __call__(self, x):
-        x = np.asarray(x, float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"dimension mismatch: {x.shape} vs ({self.dim},)")
+    def evaluate(self, x):
+        """The field at a float vector ``x`` of length ``dim``, unchecked.
+
+        For inner loops whose caller checked the point once; everything else
+        calls the field, which checks every point.
+        """
         if self.matrix is not None:
-            out = self.matrix @ x
+            out = self.matrix.dot(x)
             if self.remainder is not None:
                 out = out + self._eval_asts(self.remainder, x)
             return out
         return self._eval_asts(self.components, x)
+
+    def __call__(self, x):
+        x = np.asarray(x, float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"dimension mismatch: {x.shape} vs ({self.dim},)")
+        return self.evaluate(x)
 
 
 @dataclass(frozen=True)
@@ -241,4 +250,4 @@ def natural_residual(problem, x, h):
         raise ValueError("h must be positive")
     x = np.asarray(x, float)
     y = x - problem.v(x)
-    return float(np.linalg.norm(y - project(problem.set, y - h * problem.f(x))))
+    return _norm(y - project(problem.set, y - h * problem.f(x)))

@@ -139,6 +139,29 @@ def get_builtin(name):
         ) from None
 
 
+def _object(spec, path):
+    """``spec`` if it is a JSON object; otherwise a ConfigError naming ``path``."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(spec).__name__}")
+    return spec
+
+
+def _member(spec, key, path):
+    """``spec[key]``; a missing key is a ConfigError naming ``path.key``."""
+    if key not in spec:
+        raise ConfigError(f"{path}.{key} is required")
+    return spec[key]
+
+
+def _number(spec, key, path, kind=float):
+    """``kind(spec[key])``; a missing or non-numeric value is a ConfigError."""
+    value = _member(spec, key, path)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}") from None
+
+
 def _field_to_json(field):
     if field.matrix is not None:
         out = {"matrix": [[float(v) for v in row] for row in field.matrix]}
@@ -154,10 +177,12 @@ def _field_from_json(spec, dim, what):
     if isinstance(spec, list):
         return VectorField.from_exprs(spec, dim)
     if isinstance(spec, dict) and "matrix" in spec:
-        return VectorField.from_matrix(np.asarray(spec["matrix"], float),
-                                       spec.get("remainder"))
+        remainder = spec.get("remainder")
+        if remainder is not None and not isinstance(remainder, list):
+            raise ConfigError(f"{what}.remainder: expected an expression list")
+        return VectorField.from_matrix(np.asarray(spec["matrix"], float), remainder)
     raise ConfigError(f"{what}: expected an expression list, "
-                      "a {{matrix, remainder}} object, or \"zero\"")
+                      "a {matrix, remainder} object, or \"zero\"")
 
 
 def _set_to_json(cset):
@@ -171,13 +196,13 @@ def _set_to_json(cset):
 
 
 def _set_from_json(spec, dim):
-    kind = spec.get("type")
+    kind = _object(spec, "set").get("type")
     if kind == "whole_space":
         return WholeSpace(dim)
     if kind == "orthant":
         return NonnegativeOrthant(dim)
     if kind == "box":
-        cset = Box(spec["lower"], spec["upper"])
+        cset = Box(_member(spec, "lower", "set"), _member(spec, "upper", "set"))
         if cset.dim != dim:
             raise ConfigError(f"set: box dimension {cset.dim} != problem dim {dim}")
         return cset
@@ -198,12 +223,12 @@ def _inverse_to_json(spec):
 
 
 def _inverse_from_json(spec, v, dim):
-    strategy = spec.get("strategy")
+    strategy = _object(spec, "inverse").get("strategy")
     kwargs = {}
     if "inner_tol" in spec:
-        kwargs["inner_tol"] = float(spec["inner_tol"])
+        kwargs["inner_tol"] = _number(spec, "inner_tol", "inverse")
     if "max_inner" in spec:
-        kwargs["max_inner"] = int(spec["max_inner"])
+        kwargs["max_inner"] = _number(spec, "max_inner", "inverse", int)
     if strategy == "linear_exact":
         if v.matrix is None or v.remainder is not None:
             raise ConfigError("linear_exact needs v in pure matrix form")
@@ -211,19 +236,23 @@ def _inverse_from_json(spec, v, dim):
     if strategy == "picard":
         if "l" not in spec:
             raise ConfigError("picard needs the declared contraction 'l'")
-        return PicardContraction(v, float(spec["l"]), **kwargs)
+        return PicardContraction(v, _number(spec, "l", "inverse"), **kwargs)
     if strategy == "semilinear":
         if v.matrix is None or v.remainder is None:
             raise ConfigError("semilinear needs v in {matrix, remainder} form")
         if "l_g" not in spec:
             raise ConfigError("semilinear needs the remainder bound 'l_g'")
         g = VectorField(dim, components=v.remainder)
-        return Semilinear(v.matrix, g, float(spec["l_g"]), **kwargs)
+        return Semilinear(v.matrix, g, _number(spec, "l_g", "inverse"), **kwargs)
     if strategy == "scalar_bracket":
         if dim != 1:
             raise ConfigError("scalar_bracket only applies in dimension 1")
-        a, b = spec["bracket"]
-        return ScalarBracket(v, (float(a), float(b)),
+        bracket = _member(spec, "bracket", "inverse")
+        try:
+            a, b = (float(t) for t in bracket)
+        except (TypeError, ValueError):
+            raise ConfigError(f"inverse.bracket: expected [a, b], got {bracket!r}") from None
+        return ScalarBracket(v, (a, b),
                              spec.get("direction", "decreasing"), **kwargs)
     raise ConfigError(f"inverse: unknown strategy {strategy!r}")
 
@@ -239,14 +268,14 @@ def _constants_to_json(constants):
 
 def _constants_from_json(spec):
     kwargs = {}
-    for name, value in (spec or {}).items():
+    for name, value in _object(spec or {}, "constants").items():
         if name not in ("L", "l", "l_tilde", "gamma", "mu"):
             raise ConfigError(f"constants: unknown name {name!r}")
         if isinstance(value, dict):
-            kwargs[name] = Constant(float(value["value"]),
+            kwargs[name] = Constant(_number(value, "value", f"constants.{name}"),
                                     value.get("source", "declared"))
         else:
-            kwargs[name] = Constant(float(value), "declared")
+            kwargs[name] = Constant(_number(spec, name, "constants"), "declared")
     return ProblemConstants(**kwargs)
 
 
@@ -282,9 +311,11 @@ def problem_from_dict(doc):
         dim = int(doc["dim"])
     except KeyError:
         raise ConfigError("problem file needs 'dim'") from None
+    except (TypeError, ValueError):
+        raise ConfigError(f"dim must be an integer, got {doc['dim']!r}") from None
     if dim < 1:
         raise ConfigError("dim must be at least 1")
-    name = (doc.get("meta") or {}).get("name", "unnamed")
+    name = _object(doc.get("meta") or {}, "meta").get("name", "unnamed")
     kind = doc.get("kind", "qvi")
     if "f" not in doc:
         raise ConfigError("problem file needs 'f'")

@@ -23,11 +23,11 @@ on non-convergence, and share one divergence guard.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_solve
 
 from .analysis import SamplingPlan, sample_lipschitz, sample_pair_modulus
 from .errors import (
@@ -37,7 +37,7 @@ from .errors import (
     NoConvergence,
     SingularLinearPart,
 )
-from .inverse import LinearExact, _checked_lu, invert, lipschitz_of_inverse
+from .inverse import _LU, LinearExact, _norm, invert, lipschitz_of_inverse
 from .model import FuncField, natural_residual, project, project_moving
 
 # Safety factors compensating the one-sided bias of sampled estimates:
@@ -97,8 +97,9 @@ def _run(state0, step, x_of, residual_of, config, h):
             converged = True
             break
         x = x_of(state)
-        if not np.isfinite(r) or not np.all(np.isfinite(x)) \
-                or np.linalg.norm(x) > config.divergence_guard:
+        norm_x = _norm(x)  # NaN or inf when x is not finite
+        if not (math.isfinite(r) and math.isfinite(norm_x)) \
+                or norm_x > config.divergence_guard:
             diverged = True
             break
         window.append(r)
@@ -113,7 +114,7 @@ def _run(state0, step, x_of, residual_of, config, h):
             # The inverse gave up, which only happens on runaway iterates.
             diverged = True
             break
-        displacement = float(np.linalg.norm(x_of(new_state) - x))
+        displacement = _norm(x_of(new_state) - x)
         state = new_state
         n += 1
         if iterates is not None:
@@ -290,13 +291,7 @@ class ZeroMap:
     @classmethod
     def from_matrix(cls, A):
         A = np.asarray(A, float)
-        lu = _checked_lu(A, "w matrix")
-
-        def solve(u):
-            z = lu_solve(lu, u)
-            return z + lu_solve(lu, u - A @ z)  # one refinement pass
-
-        return cls(apply=lambda x: A @ x, solve=solve, matrix=A)
+        return cls(apply=A.dot, solve=_LU(A, "w matrix").refined_solve, matrix=A)
 
     @classmethod
     def from_field(cls, w_field, inverse_spec):
@@ -318,7 +313,7 @@ def solve_zero(f, w, x0, config=SolverConfig(h=1.0)):
         np.asarray(x0, float),
         lambda x: zero_step(f, w, x, h),
         lambda x: x,
-        lambda x: float(np.linalg.norm(f(x))),
+        lambda x: _norm(f(x)),
         config,
         h,
     )
@@ -359,7 +354,8 @@ def sweep_trajectory(problem, x0, h, t_end, divergence_guard=1e12):
             diverged = True
             break
         xs.append(x.copy())
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > divergence_guard:
+        norm_x = _norm(x)  # NaN or inf when x is not finite
+        if not math.isfinite(norm_x) or norm_x > divergence_guard:
             diverged = True
             break
     xs = np.asarray(xs)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qvikit.cli import main
-from qvikit.problems import dump_problem, get_builtin
+from qvikit.problems import dump_problem, get_builtin, problem_to_dict
 
 EX4_X0 = "10000,20000,30000"
 
@@ -148,6 +148,7 @@ def test_analyze_spectral_displacement_constant(capsys):
     assert "(spectral)" in out
     value = float(out.split("=")[1].split("(")[0])
     assert value == pytest.approx(0.85, abs=0.01)
+    assert out == "l = 0.84721359549995801 (spectral)\n"
 
 
 def test_analyze_sampled_lipschitz_label(capsys):
@@ -267,3 +268,25 @@ def test_bad_json_file_exit_one(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(path), "--x0", "1")
     assert code == 1
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("kind", ["box-without-bounds", "set-string",
+                                  "missing-bracket", "deep-parens"])
+def test_malformed_problem_file_exits_1_with_typed_error(kind, tmp_path, capsys):
+    doc = problem_to_dict(get_builtin("remark5" if kind == "missing-bracket"
+                                      else "example1"))
+    if kind == "box-without-bounds":
+        doc["set"] = {"type": "box"}
+    elif kind == "set-string":
+        doc["set"] = "box"
+    elif kind == "missing-bracket":
+        del doc["inverse"]["bracket"]
+    else:
+        doc["f"]["remainder"][0] = "(" * 5000 + "x1" + ")" * 5000
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    x0 = "0.5" if kind == "missing-bracket" else "6,2"
+    code, out, err = run(capsys, "solve", str(path), "--x0", x0, "--h", "0.01")
+    assert code == 1
+    assert out == ""
+    assert re.match(r"error: (ConfigError|ParseError): ", err)

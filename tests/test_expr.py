@@ -142,6 +142,12 @@ def test_parse_error_empty():
         parse("   ", 1)
 
 
+@pytest.mark.parametrize("text", [42, None, ["x1"]])
+def test_parse_error_not_a_string(text):
+    with pytest.raises(ParseError, match="expected an expression string"):
+        parse(text, 1)
+
+
 def test_parse_error_unbalanced_paren():
     with pytest.raises(ParseError):
         parse("(x1 + 1", 1)
@@ -150,6 +156,27 @@ def test_parse_error_unbalanced_paren():
 def test_exponent_chain_cap():
     with pytest.raises(ParseError, match="limit"):
         parse("2^9^9^9", 1)
+
+
+@pytest.mark.parametrize("text,offset", [
+    ("(" * 5000 + "x1" + ")" * 5000, 64),
+    ("-" * 5000 + "x1", 64),
+    ("sin(" * 5000 + "x1" + ")" * 5000, 4 * 64),
+    ("max(1, " * 5000 + "x1" + ")" * 5000, 7 * 64),
+    # The first "^" of a chain opens no level; the 66th opens the 65th.
+    ("x1" + "^1" * 5000, 2 + 2 * 65),
+], ids=["parens", "minus", "calls", "call-args", "exponents"])
+def test_parse_error_nesting_limit(text, offset):
+    with pytest.raises(ParseError, match="nests deeper than 64") as exc:
+        parse(text, 1)
+    assert exc.value.offset == offset
+
+
+def test_nesting_limit_admits_64_levels():
+    assert parse("(" * 64 + "x1" + ")" * 64, 1) == Var(1)
+    assert eval_expr(parse("-" * 64 + "x1", 1), [2.0]) == 2.0
+    assert eval_expr(parse("sin(" * 64 + "x1" + ")" * 64, 1), [0.0]) == 0.0
+    assert eval_expr(parse("-(sin(" * 21 + "x1" + "))" * 21 + "+1", 1), [0.0]) == 1.0
 
 
 def test_eval_division_by_zero():

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.linalg import norm
+from scipy.linalg import lu_factor, lu_solve
 
 from qvikit.errors import (
     BracketingFailure,
@@ -9,14 +12,17 @@ from qvikit.errors import (
     SingularLinearPart,
 )
 from qvikit.inverse import (
+    _LU,
     LinearExact,
     PicardContraction,
     ScalarBracket,
     Semilinear,
+    _norm,
     invert,
     lipschitz_of_inverse,
 )
-from qvikit.model import VectorField
+from qvikit.model import FuncField, QviProblem, VectorField, WholeSpace
+from qvikit.solvers import SolverConfig, solve_alg1
 
 
 def _sine_picard(l=0.5):
@@ -152,3 +158,55 @@ def test_no_convergence_reports_achieved_residual():
     with pytest.raises(NoConvergence) as exc:
         invert(spec, np.array([1.0]))
     assert exc.value.achieved > 0.0
+
+
+@pytest.mark.parametrize("trans", [0, 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lu_solve_helper_matches_scipy_bit_for_bit(n, trans):
+    rng = np.random.default_rng(100 * n + trans)
+    for _ in range(50):
+        A = rng.standard_normal((n, n)) + n * np.eye(n)
+        b = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9)
+        want = lu_solve(lu_factor(A), b, trans=trans)
+        assert _LU(A, "A").solve(b, trans=trans).tobytes() == want.tobytes()
+
+
+def test_lu_solve_helper_rejects_non_finite_rhs():
+    lu = _LU(np.array([[2.0, 1.0], [1.0, 3.0]]), "A")
+    for bad in ([np.nan, 1.0], [1.0, np.inf], [-np.inf, np.inf]):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            lu.solve(np.array(bad))
+    # Finite entries whose squares overflow are a valid right-hand side.
+    huge = np.array([1e200, -3e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lu.solve(huge).tobytes() == lu_solve((lu.lu, lu.piv), huge).tobytes()
+
+
+@pytest.mark.parametrize("u", [
+    [3.0, 4.0], [0.0], [-0.0, 0.0], [1e-200, 1e-200], [1e200, 1e200],
+    [1.0, np.inf], [-np.inf, 2.0], [np.nan, 1.0], [np.inf, np.nan],
+    list(np.random.default_rng(3).standard_normal(7)),
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+def test_norm_helper_matches_numpy(u):
+    u = np.array(u)
+    got, want = _norm(u), float(np.linalg.norm(u))
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_invert_checks_the_dimension_once_on_entry(ex1, ex3):
+    for spec in (ex1.inverse, ex3.inverse, _sine_picard()):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            invert(spec, np.zeros(4))
+
+
+def test_run_reports_divergence_when_a_field_returns_nan():
+    # f is the identity outside the strip |x1| <= 1 and NaN inside it.
+    f = FuncField(2, lambda x: x if abs(x[0]) > 1.0 else np.full(2, np.nan))
+    problem = QviProblem("nan", 2, f, VectorField.zero(2),
+                         LinearExact(np.zeros((2, 2))), WholeSpace(2))
+    report = solve_alg1(problem, [4.0, 4.0], SolverConfig(h=0.5))
+    assert report.diverged and not report.converged
+    assert report.iterations == 2  # x: 4 -> 2 -> 1, where f is NaN
+    assert np.isnan(report.residual_final)

@@ -34,6 +34,17 @@ def test_project_box_clamps():
     assert np.array_equal(project(BOX, [50.0, -50.0]), [40.0, -30.0])
 
 
+def test_project_box_matches_clip_bit_for_bit():
+    box = Box([0.0, -0.0, -1.0, -1.0, 0.0, -2.0], [1.0, 1.0, 0.0, -0.0, 0.0, 2.0])
+    rng = np.random.default_rng(4)
+    points = [np.array([-0.0, 0.0, 0.0, -0.0, -0.0, 0.0]),
+              np.array([np.nan, np.inf, -np.inf, 5.0, -5.0, 1.5])]
+    points += [rng.uniform(-3.0, 3.0, 6) for _ in range(100)]
+    for z in points:
+        got = project(box, z)
+        assert got.tobytes() == np.clip(z, box.lower, box.upper).tobytes()
+
+
 def test_project_orthant():
     assert np.array_equal(project(NonnegativeOrthant(1), [-3.0]), [0.0])
 

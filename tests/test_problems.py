@@ -187,6 +187,30 @@ def test_field_backed_scaffold_refuses_json(ex4):
     (lambda d: d.update(set={"type": "box", "lower": [0, 0], "upper": [1, 1]}),
      "dimension"),
     (lambda d: d.update(constants={"beta": 1.0}), "unknown name"),
+    (lambda d: d.update(set={"type": "box", "upper": [1]}), r"set\.lower"),
+    (lambda d: d.update(set={"type": "box", "lower": [0]}), r"set\.upper"),
+    (lambda d: d.update(set={"type": "box"}), r"set\.lower"),
+    (lambda d: d.update(set="box"), "set: expected a JSON object"),
+    (lambda d: d.update(set=["box"]), "set: expected a JSON object"),
+    (lambda d: d.update(inverse={"strategy": "scalar_bracket"}), r"inverse\.bracket"),
+    (lambda d: d.update(inverse={"strategy": "scalar_bracket", "bracket": 5}),
+     r"inverse\.bracket"),
+    (lambda d: d.update(inverse="picard"), "inverse: expected a JSON object"),
+    (lambda d: d.update(constants=[1.0]), "constants: expected a JSON object"),
+    (lambda d: d.update(constants={"L": {"source": "declared"}}),
+     r"constants\.L\.value"),
+    (lambda d: d.update(meta="ex"), "meta: expected a JSON object"),
+    (lambda d: d.update(dim=None), "dim must be an integer"),
+    (lambda d: d.update(inverse={"strategy": "scalar_bracket", "bracket": [0, None]}),
+     r"inverse\.bracket"),
+    (lambda d: d.update(v=["0.3*sin(x1)"], inverse={"strategy": "picard", "l": None}),
+     r"inverse\.l: expected a number"),
+    (lambda d: d.update(inverse={"strategy": "linear_exact", "max_inner": "many"}),
+     r"inverse\.max_inner"),
+    (lambda d: d.update(constants={"L": None}), r"constants\.L: expected a number"),
+    (lambda d: d.update(f={"matrix": [[1.0]], "remainder": 5}), r"f\.remainder"),
+    (lambda d: d.update(v=42),
+     r"v: expected an expression list, a \{matrix, remainder\} object"),
 ])
 def test_problem_from_dict_error_catalog(mutate, needle):
     doc = _minimal_doc()

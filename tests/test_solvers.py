@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.linalg import norm
@@ -35,6 +37,7 @@ from qvikit.solvers import (
 )
 from qvikit.analysis import SamplingPlan, sample_lipschitz, sample_pair_modulus
 from qvikit.model import FuncField
+from qvikit.problems import dumps_problem, loads_problem
 
 
 def _declared(dim, gamma, L):
@@ -414,3 +417,53 @@ def test_natural_residual_consistent_with_reports(ex2):
     report = solve_alg1(ex2, np.array([43.0, 22.0, 55.0]), SolverConfig(h=0.3))
     assert report.residual_final == pytest.approx(
         natural_residual(ex2, report.x_final, 0.3), abs=1e-15)
+
+
+# Iteration counts and endpoints (float.hex) from the README start points,
+# recorded before the solver hot path was rewritten. Any change to the order
+# of floating-point operations in a step moves at least one of these bits.
+BIT_PINS = {
+    "alg1.example1": (687, ("-0x1.839fdb19d15a2p-2", "0x1.7f07574d675dcp-3")),
+    "alg1.example1-picard": (687, ("-0x1.839fdb1998c0ep-2", "0x1.7f07574dcd6a6p-3")),
+    "alg1.example2": (144, ("-0x1.ffc183b667e81p-4", "0x1.a3b38349c0519p-4",
+                            "-0x1.80639b12ba1a4p-5")),
+    "alg1.example3": (143, ("-0x1.7d30c2e45161bp-4", "0x1.4e12d8a89a628p-4",
+                            "-0x1.c6500297cf105p-5")),
+    "alg1.remark5": (1, ("-0x1.445a544a3a000p-2",)),
+    "tseng.example1": (705, ("-0x1.839fda04d7d56p-2", "0x1.7f07533b84411p-3")),
+    "zero.example4": (13, ("-0x1.7d30c20d22419p-4", "0x1.4e12d88b6738cp-4",
+                           "-0x1.c65007085b4a1p-5")),
+    "sweep.example1": (1000, ("-0x1.839fc5ab00958p-2", "0x1.7f074e99d61a4p-3")),
+}
+
+
+def _picard_example1(ex1):
+    doc = json.loads(dumps_problem(ex1))
+    doc["inverse"].update(strategy="picard", l=0.85)
+    return loads_problem(json.dumps(doc))
+
+
+def _bit_pin_run(case, ex1, ex2, ex3, ex4, r5):
+    if case == "tseng.example1":
+        r = solve_tseng(ex1, [6.0, 2.0], SolverConfig(h=0.01))
+    elif case == "zero.example4":
+        r = solve_zero(ex4.f, ex4.w, [1e4, 2e4, 3e4], SolverConfig(h=1.0, tol=1e-10))
+    elif case == "sweep.example1":
+        s = sweep_trajectory(ex1, [6.0, 2.0], 0.01, 10.0)
+        return len(s.xs) - 1, s.xs[-1]
+    else:
+        problem, x0, h = {
+            "alg1.example1": (ex1, [6.0, 2.0], 0.01),
+            "alg1.example1-picard": (_picard_example1(ex1), [6.0, 2.0], 0.01),
+            "alg1.example2": (ex2, [43.0, 22.0, 55.0], 0.3),
+            "alg1.example3": (ex3, [5.0, 4.0, 2.0], 0.3),
+            "alg1.remark5": (r5, [0.5], 0.5),
+        }[case]
+        r = solve_alg1(problem, x0, SolverConfig(h=h))
+    return r.iterations, r.x_final
+
+
+@pytest.mark.parametrize("case", sorted(BIT_PINS))
+def test_solver_results_bit_for_bit(case, ex1, ex2, ex3, ex4, r5):
+    iterations, x_final = _bit_pin_run(case, ex1, ex2, ex3, ex4, r5)
+    assert (iterations, tuple(float(v).hex() for v in x_final)) == BIT_PINS[case]
