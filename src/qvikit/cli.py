@@ -21,9 +21,7 @@ import numpy as np
 from .analysis import (
     SamplingPlan,
     check_pseudo_pair,
-    operator_norm,
     pair_modulus_linear,
-    sample_lipschitz,
     sample_pair_modulus,
 )
 from .errors import DiagnosticsError, QvikitError
@@ -33,6 +31,7 @@ from .solvers import (
     SolverConfig,
     auto_step,
     loglinear_fit,
+    resolve_constant,
     solve_alg1,
     solve_catchup,
     solve_tseng,
@@ -200,10 +199,6 @@ def cmd_sweep(args):
     return 2 if result.diverged else 0
 
 
-def _is_pure_linear(field):
-    return field.matrix is not None and field.remainder is None
-
-
 def cmd_analyze(args):
     problem = _resolve_problem(args)
     if isinstance(problem, ZeroProblem):
@@ -211,16 +206,13 @@ def cmd_analyze(args):
     plan = SamplingPlan(seed=args.seed, count=args.samples)
     f, v = problem.f, problem.v
     w = FuncField(problem.dim, lambda x: x - v(x))
-    if args.estimate == "L":
-        if _is_pure_linear(f):
-            print(f"L = {_fmt(operator_norm(f.matrix))} (spectral)")
+    if args.estimate in ("L", "l"):
+        # An estimate: constants stored on the problem are skipped.
+        value, source = resolve_constant(problem, args.estimate, plan, stored=False)
+        if source == "spectral":
+            print(f"{args.estimate} = {_fmt(value)} (spectral)")
         else:
-            print(f"L_hat = {_fmt(sample_lipschitz(f, plan))} (sampled, lower bound)")
-    elif args.estimate == "l":
-        if _is_pure_linear(v):
-            print(f"l = {_fmt(operator_norm(v.matrix))} (spectral)")
-        else:
-            print(f"l_hat = {_fmt(sample_lipschitz(v, plan))} (sampled, lower bound)")
+            print(f"{args.estimate}_hat = {_fmt(value)} (sampled, lower bound)")
     elif args.estimate == "gamma":
         if f.matrix is not None and v.matrix is not None:
             eye = np.eye(problem.dim)

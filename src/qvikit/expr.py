@@ -32,6 +32,10 @@ _MAX_EXPONENT = 1_000_000
 # this deep together, which keeps the recursive descent (up to eight Python
 # frames a level) far below the interpreter's recursion limit.
 _MAX_NESTING = 64
+# Trees are at most this high, so that evaluating, printing and comparing
+# them recursively (a frame or two a level) stays below that limit too. A
+# sum or product of n terms is a tree n - 1 levels high.
+_MAX_HEIGHT = 256
 
 
 @dataclass(frozen=True)
@@ -118,37 +122,51 @@ class _Parser:
         self.depth -= 1
         return node
 
+    def taller(self, height, offset):
+        """Height of a node over a subtree ``height`` levels high."""
+        if height == _MAX_HEIGHT:
+            raise ParseError(f"expression tree is deeper than {_MAX_HEIGHT} levels",
+                             offset)
+        return height + 1
+
     def expect(self, kind):
         tok = self.peek()
         if tok[0] != kind:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return self.advance()
 
+    # Each sub-parser returns a node and the height of its tree.
+
+    def chain(self, ops, operand):
+        """A left-associative chain of ``operand``s joined by ``ops``."""
+        node, height = operand()
+        while self.peek()[0] in ops:
+            op, _, offset = self.advance()
+            right, right_height = operand()
+            node = Binary(op, node, right)
+            height = self.taller(max(height, right_height), offset)
+        return node, height
+
     def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            node = Binary(op, node, self.term())
-        return node
+        return self.chain(("+", "-"), self.term)
 
     def term(self):
-        node = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            node = Binary(op, node, self.unary())
-        return node
+        return self.chain(("*", "/"), self.unary)
 
     def unary(self):
         if self.peek()[0] == "-":
-            return Unary(self.nested(self.unary, self.advance()[2]))
+            offset = self.advance()[2]
+            child, height = self.nested(self.unary, offset)
+            return Unary(child), self.taller(height, offset)
         return self.power()
 
     def power(self):
-        node = self.atom()
+        node, height = self.atom()
         if self.peek()[0] == "^":
-            self.advance()
+            offset = self.advance()[2]
             node = Binary("^", node, Number(float(self.exponent())))
-        return node
+            height = self.taller(height, offset)
+        return node, height
 
     def exponent(self):
         # Right-associative chains of integer literals fold at parse time,
@@ -170,7 +188,7 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "number":
             self.advance()
-            return Number(tok[1])
+            return Number(tok[1]), 0
         if tok[0] == "(":
             self.advance()
             node = self.nested(self.expr, tok[2])
@@ -189,7 +207,7 @@ class _Parser:
                 raise ParseError(
                     f"variable {name!r} out of range for dimension {self.dim}", tok[2]
                 )
-            return Var(index)
+            return Var(index), 0
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
 
     def call(self, name, offset):
@@ -204,7 +222,8 @@ class _Parser:
             raise ParseError(
                 f"{name} takes {arity} argument(s), got {len(args)}", offset
             )
-        return Call(name, tuple(args))
+        return Call(name, tuple(a for a, _ in args)), \
+            self.taller(max(h for _, h in args), offset)
 
 
 def parse(text, dim):
@@ -214,7 +233,7 @@ def parse(text, dim):
     if not text.strip():
         raise ParseError("empty expression", 0)
     parser = _Parser(_tokenize(text), dim)
-    node = parser.expr()
+    node, _ = parser.expr()
     trailing = parser.peek()
     if trailing[0] != "end":
         raise ParseError(f"trailing input {trailing[1]!r}", trailing[2])
@@ -285,16 +304,37 @@ def _format_number(value):
     return repr(value)
 
 
-def print_expr(ast):
-    """Render ``ast`` fully parenthesized; parse(print_expr(a), dim) == a."""
+# Grammar levels, loosest first: expr, term, unary, power, atom. A node
+# printed where the grammar wants a tighter level gets parentheses.
+_EXPR, _TERM, _UNARY, _POWER, _ATOM = range(5)
+_OP_LEVEL = {"+": _EXPR, "-": _EXPR, "*": _TERM, "/": _TERM}
+
+
+def _print(ast, need):
     if isinstance(ast, Number):
         return _format_number(ast.value)
     if isinstance(ast, Var):
         return f"x{ast.index}"
-    if isinstance(ast, Unary):
-        return f"(-{print_expr(ast.child)})"
-    if isinstance(ast, Binary):
-        return f"({print_expr(ast.left)} {ast.op} {print_expr(ast.right)})"
     if isinstance(ast, Call):
-        return f"{ast.name}({', '.join(print_expr(a) for a in ast.args)})"
-    raise TypeError(f"not an expression node: {ast!r}")
+        return f"{ast.name}({', '.join(_print(a, _EXPR) for a in ast.args)})"
+    if isinstance(ast, Unary):
+        level, text = _UNARY, f"-{_print(ast.child, _UNARY)}"
+    elif isinstance(ast, Binary) and ast.op == "^":
+        level = _POWER
+        text = f"{_print(ast.left, _ATOM)} ^ {_format_number(ast.right.value)}"
+    elif isinstance(ast, Binary):
+        # Left associativity: the right operand binds one level tighter.
+        level = _OP_LEVEL[ast.op]
+        text = f"{_print(ast.left, level)} {ast.op} {_print(ast.right, level + 1)}"
+    else:
+        raise TypeError(f"not an expression node: {ast!r}")
+    return f"({text})" if level < need else text
+
+
+def print_expr(ast):
+    """Render ``ast`` with only the parentheses the grammar needs.
+
+    parse(print_expr(a), dim) == a, and the text nests no deeper than any
+    text that parses to ``a``, so whatever parses prints to text that parses.
+    """
+    return _print(ast, _EXPR)

@@ -86,10 +86,16 @@ class _LU:
 
 def _point(y, dim):
     """``y`` as a float vector of length ``dim``, checked once per invert call
-    so that inner loops can evaluate fields without checks."""
+    so that inner loops can evaluate fields without checks.
+
+    No inverse can reach a non-finite ``y``, so it raises NoConvergence at
+    once instead of after ``max_inner`` steps.
+    """
     y = np.asarray(y, float)
     if dim is not None and y.shape != (dim,):
         raise ValueError(f"dimension mismatch: {y.shape} vs ({dim},)")
+    if not np.isfinite(y).all():
+        raise NoConvergence("cannot invert at a non-finite point", math.nan)
     return y
 
 
@@ -253,7 +259,7 @@ class ScalarBracket:
         return t - float(self._v(np.array([t]))[0])
 
     def invert(self, y, inner_log=None):
-        target = float(np.asarray(y, float).ravel()[0])
+        target = float(_point(y, None).ravel()[0])
         a, b = float(self.bracket[0]), float(self.bracket[1])
         ga = self._w(a) - target
         gb = self._w(b) - target

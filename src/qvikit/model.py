@@ -203,10 +203,6 @@ class ProblemConstants:
             )
         return c.value
 
-    def get(self, name):
-        c = getattr(self, name)
-        return None if c is None else c.value
-
 
 @dataclass(frozen=True, eq=False)
 class QviProblem:
@@ -240,6 +236,14 @@ def to_vi(problem):
     return T, problem.set
 
 
+def _natural_residual_parts(problem, x, fx, h):
+    """``(|y - p|, y, p)`` for ``y = x - v(x)``, ``p = proj_C(y - h fx)`` and
+    ``fx = f(x)``: the natural residual and the parts solvers step from."""
+    y = x - problem.v(x)
+    p = project(problem.set, y - h * fx)
+    return _norm(y - p), y, p
+
+
 def natural_residual(problem, x, h):
     """Fixed-point residual |y - proj_C(y - h f(x))| with y = x - v(x).
 
@@ -249,5 +253,4 @@ def natural_residual(problem, x, h):
     if not h > 0:
         raise ValueError("h must be positive")
     x = np.asarray(x, float)
-    y = x - problem.v(x)
-    return _norm(y - project(problem.set, y - h * problem.f(x)))
+    return _natural_residual_parts(problem, x, problem.f(x), h)[0]

@@ -18,7 +18,11 @@ merely monotone pairs, and a derivative-free zero finder
 
 covers root problems for strongly monotone pairs (f, w). All solves stop on
 the natural residual (or |f| for the zero finder), report instead of raise
-on non-convergence, and share one divergence guard.
+on non-convergence, and run in one engine with one divergence guard; the
+sweep is that engine run for a fixed number of steps with no residual.
+
+The constants behind the automatic step sizes come from resolve_constant,
+in one order: stored on the problem, else spectral, else sampled.
 """
 
 from __future__ import annotations
@@ -29,16 +33,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import SamplingPlan, sample_lipschitz, sample_pair_modulus
-from .errors import (
-    BracketingFailure,
-    ConfigError,
-    DiagnosticsError,
-    NoConvergence,
-    SingularLinearPart,
+from .analysis import (
+    SamplingPlan,
+    operator_norm,
+    pair_modulus_linear,
+    sample_lipschitz,
+    sample_pair_modulus,
 )
-from .inverse import _LU, LinearExact, _norm, invert, lipschitz_of_inverse
-from .model import FuncField, natural_residual, project, project_moving
+from .errors import BracketingFailure, ConfigError, DiagnosticsError, NoConvergence
+from .inverse import _LU, ScalarBracket, _norm, invert
+from .model import (
+    FuncField,
+    _natural_residual_parts,
+    natural_residual,
+    project,
+    project_moving,
+)
 
 # Safety factors compensating the one-sided bias of sampled estimates:
 # gamma-hat is an upper bound (shrink it), L-hat a lower bound (grow it).
@@ -79,48 +89,54 @@ class SolveReport:
     rate_estimate: float | None = None
 
 
-def _run(state0, step, x_of, residual_of, config, h):
-    """Shared iteration engine: stop on residual, cap, or divergence."""
+def _run(state0, probe, config, h, x_of=lambda state: state):
+    """The one iteration engine: stop on residual, cap, or divergence.
+
+    ``probe(state)`` returns the stopping residual at ``state`` (None for a
+    run with no residual, which goes on to ``config.max_iter``) and a thunk
+    that takes the next step from the evaluations the residual made.
+    """
     state = state0
     record = config.record != "none"
     residuals = [] if record else None
     iterates = [x_of(state).copy()] if config.record == "full" else None
     window = deque(maxlen=101)
     converged = diverged = False
-    displacement = np.inf
+    x_before = None  # the iterate the last step started from
     n = 0
-    r = residual_of(state)
+    r, advance = probe(state)
     while True:
-        if record:
-            residuals.append(r)
-        if r <= config.tol:
-            converged = True
-            break
+        if r is not None:
+            if record:
+                residuals.append(r)
+            if r <= config.tol:
+                converged = True
+                break
+            window.append(r)
+            if not math.isfinite(r) or (len(window) == window.maxlen
+                                        and window[-1] > 10.0 * window[0]):
+                diverged = True
+                break
         x = x_of(state)
-        norm_x = _norm(x)  # NaN or inf when x is not finite
-        if not (math.isfinite(r) and math.isfinite(norm_x)) \
-                or norm_x > config.divergence_guard:
-            diverged = True
-            break
-        window.append(r)
-        if len(window) == window.maxlen and window[-1] > 10.0 * window[0]:
+        if not _norm(x) <= config.divergence_guard:  # NaN or inf norms too
             diverged = True
             break
         if n >= config.max_iter:
             break
         try:
-            new_state = step(state)
+            new_state = advance()
         except (NoConvergence, BracketingFailure):
             # The inverse gave up, which only happens on runaway iterates.
             diverged = True
             break
-        displacement = _norm(x_of(new_state) - x)
-        state = new_state
+        x_before, state = x, new_state
         n += 1
         if iterates is not None:
             iterates.append(x_of(state).copy())
-        r = residual_of(state)
+        r, advance = probe(state)
 
+    x_final = x_of(state).copy()
+    displacement = np.inf if x_before is None else _norm(x_final - x_before)
     rate = None
     if residuals is not None and len(residuals) >= 5:
         try:
@@ -128,12 +144,12 @@ def _run(state0, step, x_of, residual_of, config, h):
         except DiagnosticsError:
             rate = None
     return SolveReport(
-        x_final=x_of(state).copy(),
+        x_final=x_final,
         converged=converged,
         diverged=diverged,
         iterations=n,
         h_used=h,
-        residual_final=float(r),
+        residual_final=math.nan if r is None else float(r),
         displacement_final=float(displacement),
         residuals=residuals,
         iterates=iterates,
@@ -141,29 +157,61 @@ def _run(state0, step, x_of, residual_of, config, h):
     )
 
 
+def _linear_part(field):
+    """The matrix of a pure-linear field (no remainder), else None."""
+    pure = getattr(field, "remainder", None) is None
+    return getattr(field, "matrix", None) if pure else None
+
+
+def resolve_constant(problem, name, plan=None, safety=1.0, stored=True):
+    """Value and source of constant L, l, gamma or l_tilde, in the one order:
+
+    1. the value stored on ``problem.constants`` (unless not ``stored``);
+    2. spectral: the operator norm of a pure-linear f (L) or v (l), the pair
+       modulus of pure-linear f and Id - v (gamma), the inverse's bound
+       (l_tilde; a sampled one for ScalarBracket);
+    3. sampled with ``plan``, times the ``safety`` factor against the
+       estimate's one-sided bias; with no plan, (None, None).
+    """
+    if name not in ("L", "l", "gamma", "l_tilde"):
+        raise ValueError(f"no rule resolves constant {name!r}")
+    constant = getattr(problem.constants, name) if stored else None
+    if constant is not None:
+        return constant.value, constant.source
+    F, V = _linear_part(problem.f), _linear_part(problem.v)
+    if name == "L" and F is not None:
+        return operator_norm(F), "spectral"
+    if name == "l" and V is not None:
+        return operator_norm(V), "spectral"
+    if name == "gamma" and F is not None and V is not None:
+        return pair_modulus_linear(F, np.eye(problem.dim) - V), "spectral"
+    if name == "l_tilde":
+        sampled = isinstance(problem.inverse, ScalarBracket)
+        return problem.inverse.lipschitz(), "sampled" if sampled else "spectral"
+    if plan is None:
+        return None, None
+    if name == "gamma":
+        w = FuncField(problem.dim, lambda x: x - problem.v(x))
+        return safety * sample_pair_modulus(problem.f, w, plan), "sampled"
+    field = problem.f if name == "L" else problem.v
+    return safety * sample_lipschitz(field, plan), "sampled"
+
+
 def auto_step(problem, plan=None, allow_sampling=True):
     """Step size h = gamma / L^2, the rule whose rate does not involve l_tilde.
 
-    Uses declared or spectral constants from the problem when present and
-    falls back to safety-factored sampled estimates (0.9 gamma-hat,
-    1.1 L-hat) otherwise.
+    gamma and L come from resolve_constant; a sampled estimate is
+    safety-factored (0.9 gamma-hat, 1.1 L-hat).
     """
-    c = problem.constants
-    gamma = c.get("gamma")
-    L = c.get("L")
-    if gamma is None or L is None:
-        if not allow_sampling:
-            missing = [n for n, val in (("gamma", gamma), ("L", L)) if val is None]
-            raise ConfigError(
-                f"auto step needs {' and '.join(missing)}: declare them on the "
-                "problem or allow sampling"
-            )
-        plan = plan or SamplingPlan(seed=0)
-        if gamma is None:
-            w = FuncField(problem.dim, lambda x: x - problem.v(x))
-            gamma = GAMMA_SAFETY * sample_pair_modulus(problem.f, w, plan)
-        if L is None:
-            L = LIP_SAFETY * sample_lipschitz(problem.f, plan)
+    plan = (plan or SamplingPlan(seed=0)) if allow_sampling else None
+    gamma, _ = resolve_constant(problem, "gamma", plan, GAMMA_SAFETY)
+    L, _ = resolve_constant(problem, "L", plan, LIP_SAFETY)
+    missing = [n for n, val in (("gamma", gamma), ("L", L)) if val is None]
+    if missing:
+        raise ConfigError(
+            f"auto step needs {' and '.join(missing)}: declare them on the "
+            "problem or allow sampling"
+        )
     if gamma <= 0:
         raise ConfigError(f"auto step needs a positive gamma, got {gamma:.3e}")
     return gamma / L**2
@@ -202,26 +250,30 @@ def catching_up_step(problem, x, h):
     return project_moving(problem, x, x - h * problem.f(x))
 
 
-def _solve_fixed_point(problem, x0, config, step_fn):
-    h = config.h if config.h is not None else auto_step(problem)
-    return _run(
-        np.asarray(x0, float),
-        lambda x: step_fn(problem, x, h),
-        lambda x: x,
-        lambda x: natural_residual(problem, x, h),
-        config,
-        h,
-    )
-
-
 def solve_alg1(problem, x0, config=SolverConfig()):
-    """Iterate the modified projection step until the natural residual drops."""
-    return _solve_fixed_point(problem, x0, config, alg1_step)
+    """Iterate the modified projection step until the natural residual drops.
+
+    Each iterate evaluates f, v and the projection once: the step inverts
+    the p = proj_C(y - h f(x)) that the residual |y - p| was measured with.
+    """
+    h = config.h if config.h is not None else auto_step(problem)
+    spec = problem.inverse
+
+    def probe(x):
+        r, _, p = _natural_residual_parts(problem, x, problem.f(x), h)
+        return r, lambda: invert(spec, p)
+
+    return _run(np.asarray(x0, float), probe, config, h)
 
 
 def solve_catchup(problem, x0, config=SolverConfig()):
     """Iterate the baseline moved-set projection step (may diverge; reported)."""
-    return _solve_fixed_point(problem, x0, config, catching_up_step)
+    h = config.h if config.h is not None else auto_step(problem)
+
+    def probe(x):
+        return natural_residual(problem, x, h), lambda: catching_up_step(problem, x, h)
+
+    return _run(np.asarray(x0, float), probe, config, h)
 
 
 def tseng_auto_step(problem, plan=None):
@@ -230,14 +282,8 @@ def tseng_auto_step(problem, plan=None):
     The composed map T = f o (Id-v)^{-1} is (L l_tilde)-Lipschitz, and the
     scheme needs h strictly below 1/Lip(T).
     """
-    c = problem.constants
-    L = c.get("L")
-    if L is None:
-        plan = plan or SamplingPlan(seed=0)
-        L = LIP_SAFETY * sample_lipschitz(problem.f, plan)
-    l_tilde = c.get("l_tilde")
-    if l_tilde is None:
-        l_tilde = lipschitz_of_inverse(problem.inverse)
+    L, _ = resolve_constant(problem, "L", plan or SamplingPlan(seed=0), LIP_SAFETY)
+    l_tilde, _ = resolve_constant(problem, "l_tilde")
     return 0.9 / (L * l_tilde)
 
 
@@ -250,30 +296,28 @@ def solve_tseng(problem, x0, config=SolverConfig(), literal=False):
     its outcome is reported, never relied on.
     """
     h = config.h if config.h is not None else tseng_auto_step(problem)
-    f, v, spec, cset = problem.f, problem.v, problem.inverse, problem.set
+    f, spec, cset = problem.f, problem.inverse, problem.set
 
-    x0 = np.asarray(x0, float)
-    state0 = (x0, x0 - v(x0))
-
-    def step(state):
+    def probe(state):
         x, y = state
         fx = f(x)  # equals T(y) since x = (Id-v)^{-1}(y)
-        ybar = project(cset, y - h * fx)
-        z = invert(spec, ybar)
-        if literal:
-            yn = y + h * (fx - f(z))
-        else:
-            yn = ybar - h * (f(z) - fx)
-        return invert(spec, yn), yn
+        r, y_of_x, _ = _natural_residual_parts(problem, x, fx, h)
+        if y is None:  # the start: y0 = x0 - v(x0)
+            y = y_of_x
 
-    return _run(
-        state0,
-        step,
-        lambda state: state[0],
-        lambda state: natural_residual(problem, state[0], h),
-        config,
-        h,
-    )
+        def advance():
+            ybar = project(cset, y - h * fx)
+            z = invert(spec, ybar)
+            if literal:
+                yn = y + h * (fx - f(z))
+            else:
+                yn = ybar - h * (f(z) - fx)
+            return invert(spec, yn), yn
+
+        return r, advance
+
+    return _run((np.asarray(x0, float), None), probe, config, h,
+                x_of=lambda state: state[0])
 
 
 @dataclass(eq=False)
@@ -309,14 +353,8 @@ def zero_step(f, w, x, h):
 def solve_zero(f, w, x0, config=SolverConfig(h=1.0)):
     """Drive |f(x_n)| below tol with the derivative-free w-scaffold iteration."""
     h = config.h if config.h is not None else 1.0
-    return _run(
-        np.asarray(x0, float),
-        lambda x: zero_step(f, w, x, h),
-        lambda x: x,
-        lambda x: _norm(f(x)),
-        config,
-        h,
-    )
+    return _run(np.asarray(x0, float),
+                lambda x: (_norm(f(x)), lambda: zero_step(f, w, x, h)), config, h)
 
 
 @dataclass(frozen=True)
@@ -343,24 +381,12 @@ def sweep_trajectory(problem, x0, h, t_end, divergence_guard=1e12):
         raise ValueError("h must be positive")
     if t_end < h:
         raise ValueError("t_end must be at least h")
-    steps = int(round(t_end / h))
-    x = np.asarray(x0, float)
-    xs = [x.copy()]
-    diverged = False
-    for _ in range(steps):
-        try:
-            x = alg1_step(problem, x, h)
-        except (NoConvergence, BracketingFailure):
-            diverged = True
-            break
-        xs.append(x.copy())
-        norm_x = _norm(x)  # NaN or inf when x is not finite
-        if not math.isfinite(norm_x) or norm_x > divergence_guard:
-            diverged = True
-            break
-    xs = np.asarray(xs)
-    ts = h * np.arange(len(xs))
-    return SweepResult(ts=ts, xs=xs, diverged=diverged)
+    config = SolverConfig(h=h, max_iter=int(round(t_end / h)), record="full",
+                          divergence_guard=divergence_guard)
+    report = _run(np.asarray(x0, float),
+                  lambda x: (None, lambda: alg1_step(problem, x, h)), config, h)
+    xs = np.asarray(report.iterates)
+    return SweepResult(ts=h * np.arange(len(xs)), xs=xs, diverged=report.diverged)
 
 
 def loglinear_fit(values):

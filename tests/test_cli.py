@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qvikit.cli import main
-from qvikit.problems import dump_problem, get_builtin, problem_to_dict
+from qvikit.problems import dump_problem, get_builtin, load_problem, problem_to_dict
 
 EX4_X0 = "10000,20000,30000"
 
@@ -290,3 +290,24 @@ def test_malformed_problem_file_exits_1_with_typed_error(kind, tmp_path, capsys)
     assert code == 1
     assert out == ""
     assert re.match(r"error: (ConfigError|ParseError): ", err)
+
+
+def test_long_sums_solve_and_dump_or_exit_1(tmp_path, capsys):
+    def write(terms, name):
+        doc = problem_to_dict(get_builtin("example1"))
+        doc["f"]["remainder"][0] = "+".join(["cos(x2)^3"] + ["0*x1"] * (terms - 1))
+        path = tmp_path / name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    argv = ["--x0", "6,2", "--h", "0.01"]
+    _, builtin_out, _ = run(capsys, "solve", "builtin:example1", *argv)
+    long_sum = write(200, "long.json")
+    assert run(capsys, "solve", long_sum, *argv) == (0, builtin_out, "")
+    dumped = tmp_path / "dumped.json"
+    dump_problem(load_problem(long_sum), dumped)
+    assert run(capsys, "solve", str(dumped), *argv) == (0, builtin_out, "")
+
+    code, out, err = run(capsys, "solve", write(1000, "too-long.json"), *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ParseError: expression tree is deeper than 256 levels")

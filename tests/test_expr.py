@@ -1,9 +1,21 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qvikit.errors import EvalError, ParseError
-from qvikit.expr import Binary, Number, Unary, Var, eval_expr, parse, print_expr
+from qvikit.expr import (
+    FUNCTIONS,
+    Binary,
+    Call,
+    Number,
+    Unary,
+    Var,
+    eval_expr,
+    parse,
+    print_expr,
+)
 
 
 def ev(text, dim, x=()):
@@ -85,7 +97,7 @@ def test_print_parse_round_trip(text):
     ast = parse(text, 3)
     printed = print_expr(ast)
     assert parse(printed, 3) == ast
-    # Printing is fully parenthesized, so reprinting is a fixpoint.
+    # Printing is deterministic, so reprinting is a fixpoint.
     assert print_expr(parse(printed, 3)) == printed
 
 
@@ -196,3 +208,69 @@ def test_eval_overflow_is_an_error():
 
 def test_var_node_shape():
     assert parse("x2", 2) == Var(2)
+
+
+# Everything parse accepts evaluates, prints, and parses back to the same
+# tree: the printer nests no deeper than the text it came from, and trees are
+# at most 256 levels high.
+@pytest.mark.parametrize("text", [
+    "+".join(["x1"] * 257),
+    "*".join(["x1"] * 257),
+    "+".join(["x1"] * 66),
+    "-" * 33 + "x1",
+    "-" * 64 + "x1",
+    "(" * 64 + "+".join(["x1"] * 200) + ")" * 64,
+    "sin(" * 63 + "+".join(["x1"] * 194) + ")" * 63,
+    "(" * 63 + "x1-" * 200 + "(x1+x1" + ")" * 64,
+], ids=["sum-257", "product-257", "sum-66", "minus-33", "minus-64",
+        "parenthesized-sum", "calls-over-sum", "right-nested"])
+def test_everything_parsed_evaluates_and_prints_to_the_same_tree(text):
+    ast = parse(text, 1)
+    assert math.isfinite(eval_expr(ast, [1.0]))
+    assert parse(print_expr(ast), 1) == ast
+
+
+@pytest.mark.parametrize("text,offset", [
+    ("+".join(["x1"] * 258), 3 * 256 + 2),
+    ("x1" + "*x1" * 300, 3 * 256 + 2),
+    ("x1*x1" + "+x1*x1" * 256, 5 + 6 * 255),
+    ("-" * 60 + "+".join(["x1"] * 200), None),
+], ids=["sum", "product", "sum-of-products", "minus-over-sum"])
+def test_parse_error_tree_height_limit(text, offset):
+    with pytest.raises(ParseError, match="deeper than 256 levels") as exc:
+        parse(text, 1)
+    if offset is not None:
+        assert exc.value.offset == offset
+    assert text[exc.value.offset] in "+-*/"
+
+
+def test_printing_keeps_only_needed_parentheses():
+    assert print_expr(parse("-x1 + (1/3)*sin(x1)", 1)) == "-x1 + 1 / 3 * sin(x1)"
+    assert print_expr(parse("(x1 - (x1 - x1)) * (x1 / (x1 * x1))", 1)) == \
+        "(x1 - (x1 - x1)) * (x1 / (x1 * x1))"
+    assert print_expr(parse("(-x1)^2 - -x1^2", 1)) == "(-x1) ^ 2 - -x1 ^ 2"
+    assert print_expr(parse("((x1^2)^3)", 1)) == "(x1 ^ 2) ^ 3"
+
+
+_numbers = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+_leaves = st.one_of(st.builds(Number, _numbers),
+                    st.builds(Var, st.integers(min_value=1, max_value=3)))
+
+
+def _nodes(children):
+    calls = st.sampled_from(sorted(FUNCTIONS)).flatmap(
+        lambda name: st.tuples(*[children] * FUNCTIONS[name]).map(
+            lambda args, name=name: Call(name, args)))
+    return st.one_of(
+        st.builds(Unary, children),
+        st.builds(Binary, st.sampled_from("+-*/"), children, children),
+        st.builds(lambda base, k: Binary("^", base, Number(float(k))),
+                  children, st.integers(min_value=1, max_value=1_000_000)),
+        calls,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_leaves, _nodes, max_leaves=40))
+def test_print_parse_round_trip_property(ast):
+    assert parse(print_expr(ast), 3) == ast

@@ -22,7 +22,7 @@ from qvikit.inverse import (
     lipschitz_of_inverse,
 )
 from qvikit.model import FuncField, QviProblem, VectorField, WholeSpace
-from qvikit.solvers import SolverConfig, solve_alg1
+from qvikit.solvers import SolverConfig, solve_alg1, sweep_trajectory
 
 
 def _sine_picard(l=0.5):
@@ -201,12 +201,43 @@ def test_invert_checks_the_dimension_once_on_entry(ex1, ex3):
             invert(spec, np.zeros(4))
 
 
-def test_run_reports_divergence_when_a_field_returns_nan():
+def _nan_strip_problem():
     # f is the identity outside the strip |x1| <= 1 and NaN inside it.
     f = FuncField(2, lambda x: x if abs(x[0]) > 1.0 else np.full(2, np.nan))
-    problem = QviProblem("nan", 2, f, VectorField.zero(2),
-                         LinearExact(np.zeros((2, 2))), WholeSpace(2))
+    return QviProblem("nan", 2, f, VectorField.zero(2),
+                      LinearExact(np.zeros((2, 2))), WholeSpace(2))
+
+
+def test_run_reports_divergence_when_a_field_returns_nan():
+    problem = _nan_strip_problem()
     report = solve_alg1(problem, [4.0, 4.0], SolverConfig(h=0.5))
     assert report.diverged and not report.converged
     assert report.iterations == 2  # x: 4 -> 2 -> 1, where f is NaN
     assert np.isnan(report.residual_final)
+
+
+def test_sweep_reports_divergence_when_a_field_returns_nan():
+    result = sweep_trajectory(_nan_strip_problem(), [4.0, 4.0], 0.5, 5.0)
+    assert result.diverged
+    assert result.xs.tolist() == [[4.0, 4.0], [2.0, 2.0], [1.0, 1.0]]
+    assert result.ts.tolist() == [0.0, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_picard_on_a_non_finite_point_stops_at_once(bad):
+    spec = PicardContraction(VectorField.from_matrix([[0.5, 0.0], [0.0, 0.5]]), 0.5)
+    log = []
+    with pytest.raises(NoConvergence) as info:
+        spec.invert([bad, 1.0], inner_log=log)
+    assert len(log) <= 1
+    assert np.isnan(info.value.achieved)
+
+
+def test_every_strategy_rejects_a_non_finite_point(ex1, ex3, r5):
+    g = VectorField.from_exprs(["0.1*sin(x1)"], 1)
+    for spec, dim in ((ex1.inverse, 2), (ex3.inverse, 3), (r5.inverse, 1),
+                      (_sine_picard(), 1), (Semilinear(np.zeros((1, 1)), g, 0.1), 1)):
+        y = np.zeros(dim)
+        y[-1] = np.nan
+        with pytest.raises(NoConvergence, match="non-finite"):
+            invert(spec, y)

@@ -27,6 +27,7 @@ from qvikit.solvers import (
     fit_linear_rate,
     loglinear_fit,
     rate_bounds,
+    resolve_constant,
     solve_alg1,
     solve_catchup,
     solve_tseng,
@@ -35,7 +36,13 @@ from qvikit.solvers import (
     tseng_auto_step,
     zero_step,
 )
-from qvikit.analysis import SamplingPlan, sample_lipschitz, sample_pair_modulus
+from qvikit.analysis import (
+    SamplingPlan,
+    operator_norm,
+    pair_modulus_linear,
+    sample_lipschitz,
+    sample_pair_modulus,
+)
 from qvikit.model import FuncField
 from qvikit.problems import dumps_problem, loads_problem
 
@@ -467,3 +474,65 @@ def _bit_pin_run(case, ex1, ex2, ex3, ex4, r5):
 def test_solver_results_bit_for_bit(case, ex1, ex2, ex3, ex4, r5):
     iterations, x_final = _bit_pin_run(case, ex1, ex2, ex3, ex4, r5)
     assert (iterations, tuple(float(v).hex() for v in x_final)) == BIT_PINS[case]
+
+
+class _Counting:
+    """A field that counts its calls."""
+
+    def __init__(self, field):
+        self.field, self.dim, self.calls = field, field.dim, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.field(x)
+
+
+def _counted(problem):
+    return QviProblem(problem.name, problem.dim, _Counting(problem.f),
+                      _Counting(problem.v), problem.inverse, problem.set,
+                      problem.constants)
+
+
+def test_alg1_evaluates_f_and_v_once_per_iterate(ex1):
+    problem = _counted(ex1)
+    report = solve_alg1(problem, [6.0, 2.0], SolverConfig(h=0.01))
+    assert report.converged and report.iterations == 687
+    assert problem.f.calls == problem.v.calls == report.iterations + 1
+
+
+def test_tseng_evaluates_v_once_per_iterate(ex1):
+    problem = _counted(ex1)
+    report = solve_tseng(problem, [6.0, 2.0], SolverConfig(h=0.01))
+    assert report.converged
+    assert problem.v.calls == report.iterations + 1
+    assert problem.f.calls == 2 * report.iterations + 1
+
+
+@pytest.mark.parametrize("builtin,name,source", [
+    ("ex1", "l", "spectral"),
+    ("ex1", "L", "sampled"),
+    ("r5", "gamma", "declared"),
+    ("r5", "l_tilde", "sampled"),
+])
+def test_resolve_constant_source_of_builtin_constants(builtin, name, source, request):
+    problem = request.getfixturevalue(builtin)
+    value, got = resolve_constant(problem, name, SamplingPlan(seed=0, count=200))
+    assert got == source
+    assert value > 0
+
+
+def test_resolve_constant_without_a_plan_samples_nothing(ex1):
+    assert resolve_constant(ex1, "L") == (None, None)
+    assert resolve_constant(ex1, "l", stored=False) == (
+        operator_norm(ex1.v.matrix), "spectral")
+
+
+def test_pure_linear_f_takes_spectral_constants():
+    F = np.array([[3.0, 1.0], [1.0, 4.0]])
+    problem = _zero_v_problem(VectorField.from_matrix(F), WholeSpace(2))
+    assert resolve_constant(problem, "L") == (operator_norm(F), "spectral")
+    gamma = pair_modulus_linear(F, np.eye(2))
+    assert resolve_constant(problem, "gamma") == (gamma, "spectral")
+    assert auto_step(problem, allow_sampling=False) == gamma / operator_norm(F) ** 2
+    l_tilde = problem.inverse.lipschitz()
+    assert tseng_auto_step(problem) == 0.9 / (operator_norm(F) * l_tilde)
