@@ -36,6 +36,7 @@ from .model import (
     Box,
     Constant,
     FuncField,
+    IdMinus,
     NonnegativeOrthant,
     ProblemConstants,
     QviProblem,

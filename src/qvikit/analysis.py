@@ -7,15 +7,43 @@ estimators are one-sided by construction: a sampled Lipschitz constant is a
 lower bound on the true one, a sampled pair modulus is an upper bound on the
 true infimum. Callers that need safe step sizes must apply safety factors,
 which is what the solvers module does.
+
+The estimators evaluate fields that have a batch form (``evaluate_batch``)
+on batches of sampled points, but only to screen: batched values differ
+from point values by rounding, so every pair whose exact ratio could be the
+extremum (or whose test could go either way) is computed by point, as it
+would be in a loop over all pairs. The results are the point loop's, bit
+for bit; a batch that hits a zero divisor or a non-finite value sends the
+estimator to that loop, which raises the point error.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SamplingError
+from .errors import EvalError, SamplingError
+
+# Batched values lie within this factor of the magnitude of the terms behind
+# them from the point values: far more than the rounding of another
+# summation order (matrix products, norms). Expressions run the same IEEE
+# operations either way, and NumPy's sin and cos are math's here (a test
+# checks it), so an ulp there is not amplified past the margin.
+_MARGIN = 1e-9
+# Screens evaluate at most this many pairs at once.
+_CHUNK = 1024
+
+
+def _norm(u):
+    """Euclidean norm of a float vector, computed as np.linalg.norm does.
+
+    Without numpy's dispatch it costs a third as much; NaN or inf entries
+    still give a NaN or inf norm.
+    """
+    return math.sqrt(u.dot(u))
 
 
 @dataclass(frozen=True)
@@ -44,22 +72,100 @@ class SamplingPlan:
 def sample_pairs(plan, dim):
     """Materialize the plan's point pairs in dimension ``dim``."""
     rng = np.random.default_rng(plan.seed)
+    lo, hi = plan.lo, plan.hi
+    step = 1e-3 * (hi - lo)
     pairs = []
     for _ in range(plan.count):
-        x = rng.uniform(plan.lo, plan.hi, dim)
+        x = rng.uniform(lo, hi, dim)
         if rng.uniform() < 0.5:
-            y = rng.uniform(plan.lo, plan.hi, dim)
+            y = rng.uniform(lo, hi, dim)
         else:
             u = rng.normal(size=dim)
-            nu = np.linalg.norm(u)
+            nu = _norm(u)
             if nu == 0.0:
                 continue
-            y = np.clip(x + 1e-3 * (plan.hi - plan.lo) * u / nu, plan.lo, plan.hi)
-        if np.linalg.norm(x - y) >= plan.min_separation:
+            # np.clip(..., lo, hi) bit for bit, for less.
+            y = np.minimum(np.maximum(x + step * u / nu, lo), hi)
+        if _norm(x - y) >= plan.min_separation:
             pairs.append((x, y))
     if not pairs:
         raise SamplingError("sampling plan produced no usable pairs")
     return pairs
+
+
+def _batched(fields, pairs):
+    """The pairs' points, and each field's values at them, for a screen.
+
+    Returns ``(X, Y, values)``: the pairs' first and second points as the
+    columns of two (dim, N) arrays, and per field ``(FX, FY, ex, ey)``, its
+    values at those columns and bounds on their distance from the point
+    values. A field without a batch form is called point by point, in the
+    order of the point loops, with zero bounds. Returns None when no field
+    has a batch form or a batch raises EvalError; the caller then runs its
+    point loop, which raises the point error.
+    """
+    P = np.array(pairs)
+    X, Y = np.ascontiguousarray(P[:, 0].T), np.ascontiguousarray(P[:, 1].T)
+    values = [None] * len(fields)
+    try:
+        for i, field in enumerate(fields):
+            batch = getattr(field, "evaluate_batch", None)
+            at_x = None if batch is None else batch(X)
+            if at_x is not None:
+                at_y = batch(Y)
+                values[i] = (at_x[0], at_y[0], _MARGIN * at_x[1], _MARGIN * at_y[1])
+    except EvalError:
+        return None
+    if all(v is None for v in values):
+        return None
+    zero = np.zeros(len(pairs))
+    for i, field in enumerate(fields):
+        if values[i] is None:
+            V = np.array([np.asarray(field(p), float) for pair in pairs for p in pair])
+            if V.shape != (2 * len(pairs), X.shape[0]):
+                return None
+            values[i] = (V[0::2].T, V[1::2].T, zero, zero)
+    return X, Y, values
+
+
+def _chunked(fields, pairs, bounds):
+    """``bounds(X, Y, values)`` of the screen over ``pairs``, computed on
+    batches of at most _CHUNK pairs (which bounds the memory a screen
+    takes) and joined; None if any batch is unusable (see _batched)."""
+    parts = []
+    for start in range(0, len(pairs), _CHUNK):
+        batched = _batched(fields, pairs[start:start + _CHUNK])
+        if batched is None:
+            return None
+        parts.append(bounds(*batched))
+    return [np.concatenate(part) for part in zip(*parts)]
+
+
+def _quietly(screen):
+    """Run ``screen`` with floating-point warnings off: a batch that
+    overflows or divides by zero only makes the screen give up."""
+    @functools.wraps(screen)
+    def quiet(*args):
+        with np.errstate(all="ignore"):
+            return screen(*args)
+    return quiet
+
+
+def _may_be_max(low, high):
+    """Indices of the entries that may be the largest, each known to lie in
+    [low, high]; None if the bounds are unusable (NaN, or an infinite low)."""
+    if not np.isfinite(low).all() or np.isnan(high).any():
+        return None
+    return np.flatnonzero(high >= low.max())
+
+
+def _screened(pairs, keep):
+    """The pairs at the indices ``keep``; all of them when ``keep`` is None."""
+    return pairs if keep is None else [pairs[i] for i in keep]
+
+
+def _col_norm(A):
+    return np.sqrt((A * A).sum(0))
 
 
 def power_lambda_max(matvec, n, tol=1e-10, max_iter=100_000):
@@ -126,12 +232,33 @@ def sample_pair_modulus(f, w, plan, dim=None):
     deterministic given the plan's seed.
     """
     dim = _field_dim(f, dim)
+    pairs = sample_pairs(plan, dim)
     best = np.inf
-    for x, y in sample_pairs(plan, dim):
+    for x, y in _screened(pairs, _modulus_screen(f, w, pairs)):
         num = float(np.dot(np.asarray(f(x)) - np.asarray(f(y)),
                            np.asarray(w(x)) - np.asarray(w(y))))
         best = min(best, num / float(np.dot(x - y, x - y)))
     return best
+
+
+@_quietly
+def _modulus_screen(f, w, pairs):
+    """Indices of the pairs whose ratio may be the smallest, or None."""
+    bounds = _chunked((f, w), pairs, _modulus_bounds)
+    return None if bounds is None else _may_be_max(*bounds)
+
+
+def _modulus_bounds(X, Y, values):
+    """Per pair, bounds on -<df, dw> / |dx|^2 (the smallest ratio is the
+    largest of these)."""
+    (FX, FY, efx, efy), (WX, WY, ewx, ewy) = values
+    D, df, dw = X - Y, FX - FY, WX - WY
+    ef, ew = efx + efy, ewx + ewy
+    a, b = _col_norm(df) + ef, _col_norm(dw) + ew
+    dd = (D * D).sum(0)
+    q = (df * dw).sum(0) / dd
+    err = (a * ew + b * ef + _MARGIN * a * b) / dd
+    return -q - err, -q + err
 
 
 def sample_lipschitz(f, plan, dim=None):
@@ -140,12 +267,29 @@ def sample_lipschitz(f, plan, dim=None):
     Lower bound on the true constant, deterministic given the seed.
     """
     dim = _field_dim(f, dim)
+    pairs = sample_pairs(plan, dim)
     best = 0.0
-    for x, y in sample_pairs(plan, dim):
+    for x, y in _screened(pairs, _lipschitz_screen(f, pairs)):
         ratio = float(np.linalg.norm(np.asarray(f(x)) - np.asarray(f(y)))
                       / np.linalg.norm(x - y))
         best = max(best, ratio)
     return best
+
+
+@_quietly
+def _lipschitz_screen(f, pairs):
+    """Indices of the pairs whose ratio may be the largest, or None."""
+    bounds = _chunked((f,), pairs, _lipschitz_bounds)
+    return None if bounds is None else _may_be_max(*bounds)
+
+
+def _lipschitz_bounds(X, Y, values):
+    """Per pair, bounds on |df| / |dx|."""
+    ((FX, FY, ex, ey),) = values
+    dx = _col_norm(X - Y)
+    ratio = _col_norm(FX - FY) / dx
+    err = (ex + ey) / dx + _MARGIN * ratio
+    return ratio - err, ratio + err
 
 
 @dataclass(frozen=True)
@@ -167,21 +311,58 @@ def check_pseudo_pair(f, w, plan, dim=None, slack=1e-12):
     not proof. Up to ten witness pairs are kept for inspection.
     """
     dim = _field_dim(f, dim)
-    checked = 0
+    pairs = sample_pairs(plan, dim)
+    known = _pseudo_screen(f, w, pairs, slack) or [None] * len(pairs)
     violations = 0
     witnesses = []
-    for x, y in sample_pairs(plan, dim):
-        fx, fy = np.asarray(f(x), float), np.asarray(f(y), float)
-        wx, wy = np.asarray(w(x), float), np.asarray(w(y), float)
-        for a, b, fa, fb, wa, wb in ((x, y, fx, fy, wx, wy),
-                                     (y, x, fy, fx, wy, wx)):
-            checked += 1
-            d = wb - wa
-            if float(np.dot(fa, d)) >= -slack and float(np.dot(fb, d)) < -slack:
+    for (x, y), found in zip(pairs, known):
+        if found is None:
+            found = _pseudo_violations(f, w, x, y, slack)
+        for (a, b), bad in zip(((x, y), (y, x)), found):
+            if bad:
                 violations += 1
                 if len(witnesses) < 10:
                     witnesses.append((a.copy(), b.copy()))
-    return PseudoReport(checked, violations, tuple(witnesses))
+    return PseudoReport(2 * len(pairs), violations, tuple(witnesses))
+
+
+def _pseudo_violations(f, w, x, y, slack):
+    """Whether the ordered pairs (x, y) and (y, x) violate the test."""
+    fx, fy = np.asarray(f(x), float), np.asarray(f(y), float)
+    wx, wy = np.asarray(w(x), float), np.asarray(w(y), float)
+    found = []
+    for fa, fb, wa, wb in ((fx, fy, wx, wy), (fy, fx, wy, wx)):
+        d = wb - wa
+        found.append(float(np.dot(fa, d)) >= -slack and float(np.dot(fb, d)) < -slack)
+    return found
+
+
+@_quietly
+def _pseudo_screen(f, w, pairs, slack):
+    """Per pair, the two violation flags when the batch decides them, else
+    None; a pair is decided when neither inner product <f(x), d>, <f(y), d>
+    (d = w(y) - w(x)) lies within its error of -slack or slack."""
+    flags = _chunked((f, w), pairs, lambda X, Y, values: _pseudo_flags(values, slack))
+    if flags is None:
+        return None
+    return [(u, v) if ok else None for ok, u, v in zip(*(a.tolist() for a in flags))]
+
+
+def _pseudo_flags(values, slack):
+    (FX, FY, efx, efy), (WX, WY, ewx, ewy) = values
+    D, ed = WY - WX, ewx + ewy
+    b = _col_norm(D) + ed
+    decided = np.ones(D.shape[1], bool)
+    products = []
+    for F, e in ((FX, efx), (FY, efy)):
+        a = _col_norm(F) + e
+        p = (F * D).sum(0)
+        err = a * ed + b * e + _MARGIN * a * b
+        decided &= (np.abs(p + slack) > err) & (np.abs(p - slack) > err)
+        products.append(p)
+    px, py = products
+    # (x, y) tests <f(x), d> and <f(y), d>; (y, x) tests -<f(y), d> and -<f(x), d>.
+    return decided, (px >= -slack) & (py < -slack), (py <= slack) & (px > slack)
 
 
 def composition_modulus_bound(gamma, l):

@@ -25,7 +25,7 @@ from .analysis import (
     sample_pair_modulus,
 )
 from .errors import DiagnosticsError, QvikitError
-from .model import FuncField
+from .model import IdMinus
 from .problems import ZeroProblem, get_builtin, load_problem
 from .solvers import (
     SolverConfig,
@@ -205,7 +205,7 @@ def cmd_analyze(args):
         raise UsageError("analyze needs a qvi problem, not a zero problem")
     plan = SamplingPlan(seed=args.seed, count=args.samples)
     f, v = problem.f, problem.v
-    w = FuncField(problem.dim, lambda x: x - v(x))
+    w = IdMinus(v)
     if args.estimate in ("L", "l"):
         # An estimate: constants stored on the problem are skipped.
         value, source = resolve_constant(problem, args.estimate, plan, stored=False)

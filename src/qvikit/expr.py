@@ -19,8 +19,12 @@ catalog is fixed: sin, cos, abs, sqrt (one argument), min, max (two).
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import EvalError, ParseError
 
@@ -38,30 +42,38 @@ _MAX_NESTING = 64
 _MAX_HEIGHT = 256
 
 
+class _Node:
+    """Base of the tree nodes. A root evaluated once keeps its compiled
+    closures as private attributes (see eval_expr); pickling leaves them out."""
+
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if not k.endswith("_closure")}
+
+
 @dataclass(frozen=True)
-class Number:
+class Number(_Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     index: int  # 1-based
 
 
 @dataclass(frozen=True)
-class Unary:
+class Unary(_Node):
     child: "Expr"
 
 
 @dataclass(frozen=True)
-class Binary:
+class Binary(_Node):
     op: str
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     name: str
     args: tuple
 
@@ -242,60 +254,138 @@ def parse(text, dim):
 
 def _ipow(base, k):
     # Integer powers by repeated multiplication, per the evaluation contract.
+    # For a batch the first product is a new array, multiplied in place after.
     out = 1.0
     for _ in range(k):
         out *= base
     return out
 
 
-def eval_expr(ast, x):
-    """Evaluate ``ast`` at the point ``x`` (indexable, 0-based) as IEEE doubles."""
+class _Backend(NamedTuple):
+    """How compiled closures compute: on one point or on a batch of points."""
+
+    attr: str           # where a compiled root keeps its closure
+    var: object         # 0-based index -> closure reading that variable
+    finite: object      # value -> every entry is finite
+    has_zero: object    # value -> some entry is zero
+    arithmetic: dict
+    functions: dict
+
+
+_POINT = _Backend(
+    "_point_closure", lambda i: lambda x: float(x[i]), math.isfinite, operator.not_,
+    {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv},
+    {"sin": math.sin, "cos": math.cos, "abs": abs, "sqrt": math.sqrt,
+     "min": min, "max": max})
+_BATCH = _Backend(
+    "_batch_closure", lambda i: lambda X: X[i], lambda a: np.isfinite(a).all(),
+    lambda a: not np.all(a),
+    {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide},
+    {"sin": np.sin, "cos": np.cos, "abs": np.abs, "sqrt": np.sqrt,
+     "min": np.minimum, "max": np.maximum})
+
+
+def _compile(ast, b):
+    """Nested closures computing ``ast`` with backend ``b``: left operand
+    before right, arguments in order, every operation's result checked."""
     if isinstance(ast, Number):
-        return ast.value
+        value = ast.value
+        return lambda x: value
     if isinstance(ast, Var):
-        return float(x[ast.index - 1])
+        return b.var(ast.index - 1)
     if isinstance(ast, Unary):
-        return -eval_expr(ast.child, x)
+        child = _compile(ast.child, b)
+        return lambda x: -child(x)
+    finite = b.finite
     if isinstance(ast, Binary):
-        left = eval_expr(ast.left, x)
+        left = _compile(ast.left, b)
+        message = f"non-finite value from {ast.op!r}"
         if ast.op == "^":
-            out = _ipow(left, int(ast.right.value))
-        else:
-            right = eval_expr(ast.right, x)
-            if ast.op == "+":
-                out = left + right
-            elif ast.op == "-":
-                out = left - right
-            elif ast.op == "*":
-                out = left * right
-            else:
-                if right == 0.0:
+            k = int(ast.right.value)
+
+            def node(x):
+                out = _ipow(left(x), k)
+                if not finite(out):
+                    raise EvalError(message)
+                return out
+            return node
+        if ast.op not in b.arithmetic:
+            raise TypeError(f"not an expression node: {ast!r}")
+        right, apply = _compile(ast.right, b), b.arithmetic[ast.op]
+        if ast.op == "/":
+            has_zero = b.has_zero
+
+            def node(x):
+                num = left(x)
+                den = right(x)
+                if has_zero(den):
                     raise EvalError("division by zero")
-                out = left / right
-        if not math.isfinite(out):
-            raise EvalError(f"non-finite value from {ast.op!r}")
-        return out
+                out = apply(num, den)
+                if not finite(out):
+                    raise EvalError(message)
+                return out
+            return node
+
+        def node(x):
+            out = apply(left(x), right(x))
+            if not finite(out):
+                raise EvalError(message)
+            return out
+        return node
     if isinstance(ast, Call):
-        args = [eval_expr(a, x) for a in ast.args]
-        try:
-            if ast.name == "sin":
-                out = math.sin(args[0])
-            elif ast.name == "cos":
-                out = math.cos(args[0])
-            elif ast.name == "abs":
-                out = abs(args[0])
-            elif ast.name == "sqrt":
-                out = math.sqrt(args[0])
-            elif ast.name == "min":
-                out = min(args)
-            else:
-                out = max(args)
-        except ValueError as exc:
-            raise EvalError(f"{ast.name}: {exc}") from exc
-        if not math.isfinite(out):
-            raise EvalError(f"non-finite value from {ast.name}")
-        return out
+        if len(ast.args) != FUNCTIONS.get(ast.name):
+            raise TypeError(f"not an expression node: {ast!r}")
+        args = [_compile(a, b) for a in ast.args]
+        fn, name = b.functions[ast.name], ast.name
+
+        def node(x):
+            values = [a(x) for a in args]
+            try:
+                out = fn(*values)
+            except ValueError as exc:  # math's domain errors
+                raise EvalError(f"{name}: {exc}") from exc
+            if not finite(out):
+                raise EvalError(f"non-finite value from {name}")
+            return out
+        return node
     raise TypeError(f"not an expression node: {ast!r}")
+
+
+def _compiled(ast, b):
+    """The closure for ``ast`` on backend ``b``, compiled on first use and
+    kept on the (frozen) root node."""
+    closure = getattr(ast, b.attr, None)
+    if closure is None:
+        closure = _compile(ast, b)
+        object.__setattr__(ast, b.attr, closure)
+    return closure
+
+
+def eval_expr(ast, x):
+    """Evaluate ``ast`` as IEEE doubles at the point ``x`` (indexable,
+    0-based), or at each column of a 2-D array ``x`` of shape (n, N).
+
+    A point evaluation raises EvalError on a zero divisor, a domain error or
+    a non-finite result of any operation. A batch returns N values; it
+    raises EvalError if any of its points would (with a message that need
+    not be that point's) or if ``x`` holds a non-finite entry, and its
+    values agree with the point values to rounding.
+    """
+    if not (isinstance(x, np.ndarray) and x.ndim == 2):
+        try:
+            point = ast._point_closure
+        except AttributeError:
+            point = _compiled(ast, _POINT)
+        return point(x)
+    X = np.asarray(x, float)
+    if not np.isfinite(X).all():
+        raise EvalError("non-finite entry in the batch of points")
+    batch = _compiled(ast, _BATCH)
+    with np.errstate(all="ignore"):
+        out = batch(X)
+    if np.ndim(out) == 0:  # no variable in the tree
+        return np.full(X.shape[1], out)
+    return out if out.base is None else out.copy()  # a bare variable: a row of X
 
 
 def _format_number(value):

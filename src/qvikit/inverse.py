@@ -25,22 +25,23 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor
 from scipy.linalg.lapack import dgetrs
 
-from .analysis import SamplingPlan, power_lambda_max, sample_pairs
+from .analysis import (
+    _MARGIN,
+    SamplingPlan,
+    _chunked,
+    _may_be_max,
+    _norm,
+    _quietly,
+    _screened,
+    power_lambda_max,
+    sample_pairs,
+)
 from .errors import (
     BracketingFailure,
     ConfigError,
     NoConvergence,
     SingularLinearPart,
 )
-
-
-def _norm(u):
-    """Euclidean norm of a float vector, computed as np.linalg.norm does.
-
-    Without numpy's dispatch it costs a third as much; NaN or inf entries
-    still give a NaN or inf norm.
-    """
-    return math.sqrt(u.dot(u))
 
 
 class _LU:
@@ -294,15 +295,40 @@ class ScalarBracket:
         )
 
     def lipschitz(self, seed=0, count=10_000):
+        """Sampled Lipschitz constant of the inverse, a lower bound: the
+        largest |x1 - x2| / |w(x1) - w(x2)|, w = Id - v, over a plan's pairs
+        in the bracket. A batch of v screens the pairs, as the analysis
+        estimators do."""
         a, b = float(self.bracket[0]), float(self.bracket[1])
         plan = SamplingPlan(seed=seed, count=count, lo=a, hi=b)
+        pairs = sample_pairs(plan, 1)
         best = 0.0
-        for x1, x2 in sample_pairs(plan, 1):
+        for x1, x2 in _screened(pairs, self._screen(pairs)):
             dw = self._w(float(x1[0])) - self._w(float(x2[0]))
             if abs(dw) < 1e-12:
                 continue
             best = max(best, abs(float(x1[0]) - float(x2[0])) / abs(dw))
         return best
+
+    @_quietly
+    def _screen(self, pairs):
+        """Indices of the pairs that may give the largest ratio, or None."""
+        bounds = _chunked((self.v_map,), pairs, _inverse_ratio_bounds)
+        return None if bounds is None else _may_be_max(*bounds)
+
+
+def _inverse_ratio_bounds(X, Y, values):
+    """Per pair in 1-D, bounds on |dx| / |dw| for w = Id - v; 0 to -inf for
+    a pair that is surely skipped."""
+    ((VX, VY, ex, ey),) = values
+    dw = np.abs((X - VX) - (Y - VY))[0]
+    err = ex + ey + _MARGIN * (np.abs(X) + np.abs(Y))[0]
+    dx = np.abs(X - Y)[0]
+    # A pair is skipped when |dw| < 1e-12: surely, perhaps, or surely not.
+    low = np.where(dw - err >= 1e-12, dx / (dw + err) * (1 - _MARGIN), 0.0)
+    high = np.where(dw + err < 1e-12, -np.inf,
+                    dx / np.maximum(dw - err, 0.0) * (1 + _MARGIN))
+    return low, high
 
 
 InverseSpec = LinearExact | PicardContraction | Semilinear | ScalarBracket

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import expr as edsl
 from .errors import ConfigError, EvalError
-from .inverse import _norm, invert
+from .analysis import _norm
+from .inverse import invert
 
 
 def as_vector(values, dim=None):
@@ -89,7 +90,6 @@ class VectorField:
     components: tuple | None = None
     matrix: np.ndarray | None = None
     remainder: tuple | None = None
-    declared_lipschitz: float | None = None
 
     def __post_init__(self):
         if (self.components is None) == (self.matrix is None):
@@ -103,14 +103,14 @@ class VectorField:
             object.__setattr__(self, "matrix", M)
 
     @classmethod
-    def from_exprs(cls, texts, dim, declared_lipschitz=None):
+    def from_exprs(cls, texts, dim):
         comps = tuple(edsl.parse(t, dim) for t in texts)
         if len(comps) != dim:
             raise ValueError(f"need {dim} component expressions, got {len(comps)}")
-        return cls(dim, components=comps, declared_lipschitz=declared_lipschitz)
+        return cls(dim, components=comps)
 
     @classmethod
-    def from_matrix(cls, M, remainder_texts=None, declared_lipschitz=None):
+    def from_matrix(cls, M, remainder_texts=None):
         M = np.asarray(M, float)
         dim = M.shape[0]
         rem = None
@@ -118,15 +118,13 @@ class VectorField:
             rem = tuple(edsl.parse(t, dim) for t in remainder_texts)
             if len(rem) != dim:
                 raise ValueError(f"need {dim} remainder expressions, got {len(rem)}")
-        return cls(dim, matrix=M, remainder=rem,
-                   declared_lipschitz=declared_lipschitz)
+        return cls(dim, matrix=M, remainder=rem)
 
     @classmethod
     def zero(cls, dim):
         return cls.from_matrix(np.zeros((dim, dim)))
 
-    def _eval_asts(self, asts, x):
-        out = np.empty(self.dim)
+    def _eval_asts(self, asts, x, out):
         for i, ast in enumerate(asts):
             try:
                 out[i] = edsl.eval_expr(ast, x)
@@ -143,9 +141,9 @@ class VectorField:
         if self.matrix is not None:
             out = self.matrix.dot(x)
             if self.remainder is not None:
-                out = out + self._eval_asts(self.remainder, x)
+                out = out + self._eval_asts(self.remainder, x, np.empty(self.dim))
             return out
-        return self._eval_asts(self.components, x)
+        return self._eval_asts(self.components, x, np.empty(self.dim))
 
     def __call__(self, x):
         x = np.asarray(x, float)
@@ -153,10 +151,55 @@ class VectorField:
             raise ValueError(f"dimension mismatch: {x.shape} vs ({self.dim},)")
         return self.evaluate(x)
 
+    def evaluate_batch(self, X):
+        """Values at the N columns of a float array ``X`` of shape (dim, N),
+        and per column the sum of the magnitudes of the terms behind them.
+
+        Batched and point values differ by rounding of that magnitude: the
+        matrix product sums in another order. Raises EvalError wherever a
+        point evaluation would (see expr.eval_expr).
+        """
+        if self.matrix is None:
+            out = self._eval_asts(self.components, X, np.empty(X.shape))
+            return out, np.abs(out).sum(0)
+        out = self.matrix @ X
+        magnitude = (np.abs(self.matrix) @ np.abs(X)).sum(0)
+        if self.remainder is not None:
+            rest = self._eval_asts(self.remainder, X, np.empty(X.shape))
+            out += rest
+            magnitude += np.abs(rest).sum(0)
+        return out, magnitude
+
+
+@dataclass(frozen=True, eq=False)
+class IdMinus:
+    """The field x - v(x): Id - v, the second map of the pair (f, Id - v)."""
+
+    v: object  # a VectorField, or any field callable at a point
+
+    @property
+    def dim(self):
+        return self.v.dim
+
+    def __call__(self, x):
+        x = np.asarray(x, float)
+        return x - self.v(x)
+
+    def evaluate_batch(self, X):
+        """As VectorField.evaluate_batch; None if ``v`` has no batch form."""
+        batch = getattr(self.v, "evaluate_batch", None)
+        v = None if batch is None else batch(X)
+        if v is None:
+            return None
+        return X - v[0], v[1] + np.abs(X).sum(0)
+
 
 @dataclass(frozen=True)
 class FuncField:
-    """Callable adapter so composed maps fit wherever a field is expected."""
+    """Callable adapter so composed maps fit wherever a field is expected.
+
+    ``fn`` is any callable, so a FuncField evaluates one point at a time.
+    """
 
     dim: int
     fn: object

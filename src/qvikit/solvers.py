@@ -35,15 +35,16 @@ import numpy as np
 
 from .analysis import (
     SamplingPlan,
+    _norm,
     operator_norm,
     pair_modulus_linear,
     sample_lipschitz,
     sample_pair_modulus,
 )
 from .errors import BracketingFailure, ConfigError, DiagnosticsError, NoConvergence
-from .inverse import _LU, ScalarBracket, _norm, invert
+from .inverse import _LU, ScalarBracket, invert
 from .model import (
-    FuncField,
+    IdMinus,
     _natural_residual_parts,
     natural_residual,
     project,
@@ -191,8 +192,8 @@ def resolve_constant(problem, name, plan=None, safety=1.0, stored=True):
     if plan is None:
         return None, None
     if name == "gamma":
-        w = FuncField(problem.dim, lambda x: x - problem.v(x))
-        return safety * sample_pair_modulus(problem.f, w, plan), "sampled"
+        modulus = sample_pair_modulus(problem.f, IdMinus(problem.v), plan)
+        return safety * modulus, "sampled"
     field = problem.f if name == "L" else problem.v
     return safety * sample_lipschitz(field, plan), "sampled"
 

@@ -1,7 +1,12 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qvikit.analysis import (
+    _MARGIN,
     SamplingPlan,
     check_pseudo_pair,
     composition_modulus_bound,
@@ -12,8 +17,10 @@ from qvikit.analysis import (
     sample_pair_modulus,
     sample_pairs,
 )
-from qvikit.errors import SamplingError
-from qvikit.model import FuncField, VectorField, to_vi
+from estimator_pins import record
+from qvikit.errors import EvalError, SamplingError
+from qvikit.inverse import ScalarBracket
+from qvikit.model import FuncField, IdMinus, VectorField, to_vi
 
 PLAN0 = SamplingPlan(seed=0)
 
@@ -193,3 +200,175 @@ def test_degenerate_plan_raises():
     plan = SamplingPlan(seed=0, count=5, lo=0.0, hi=1e-9)
     with pytest.raises(SamplingError):
         sample_pairs(plan, 2)
+
+
+PINS = json.loads((Path(__file__).parent / "estimator_pins.json").read_text())
+
+
+@pytest.mark.parametrize("id_minus,seeds", [(IdMinus, range(32)), (None, range(8))],
+                         ids=["IdMinus", "FuncField"])
+def test_every_estimator_returns_its_pinned_bits(id_minus, seeds):
+    # Every plan seed with w = IdMinus(v), where f and w both batch; the
+    # first eight with w a FuncField, where only f batches.
+    got = record(id_minus, seeds) if id_minus else record(seeds=seeds)
+    assert got["sample_pairs"] == PINS["sample_pairs"]
+    assert got["remark5_l_tilde"] == PINS["remark5_l_tilde"]
+    for name, rows in PINS["estimators"].items():
+        for estimator, values in rows.items():
+            assert got["estimators"][name][estimator] == values[:len(seeds)], \
+                (name, estimator)
+
+
+class _Counted:
+    """A batch-capable field that counts its point evaluations."""
+
+    def __init__(self, field):
+        self.field, self.dim, self.calls = field, field.dim, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.field(x)
+
+    def evaluate_batch(self, X):
+        return self.field.evaluate_batch(X)
+
+
+def test_screens_evaluate_few_pairs_by_point(ex2):
+    f, w = _Counted(ex2.f), _Counted(IdMinus(ex2.v))
+    plan = SamplingPlan(seed=3, count=2000)
+    assert sample_lipschitz(f, plan) == sample_lipschitz(FuncField(3, ex2.f), plan)
+    assert f.calls <= 20
+    f.calls = 0
+    point = sample_pair_modulus(FuncField(3, ex2.f), FuncField(3, w.field), plan)
+    assert sample_pair_modulus(f, w, plan) == point
+    assert f.calls <= 20 and w.calls <= 20
+
+
+def _one_sampled_x(plan, index):
+    return float(sample_pairs(plan, 1)[index][0][0])
+
+
+@pytest.mark.parametrize("make", [
+    lambda c: VectorField.from_exprs([f"1 / (x1 - {c!r})"], 1),
+    lambda c: VectorField.from_matrix([[2.0]], [f"sin(x1) / (x1 - {c!r})"]),
+    lambda c: VectorField.from_exprs([f"sqrt(x1 - {c!r}) + x1"], 1),
+], ids=["division", "split-division", "sqrt"])
+def test_a_point_error_still_raises_from_the_estimators(make):
+    plan = SamplingPlan(seed=4, count=300)
+    c = _one_sampled_x(plan, 150)
+    f = make(c)
+    with pytest.raises(EvalError) as point:
+        sample_lipschitz(FuncField(1, f), plan)
+    for estimate in (lambda: sample_lipschitz(f, plan),
+                     lambda: sample_pair_modulus(f, VectorField.from_exprs(["x1"], 1), plan),
+                     lambda: check_pseudo_pair(f, FuncField(1, lambda x: x), plan)):
+        with pytest.raises(EvalError) as batched:
+            estimate()
+        assert str(batched.value) == str(point.value)
+
+
+def test_an_overflow_at_one_point_still_raises():
+    plan = SamplingPlan(seed=5, count=300)
+    f = VectorField.from_exprs(["x1^400", "x2"], 2)
+    with pytest.raises(EvalError, match="component 1: non-finite value from '\\^'"):
+        sample_lipschitz(f, plan)
+
+
+def test_pseudo_screen_keeps_the_point_loops_witnesses():
+    f = VectorField.from_exprs(["-x1 + 0.5*sin(3*x1)"], 1)
+    w = VectorField.from_exprs(["x1 + 0.2*cos(x1)"], 1)
+    plan = SamplingPlan(seed=6, count=3000)
+    batched = check_pseudo_pair(f, w, plan)
+    point = check_pseudo_pair(FuncField(1, f), FuncField(1, w), plan)
+    assert batched.violations == point.violations > 10
+    assert batched.checked == point.checked
+    assert len(batched.witnesses) == 10
+    for (a, b), (c, d) in zip(batched.witnesses, point.witnesses):
+        assert np.array_equal(a, c) and np.array_equal(b, d)
+
+
+class _Perturbed:
+    """A field whose batch values are off by up to a tenth of the bound that
+    batch evaluation promises: the screens must still find the point result."""
+
+    def __init__(self, field, seed):
+        self.field, self.dim = field, field.dim
+        self.rng = np.random.default_rng(seed)
+
+    def __call__(self, x):
+        return self.field(x)
+
+    def evaluate_batch(self, X):
+        values, magnitude = self.field.evaluate_batch(X)
+        noise = self.rng.uniform(-1.0, 1.0, values.shape) / values.shape[0]
+        return values + 0.1 * _MARGIN * magnitude * noise, magnitude
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_screens_survive_batch_values_off_by_their_bound(seed):
+    # Every pair's ratio is the same up to rounding (|A d| = 5 |d| and
+    # <A d, B d> = 6 |d|^2), so a screen that trusted the batch's ranking
+    # would pick the wrong pair.
+    plan = SamplingPlan(seed=seed, count=400)
+    A = VectorField.from_matrix([[3.0, -4.0], [4.0, 3.0]])
+    B = VectorField.from_matrix([[2.0, 0.0], [0.0, 2.0]])
+    point_a, point_b = FuncField(2, A), FuncField(2, B)
+    a, b = _Perturbed(A, seed), _Perturbed(B, seed + 10)
+    assert sample_lipschitz(a, plan) == sample_lipschitz(point_a, plan)
+    assert sample_pair_modulus(a, b, plan) == sample_pair_modulus(point_a, point_b, plan)
+    assert sample_pair_modulus(a, point_b, plan) == \
+        sample_pair_modulus(point_a, point_b, plan)
+    v = VectorField.from_exprs(["-0.5*x1"], 1)
+    batched = ScalarBracket(_Perturbed(v, seed), (-20.0, 20.0), "increasing")
+    point = ScalarBracket(FuncField(1, v), (-20.0, 20.0), "increasing")
+    assert batched.lipschitz(seed, 400) == point.lipschitz(seed, 400)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pseudo_screen_recomputes_products_at_the_threshold(seed):
+    # f(x) = x - x is exactly zero by point, so every inner product sits on
+    # the threshold; perturbed batch values must not decide any pair.
+    zero = VectorField.from_matrix(np.eye(2), ["-x1", "-x2"])
+    w = VectorField.from_matrix(np.eye(2))
+    plan = SamplingPlan(seed=seed, count=300)
+    report = check_pseudo_pair(_Perturbed(zero, seed), _Perturbed(w, seed + 1), plan,
+                               slack=0.0)
+    assert report.violations == 0 and report.checked == 600
+
+
+@pytest.mark.parametrize("w_bad,f_bad,first", [
+    ((7, 40), None, "early"),
+    ((7, 2100), None, "early"),
+    ((7,), 2100, "early"),
+    ((2100,), 7, "division by zero"),
+], ids=["one-batch", "two-batches", "w-first", "f-first"])
+def test_the_first_error_in_pair_order_is_raised(ex1, w_bad, f_bad, first):
+    # A point-only w raises at the pairs w_bad (the first "early"), a
+    # batch-capable f divides by zero at pair f_bad; 2500 pairs span three
+    # screening batches.
+    plan = SamplingPlan(seed=8, count=2500)
+    pairs = sample_pairs(plan, 2)
+    bad = {pairs[i][1].tobytes(): name for i, name in zip(w_bad, ("early", "late"))}
+    f = ex1.f
+    if f_bad is not None:
+        c = float(pairs[f_bad][0][0])
+        f = VectorField.from_matrix(ex1.f.matrix, ["cos(x2)^3", f"1 / (x1 - ({c!r}))"])
+
+    def w(x):
+        if x.tobytes() in bad:
+            raise EvalError(bad[x.tobytes()])
+        return x - ex1.v(x)
+
+    for field in (f, FuncField(2, f)):
+        with pytest.raises(EvalError, match=first):
+            sample_pair_modulus(field, FuncField(2, w), plan)
+        with pytest.raises(EvalError, match=first):
+            check_pseudo_pair(field, FuncField(2, w), plan)
+
+
+def test_numpy_sin_and_cos_are_the_math_functions_here():
+    # Batched expression values equal point values bit for bit when they do;
+    # the screens' margin covers an ulp, not a cancellation that amplifies one.
+    x = np.random.default_rng(9).uniform(-1e3, 1e3, 20_000)
+    assert np.array_equal(np.sin(x), [math.sin(t) for t in x.tolist()])
+    assert np.array_equal(np.cos(x), [math.cos(t) for t in x.tolist()])

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,67 @@ from qvikit.expr import (
 
 def ev(text, dim, x=()):
     return eval_expr(parse(text, dim), x)
+
+
+def reference_eval(ast, x):
+    """The tree walk that evaluated expressions before they were compiled:
+    the reference for values and EvalError messages."""
+    if isinstance(ast, Number):
+        return ast.value
+    if isinstance(ast, Var):
+        return float(x[ast.index - 1])
+    if isinstance(ast, Unary):
+        return -reference_eval(ast.child, x)
+    if isinstance(ast, Binary):
+        left = reference_eval(ast.left, x)
+        if ast.op == "^":
+            out = 1.0
+            for _ in range(int(ast.right.value)):
+                out *= left
+        else:
+            right = reference_eval(ast.right, x)
+            if ast.op == "+":
+                out = left + right
+            elif ast.op == "-":
+                out = left - right
+            elif ast.op == "*":
+                out = left * right
+            else:
+                if right == 0.0:
+                    raise EvalError("division by zero")
+                out = left / right
+        if not math.isfinite(out):
+            raise EvalError(f"non-finite value from {ast.op!r}")
+        return out
+    if isinstance(ast, Call):
+        args = [reference_eval(a, x) for a in ast.args]
+        try:
+            if ast.name == "sin":
+                out = math.sin(args[0])
+            elif ast.name == "cos":
+                out = math.cos(args[0])
+            elif ast.name == "abs":
+                out = abs(args[0])
+            elif ast.name == "sqrt":
+                out = math.sqrt(args[0])
+            elif ast.name == "min":
+                out = min(args)
+            else:
+                out = max(args)
+        except ValueError as exc:
+            raise EvalError(f"{ast.name}: {exc}") from exc
+        if not math.isfinite(out):
+            raise EvalError(f"non-finite value from {ast.name}")
+        return out
+    raise TypeError(f"not an expression node: {ast!r}")
+
+
+def outcome(evaluate, ast, x):
+    """("value", bits) or ("error", message) of one evaluation."""
+    try:
+        return "value", float(evaluate(ast, x)).hex()
+    except EvalError as exc:
+        return "error", str(exc)
 
 
 def test_precedence_pins():
@@ -274,3 +336,110 @@ def _nodes(children):
 @given(st.recursive(_leaves, _nodes, max_leaves=40))
 def test_print_parse_round_trip_property(ast):
     assert parse(print_expr(ast), 3) == ast
+
+
+# -- compiled evaluation against the tree-walking reference --------------------
+
+_small_numbers = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+                           st.floats(min_value=0.0, max_value=1e308))
+_small_leaves = st.one_of(st.builds(Number, _small_numbers),
+                          st.builds(Var, st.integers(min_value=1, max_value=3)))
+
+
+def _small_nodes(children):
+    calls = st.sampled_from(sorted(FUNCTIONS)).flatmap(
+        lambda name: st.tuples(*[children] * FUNCTIONS[name]).map(
+            lambda args, name=name: Call(name, args)))
+    return st.one_of(
+        st.builds(Unary, children),
+        st.builds(Binary, st.sampled_from("+-*/"), children, children),
+        st.builds(lambda base, k: Binary("^", base, Number(float(k))),
+                  children, st.integers(min_value=1, max_value=40)),
+        calls,
+    )
+
+
+_trees = st.recursive(_small_leaves, _small_nodes, max_leaves=30)
+_coordinates = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -3.0]),
+                         st.floats(min_value=-1e3, max_value=1e3))
+_points = st.lists(_coordinates, min_size=3, max_size=3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_trees, _points)
+def test_compiled_point_evaluation_matches_the_tree_walk(ast, x):
+    assert outcome(eval_expr, ast, x) == outcome(reference_eval, ast, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees, st.lists(_points, min_size=1, max_size=6))
+def test_batch_evaluation_matches_the_tree_walk_or_signals(ast, points):
+    X = np.array(points).T
+    reference = [outcome(reference_eval, ast, x) for x in points]
+    if any(kind == "error" for kind, _ in reference):
+        with pytest.raises(EvalError):
+            eval_expr(ast, X)
+        return
+    got = eval_expr(ast, X)
+    assert got.shape == (len(points),)
+    for value, (_, bits) in zip(got, reference):
+        assert math.isclose(value, float.fromhex(bits), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("text,x", [
+    ("x1 / x2", [1.0, 0.0]),
+    ("x1 / (x2 - x2)", [1.0, 5.0]),
+    ("sqrt(x1)", [-1.0]),
+    ("sqrt(x1 - 3)", [2.0]),
+    ("x1^99 * x1^99 * x1^99", [1e300]),
+    ("x1 * 1e308 + 1e308", [10.0]),
+    ("min(1e308*10, 1)", [0.0]),
+    ("max(x1, 1/(x1 - 2))", [2.0]),
+    ("cos(x1)^3 / sin(x1 - x1)", [0.5]),
+    ("min(x1, 1)", [float("nan")]),
+    ("x1 + 1", [float("inf")]),
+    ("sin(x1)", [float("inf")]),
+])
+def test_compiled_errors_match_the_tree_walk(text, x):
+    ast = parse(text, len(x))
+    assert outcome(eval_expr, ast, x) == outcome(reference_eval, ast, x)
+
+
+def test_intermediate_inf_that_vanishes_still_raises():
+    # 1e308*10 overflows inside min(), whose result would be finite again.
+    with pytest.raises(EvalError, match="non-finite value from '\\*'"):
+        ev("min(1e308*10, 1)", 1, [0.0])
+    with pytest.raises(EvalError):
+        eval_expr(parse("min(x1*1e308*10, 1)", 1), np.array([[1.0, 0.0]]))
+    with pytest.raises(EvalError):
+        eval_expr(parse("1 / (1 / (x1 - 1))", 1), np.array([[3.0, 1.0]]))
+
+
+def test_batch_evaluation_returns_one_value_per_column():
+    X = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    assert eval_expr(parse("x2 - x1", 2), X).tolist() == [3.0, 3.0, 3.0]
+    assert eval_expr(parse("2^3", 2), X).tolist() == [8.0, 8.0, 8.0]
+    with pytest.raises(EvalError, match="non-finite entry"):
+        eval_expr(parse("x1", 2), np.array([[1.0], [np.inf]]))
+
+
+def test_deep_trees_and_large_powers_still_evaluate():
+    deep = parse("+".join(["x1"] * 257), 1)
+    assert eval_expr(deep, [1.0]) == 257.0
+    assert eval_expr(deep, np.ones((1, 4))).tolist() == [257.0] * 4
+    power = parse("x1^1000000", 1)
+    assert eval_expr(power, [1.0]) == 1.0
+    assert eval_expr(power, [-1.0]) == 1.0
+    assert eval_expr(power, [0.5]) == 0.0
+    with pytest.raises(EvalError, match="non-finite value from '\\^'"):
+        eval_expr(power, [1.5])
+
+
+def test_compiled_tree_pickles_and_compares_as_before():
+    import pickle
+
+    ast = parse("-x1 + (1/3)*sin(x1)", 1)
+    eval_expr(ast, [0.5])
+    again = pickle.loads(pickle.dumps(ast))
+    assert again == ast and hash(again) == hash(ast)
+    assert eval_expr(again, [0.5]) == eval_expr(ast, [0.5])

@@ -8,6 +8,7 @@ from qvikit.model import (
     Box,
     Constant,
     FuncField,
+    IdMinus,
     NonnegativeOrthant,
     QviProblem,
     VectorField,
@@ -278,3 +279,36 @@ def test_problem_dimension_agreement():
 def test_func_field_adapter():
     g = FuncField(2, lambda x: x * 2.0)
     assert np.array_equal(g(np.array([1.0, -2.0])), [2.0, -4.0])
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "remark5"])
+def test_batch_field_values_and_bounds(name):
+    problem = qk.get_builtin(name)
+    X = np.random.default_rng(1).uniform(-10.0, 10.0, (problem.dim, 50))
+    for field in (problem.f, problem.v, IdMinus(problem.v)):
+        values, magnitude = field.evaluate_batch(X)
+        assert values.shape == X.shape and magnitude.shape == (50,)
+        for j in range(50):
+            point = field(X[:, j])
+            assert np.abs(values[:, j] - point).sum() <= 1e-15 * magnitude[j]
+            assert np.abs(point).sum() <= magnitude[j] * (1 + 1e-12)
+
+
+def test_batch_field_raises_where_a_point_raises():
+    f = VectorField.from_matrix([[1.0, 0.0], [0.0, 1.0]], ["0", "1 / (x1 - 2)"])
+    X = np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(EvalError, match="component 2"):
+        f(X[:, 2])
+    with pytest.raises(EvalError, match="component 2"):
+        f.evaluate_batch(X)
+    f.evaluate_batch(X[:, :2])
+
+
+def test_id_minus_is_the_point_map_x_minus_v(ex3):
+    w, lam = IdMinus(ex3.v), FuncField(3, lambda x: x - ex3.v(x))
+    assert w.dim == 3
+    for x in np.random.default_rng(2).uniform(-10.0, 10.0, (20, 3)):
+        assert np.array_equal(w(x), lam(x))
+    # Over a field with no batch form, Id - v has none either.
+    assert IdMinus(FuncField(3, ex3.v)).evaluate_batch(np.zeros((3, 2))) is None
+    assert not hasattr(FuncField(3, ex3.v), "evaluate_batch")

@@ -66,6 +66,11 @@ def test_declared_scalar_constants(r5):
     assert r5.constants.l_tilde.source == "sampled"
 
 
+def test_remark5_sampled_l_tilde_bits(r5):
+    # Recorded with the point-loop estimator; the batched screen keeps it.
+    assert r5.constants.l_tilde.value.hex() == "0x1.7ffcb904063c4p+0"
+
+
 @pytest.mark.parametrize("name,x0,h", [
     ("example1", [6.0, 2.0], 0.01),
     ("example2", [43.0, 22.0, 55.0], 0.3),
