@@ -19,7 +19,6 @@ estimator to that loop, which raises the point error.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -128,40 +127,32 @@ def _batched(fields, pairs):
     return X, Y, values
 
 
-def _chunked(fields, pairs, bounds):
-    """``bounds(X, Y, values)`` of the screen over ``pairs``, computed on
-    batches of at most _CHUNK pairs (which bounds the memory a screen
-    takes) and joined; None if any batch is unusable (see _batched)."""
+def _screen(fields, pairs, bounds):
+    """``bounds(X, Y, values)`` over ``pairs``, computed on batches of at most
+    _CHUNK pairs (which bounds the memory a screen takes) and joined; None
+    if any batch is unusable (see _batched)."""
     parts = []
-    for start in range(0, len(pairs), _CHUNK):
-        batched = _batched(fields, pairs[start:start + _CHUNK])
-        if batched is None:
-            return None
-        parts.append(bounds(*batched))
+    # A batch that overflows or divides by zero only makes the screen give up.
+    with np.errstate(all="ignore"):
+        for start in range(0, len(pairs), _CHUNK):
+            batched = _batched(fields, pairs[start:start + _CHUNK])
+            if batched is None:
+                return None
+            parts.append(bounds(*batched))
     return [np.concatenate(part) for part in zip(*parts)]
 
 
-def _quietly(screen):
-    """Run ``screen`` with floating-point warnings off: a batch that
-    overflows or divides by zero only makes the screen give up."""
-    @functools.wraps(screen)
-    def quiet(*args):
-        with np.errstate(all="ignore"):
-            return screen(*args)
-    return quiet
-
-
-def _may_be_max(low, high):
-    """Indices of the entries that may be the largest, each known to lie in
-    [low, high]; None if the bounds are unusable (NaN, or an infinite low)."""
+def _candidates(fields, pairs, bounds):
+    """The pairs whose quantity may be the largest, in order, when
+    ``bounds`` gives per pair a (low, high) around it; all pairs if the
+    screen gives up or the bounds are unusable (NaN, or an infinite low)."""
+    screened = _screen(fields, pairs, bounds)
+    if screened is None:
+        return pairs
+    low, high = screened
     if not np.isfinite(low).all() or np.isnan(high).any():
-        return None
-    return np.flatnonzero(high >= low.max())
-
-
-def _screened(pairs, keep):
-    """The pairs at the indices ``keep``; all of them when ``keep`` is None."""
-    return pairs if keep is None else [pairs[i] for i in keep]
+        return pairs
+    return [pairs[i] for i in np.flatnonzero(high >= low.max())]
 
 
 def _col_norm(A):
@@ -216,13 +207,13 @@ def pair_modulus_linear(A1, A2):
     return float(np.linalg.eigvalsh(S)[0])
 
 
-def _field_dim(field, dim):
-    if dim is not None:
-        return dim
-    field_dim = getattr(field, "dim", None)
-    if field_dim is None:
-        raise ValueError("pass dim= for plain-callable fields")
-    return field_dim
+def _field_pairs(field, plan, dim):
+    """The plan's pairs in dimension ``dim``, by default the field's."""
+    if dim is None:
+        dim = getattr(field, "dim", None)
+        if dim is None:
+            raise ValueError("pass dim= for plain-callable fields")
+    return sample_pairs(plan, dim)
 
 
 def sample_pair_modulus(f, w, plan, dim=None):
@@ -231,21 +222,13 @@ def sample_pair_modulus(f, w, plan, dim=None):
     Upper bound on the true infimum (every sampled ratio is at least it),
     deterministic given the plan's seed.
     """
-    dim = _field_dim(f, dim)
-    pairs = sample_pairs(plan, dim)
+    pairs = _field_pairs(f, plan, dim)
     best = np.inf
-    for x, y in _screened(pairs, _modulus_screen(f, w, pairs)):
+    for x, y in _candidates((f, w), pairs, _modulus_bounds):
         num = float(np.dot(np.asarray(f(x)) - np.asarray(f(y)),
                            np.asarray(w(x)) - np.asarray(w(y))))
         best = min(best, num / float(np.dot(x - y, x - y)))
     return best
-
-
-@_quietly
-def _modulus_screen(f, w, pairs):
-    """Indices of the pairs whose ratio may be the smallest, or None."""
-    bounds = _chunked((f, w), pairs, _modulus_bounds)
-    return None if bounds is None else _may_be_max(*bounds)
 
 
 def _modulus_bounds(X, Y, values):
@@ -266,21 +249,13 @@ def sample_lipschitz(f, plan, dim=None):
 
     Lower bound on the true constant, deterministic given the seed.
     """
-    dim = _field_dim(f, dim)
-    pairs = sample_pairs(plan, dim)
+    pairs = _field_pairs(f, plan, dim)
     best = 0.0
-    for x, y in _screened(pairs, _lipschitz_screen(f, pairs)):
+    for x, y in _candidates((f,), pairs, _lipschitz_bounds):
         ratio = float(np.linalg.norm(np.asarray(f(x)) - np.asarray(f(y)))
                       / np.linalg.norm(x - y))
         best = max(best, ratio)
     return best
-
-
-@_quietly
-def _lipschitz_screen(f, pairs):
-    """Indices of the pairs whose ratio may be the largest, or None."""
-    bounds = _chunked((f,), pairs, _lipschitz_bounds)
-    return None if bounds is None else _may_be_max(*bounds)
 
 
 def _lipschitz_bounds(X, Y, values):
@@ -310,9 +285,11 @@ def check_pseudo_pair(f, w, plan, dim=None, slack=1e-12):
     <f(b), w(b)-w(a)> >= -slack must hold too. Zero violations is evidence,
     not proof. Up to ten witness pairs are kept for inspection.
     """
-    dim = _field_dim(f, dim)
-    pairs = sample_pairs(plan, dim)
-    known = _pseudo_screen(f, w, pairs, slack) or [None] * len(pairs)
+    pairs = _field_pairs(f, plan, dim)
+    flags = _screen((f, w), pairs, lambda X, Y, values: _pseudo_flags(values, slack))
+    # Per pair, its two violation flags if the batch decides them, else None.
+    known = [None] * len(pairs) if flags is None else [
+        (u, v) if ok else None for ok, u, v in zip(*(a.tolist() for a in flags))]
     violations = 0
     witnesses = []
     for (x, y), found in zip(pairs, known):
@@ -337,18 +314,10 @@ def _pseudo_violations(f, w, x, y, slack):
     return found
 
 
-@_quietly
-def _pseudo_screen(f, w, pairs, slack):
-    """Per pair, the two violation flags when the batch decides them, else
-    None; a pair is decided when neither inner product <f(x), d>, <f(y), d>
-    (d = w(y) - w(x)) lies within its error of -slack or slack."""
-    flags = _chunked((f, w), pairs, lambda X, Y, values: _pseudo_flags(values, slack))
-    if flags is None:
-        return None
-    return [(u, v) if ok else None for ok, u, v in zip(*(a.tolist() for a in flags))]
-
-
 def _pseudo_flags(values, slack):
+    """Per pair, whether the batch decides it (neither <f(x), d> nor <f(y), d>,
+    d = w(y) - w(x), lies within its error of -slack or slack), and its two
+    violation flags."""
     (FX, FY, efx, efy), (WX, WY, ewx, ewy) = values
     D, ed = WY - WX, ewx + ewy
     b = _col_norm(D) + ed

@@ -28,11 +28,8 @@ from scipy.linalg.lapack import dgetrs
 from .analysis import (
     _MARGIN,
     SamplingPlan,
-    _chunked,
-    _may_be_max,
+    _candidates,
     _norm,
-    _quietly,
-    _screened,
     power_lambda_max,
     sample_pairs,
 )
@@ -303,18 +300,12 @@ class ScalarBracket:
         plan = SamplingPlan(seed=seed, count=count, lo=a, hi=b)
         pairs = sample_pairs(plan, 1)
         best = 0.0
-        for x1, x2 in _screened(pairs, self._screen(pairs)):
+        for x1, x2 in _candidates((self.v_map,), pairs, _inverse_ratio_bounds):
             dw = self._w(float(x1[0])) - self._w(float(x2[0]))
             if abs(dw) < 1e-12:
                 continue
             best = max(best, abs(float(x1[0]) - float(x2[0])) / abs(dw))
         return best
-
-    @_quietly
-    def _screen(self, pairs):
-        """Indices of the pairs that may give the largest ratio, or None."""
-        bounds = _chunked((self.v_map,), pairs, _inverse_ratio_bounds)
-        return None if bounds is None else _may_be_max(*bounds)
 
 
 def _inverse_ratio_bounds(X, Y, values):

@@ -79,21 +79,22 @@ def project(cset, z):
 
 @dataclass(frozen=True, eq=False)
 class VectorField:
-    """Map R^n -> R^n, either n expression ASTs or split as matrix + remainder.
+    """Map R^n -> R^n evaluated as matrix @ x + remainder(x).
 
-    The split form evaluates to matrix @ x + remainder(x) and is what makes
-    spectral analysis possible; fields without a linear split fall back to
-    sampling estimators.
+    Either part may be absent, not both; the remainder is n expression ASTs.
+    The matrix is what makes spectral analysis possible; fields without one
+    fall back to sampling estimators.
     """
 
     dim: int
-    components: tuple | None = None
     matrix: np.ndarray | None = None
     remainder: tuple | None = None
 
     def __post_init__(self):
-        if (self.components is None) == (self.matrix is None):
-            raise ValueError("give either components or a matrix (split form)")
+        if self.matrix is None and self.remainder is None:
+            raise ValueError("give a matrix, a remainder, or both")
+        if self.remainder is not None and len(self.remainder) != self.dim:
+            raise ValueError(f"need {self.dim} expressions, got {len(self.remainder)}")
         if self.matrix is not None:
             M = np.asarray(self.matrix, float)
             if M.shape != (self.dim, self.dim):
@@ -104,10 +105,7 @@ class VectorField:
 
     @classmethod
     def from_exprs(cls, texts, dim):
-        comps = tuple(edsl.parse(t, dim) for t in texts)
-        if len(comps) != dim:
-            raise ValueError(f"need {dim} component expressions, got {len(comps)}")
-        return cls(dim, components=comps)
+        return cls(dim, remainder=tuple(edsl.parse(t, dim) for t in texts))
 
     @classmethod
     def from_matrix(cls, M, remainder_texts=None):
@@ -116,8 +114,6 @@ class VectorField:
         rem = None
         if remainder_texts is not None:
             rem = tuple(edsl.parse(t, dim) for t in remainder_texts)
-            if len(rem) != dim:
-                raise ValueError(f"need {dim} remainder expressions, got {len(rem)}")
         return cls(dim, matrix=M, remainder=rem)
 
     @classmethod
@@ -138,12 +134,12 @@ class VectorField:
         For inner loops whose caller checked the point once; everything else
         calls the field, which checks every point.
         """
-        if self.matrix is not None:
-            out = self.matrix.dot(x)
-            if self.remainder is not None:
-                out = out + self._eval_asts(self.remainder, x, np.empty(self.dim))
-            return out
-        return self._eval_asts(self.components, x, np.empty(self.dim))
+        if self.remainder is None:
+            return self.matrix.dot(x)
+        rest = self._eval_asts(self.remainder, x, np.empty(self.dim))
+        # A remainder alone is returned as is, not as 0 + rest: signed zeros
+        # keep their bits.
+        return rest if self.matrix is None else self.matrix.dot(x) + rest
 
     def __call__(self, x):
         x = np.asarray(x, float)
@@ -159,16 +155,14 @@ class VectorField:
         matrix product sums in another order. Raises EvalError wherever a
         point evaluation would (see expr.eval_expr).
         """
+        if self.remainder is None:
+            return self.matrix @ X, (np.abs(self.matrix) @ np.abs(X)).sum(0)
+        rest = self._eval_asts(self.remainder, X, np.empty(X.shape))
+        magnitude = np.abs(rest).sum(0)
         if self.matrix is None:
-            out = self._eval_asts(self.components, X, np.empty(X.shape))
-            return out, np.abs(out).sum(0)
-        out = self.matrix @ X
-        magnitude = (np.abs(self.matrix) @ np.abs(X)).sum(0)
-        if self.remainder is not None:
-            rest = self._eval_asts(self.remainder, X, np.empty(X.shape))
-            out += rest
-            magnitude += np.abs(rest).sum(0)
-        return out, magnitude
+            return rest, magnitude
+        return (self.matrix @ X + rest,
+                (np.abs(self.matrix) @ np.abs(X)).sum(0) + magnitude)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,6 @@ from .inverse import (
     PicardContraction,
     ScalarBracket,
     Semilinear,
-    lipschitz_of_inverse,
 )
 from .model import (
     Box,
@@ -32,6 +31,7 @@ from .model import (
     QviProblem,
     VectorField,
     WholeSpace,
+    as_vector,
 )
 from .solvers import ZeroMap
 
@@ -58,7 +58,7 @@ def example1():
     inv = LinearExact(v.matrix)
     constants = ProblemConstants(
         l=Constant(operator_norm(v.matrix), "spectral"),
-        l_tilde=Constant(lipschitz_of_inverse(inv), "spectral"),
+        l_tilde=Constant(inv.lipschitz(), "spectral"),
     )
     return QviProblem("example1", 2, f, v, inv,
                       Box([-30.0, -30.0], [40.0, 40.0]), constants)
@@ -73,7 +73,7 @@ def example2():
     inv = LinearExact(v.matrix)
     constants = ProblemConstants(
         l=Constant(operator_norm(v.matrix), "spectral"),
-        l_tilde=Constant(lipschitz_of_inverse(inv), "spectral"),
+        l_tilde=Constant(inv.lipschitz(), "spectral"),
     )
     return QviProblem("example2", 3, f, v, inv,
                       Box([-400.0] * 3, [500.0] * 3), constants)
@@ -88,11 +88,11 @@ def example3():
         _SHARED_V_MATRIX,
         ["0.6*cos(x2)^2", "0.5*sin(x1)", "0.7*sin(x3)^2"],
     )
-    g = VectorField(3, components=v.remainder)
+    g = VectorField(3, remainder=v.remainder)
     # Componentwise slope bounds 0.6, 0.5, 0.7 give |g'| <= sqrt(1.10).
     inv = Semilinear(v.matrix, g, l_g=1.05)
     constants = ProblemConstants(
-        l_tilde=Constant(lipschitz_of_inverse(inv), "spectral"),
+        l_tilde=Constant(inv.lipschitz(), "spectral"),
     )
     return QviProblem("example3", 3, f, v, inv,
                       Box([-400.0] * 3, [500.0] * 3), constants)
@@ -116,7 +116,7 @@ def remark5():
         L=Constant(4.0 / 3.0, "declared"),
         l=Constant(7.0 / 3.0, "declared"),
         gamma=Constant(2.0 / 9.0, "declared"),
-        l_tilde=Constant(lipschitz_of_inverse(inv), "sampled"),
+        l_tilde=Constant(inv.lipschitz(), "sampled"),
     )
     return QviProblem("remark5", 1, f, v, inv, NonnegativeOrthant(1), constants)
 
@@ -153,22 +153,27 @@ def _member(spec, key, path):
     return spec[key]
 
 
-def _number(spec, key, path, kind=float):
-    """``kind(spec[key])``; a missing or non-numeric value is a ConfigError."""
+def _number(spec, key, path, kind=float, positive=False):
+    """``kind(spec[key])``; a missing or non-numeric value, or with
+    ``positive`` one that is not finite and positive, is a ConfigError."""
     value = _member(spec, key, path)
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{path}.{key}: expected a number, got {value!r}") from None
+    if positive and not 0 < number < np.inf:
+        raise ConfigError(f"{path}.{key}: expected a finite positive number, got {value!r}")
+    return number
 
 
 def _field_to_json(field):
-    if field.matrix is not None:
-        out = {"matrix": [[float(v) for v in row] for row in field.matrix]}
-        if field.remainder is not None:
-            out["remainder"] = [print_expr(a) for a in field.remainder]
-        return out
-    return [print_expr(a) for a in field.components]
+    """A bare expression list for a remainder alone, else {matrix[, remainder]}."""
+    if field.matrix is None:
+        return [print_expr(a) for a in field.remainder]
+    out = {"matrix": [[float(v) for v in row] for row in field.matrix]}
+    if field.remainder is not None:
+        out["remainder"] = [print_expr(a) for a in field.remainder]
+    return out
 
 
 def _field_from_json(spec, dim, what):
@@ -202,10 +207,15 @@ def _set_from_json(spec, dim):
     if kind == "orthant":
         return NonnegativeOrthant(dim)
     if kind == "box":
-        cset = Box(_member(spec, "lower", "set"), _member(spec, "upper", "set"))
-        if cset.dim != dim:
-            raise ConfigError(f"set: box dimension {cset.dim} != problem dim {dim}")
-        return cset
+        bounds = {}
+        for key in ("lower", "upper"):
+            try:
+                bounds[key] = as_vector(_member(spec, key, "set"), dim)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"set.{key}: {exc}") from None
+        if not np.all(bounds["lower"] <= bounds["upper"]):
+            raise ConfigError("set.lower: must not exceed set.upper in any component")
+        return Box(**bounds)
     raise ConfigError(f"set: unknown type {kind!r}")
 
 
@@ -226,9 +236,9 @@ def _inverse_from_json(spec, v, dim):
     strategy = _object(spec, "inverse").get("strategy")
     kwargs = {}
     if "inner_tol" in spec:
-        kwargs["inner_tol"] = _number(spec, "inner_tol", "inverse")
+        kwargs["inner_tol"] = _number(spec, "inner_tol", "inverse", positive=True)
     if "max_inner" in spec:
-        kwargs["max_inner"] = _number(spec, "max_inner", "inverse", int)
+        kwargs["max_inner"] = _number(spec, "max_inner", "inverse", int, positive=True)
     if strategy == "linear_exact":
         if v.matrix is None or v.remainder is not None:
             raise ConfigError("linear_exact needs v in pure matrix form")
@@ -242,7 +252,7 @@ def _inverse_from_json(spec, v, dim):
             raise ConfigError("semilinear needs v in {matrix, remainder} form")
         if "l_g" not in spec:
             raise ConfigError("semilinear needs the remainder bound 'l_g'")
-        g = VectorField(dim, components=v.remainder)
+        g = VectorField(dim, remainder=v.remainder)
         return Semilinear(v.matrix, g, _number(spec, "l_g", "inverse"), **kwargs)
     if strategy == "scalar_bracket":
         if dim != 1:
@@ -272,10 +282,14 @@ def _constants_from_json(spec):
         if name not in ("L", "l", "l_tilde", "gamma", "mu"):
             raise ConfigError(f"constants: unknown name {name!r}")
         if isinstance(value, dict):
-            kwargs[name] = Constant(_number(value, "value", f"constants.{name}"),
-                                    value.get("source", "declared"))
+            number = _number(value, "value", f"constants.{name}", positive=True)
+            source = value.get("source", "declared")
         else:
-            kwargs[name] = Constant(_number(spec, name, "constants"), "declared")
+            number, source = _number(spec, name, "constants", positive=True), "declared"
+        try:
+            kwargs[name] = Constant(number, source)
+        except ValueError as exc:  # the value is positive: the source is unknown
+            raise ConfigError(f"constants.{name}.source: {exc}") from None
     return ProblemConstants(**kwargs)
 
 

@@ -239,8 +239,8 @@ def alg1_step(problem, x, h):
     if not h > 0:
         raise ValueError("h must be positive")
     x = np.asarray(x, float)
-    y = x - problem.v(x) - h * problem.f(x)
-    return invert(problem.inverse, project(problem.set, y))
+    _, _, p = _natural_residual_parts(problem, x, problem.f(x), h)
+    return invert(problem.inverse, p)
 
 
 def catching_up_step(problem, x, h):

@@ -182,7 +182,7 @@ def test_criterion_08_rate_domination(ex1, ex1_solution):
 
 def test_criterion_09_zero_finder_contraction(ex4, ex4_solution):
     a_inv = operator_norm(np.linalg.inv(ex4.w.matrix))
-    g = VectorField(3, components=ex4.f.remainder)
+    g = VectorField(3, remainder=ex4.f.remainder)
     alpha = a_inv * sample_lipschitz(g, SamplingPlan(seed=0))
     report = solve_zero(ex4.f, ex4.w, np.array([1e4, 2e4, 3e4]),
                         SolverConfig(h=1.0, tol=1e-10, record="full"))

@@ -233,7 +233,7 @@ class _Counted:
         return self.field.evaluate_batch(X)
 
 
-def test_screens_evaluate_few_pairs_by_point(ex2):
+def test_screens_evaluate_few_pairs_by_point(ex2, r5):
     f, w = _Counted(ex2.f), _Counted(IdMinus(ex2.v))
     plan = SamplingPlan(seed=3, count=2000)
     assert sample_lipschitz(f, plan) == sample_lipschitz(FuncField(3, ex2.f), plan)
@@ -242,6 +242,11 @@ def test_screens_evaluate_few_pairs_by_point(ex2):
     point = sample_pair_modulus(FuncField(3, ex2.f), FuncField(3, w.field), plan)
     assert sample_pair_modulus(f, w, plan) == point
     assert f.calls <= 20 and w.calls <= 20
+    # remark5's l_tilde was pinned with the point loop over all 10k pairs.
+    v = _Counted(r5.v)
+    bracket = ScalarBracket(v, r5.inverse.bracket, r5.inverse.direction)
+    assert bracket.lipschitz().hex() == "0x1.7ffcb904063c4p+0"
+    assert v.calls <= 40  # two per pair evaluated by point
 
 
 def _one_sampled_x(plan, index):

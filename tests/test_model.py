@@ -152,7 +152,7 @@ def test_eval_origin_fixed(r5):
 
 def test_split_form_bit_identical_to_composition(ex2):
     rng = np.random.default_rng(4)
-    remainder = VectorField(3, components=ex2.f.remainder)
+    remainder = VectorField(3, remainder=ex2.f.remainder)
     for _ in range(100):
         x = rng.uniform(-10, 10, 3)
         assert np.array_equal(ex2.f(x), ex2.f.matrix @ x + remainder(x))
@@ -251,11 +251,40 @@ def test_box_validation():
 
 
 def test_vector_field_needs_exactly_one_form():
+    # The one form is matrix @ x + remainder(x); either part may be absent.
     with pytest.raises(ValueError):
         VectorField(2)
-    with pytest.raises(ValueError):
-        VectorField(2, components=(qk.parse("x1", 2), qk.parse("x2", 2)),
-                    matrix=np.eye(2))
+    remainder = (qk.parse("x1", 2), qk.parse("x2^2", 2))
+    x = np.array([3.0, -2.0])
+    assert np.array_equal(VectorField(2, matrix=np.eye(2))(x), [3.0, -2.0])
+    assert np.array_equal(VectorField(2, remainder=remainder)(x), [3.0, 4.0])
+    both = VectorField(2, matrix=np.eye(2), remainder=remainder)
+    assert np.array_equal(both(x), [6.0, 2.0])
+    with pytest.raises(ValueError, match="need 2 expressions, got 1"):
+        VectorField(2, matrix=np.eye(2), remainder=remainder[:1])
+
+
+def test_vector_field_checks_the_expression_count():
+    # A short remainder once left np.empty garbage in the missing entries,
+    # and a long one raised a raw IndexError at evaluation.
+    two = (qk.parse("x1", 3), qk.parse("x2", 3))
+    for remainder in (two, two + two):
+        with pytest.raises(ValueError, match=f"need 3 expressions, got {len(remainder)}"):
+            VectorField(3, remainder=remainder)
+        with pytest.raises(ValueError, match=f"need 3 expressions, got {len(remainder)}"):
+            VectorField(3, matrix=np.eye(3), remainder=remainder)
+    with pytest.raises(ValueError, match="need 3 expressions"):
+        VectorField.from_exprs(["x1", "x2"], 3)
+    with pytest.raises(ValueError, match="need 3 expressions"):
+        VectorField.from_matrix(np.eye(3), ["x1", "x2", "x3", "x1"])
+
+
+def test_a_remainder_alone_keeps_signed_zeros():
+    f = VectorField.from_exprs(["-x1", "x2"], 2)
+    assert np.signbit(f(np.array([0.0, -0.0]))).tolist() == [True, True]
+    values, magnitude = f.evaluate_batch(np.array([[0.0, 1.0], [-0.0, 2.0]]))
+    assert np.signbit(values[:, 0]).tolist() == [True, True]
+    assert magnitude.tolist() == [0.0, 3.0]
 
 
 def test_constant_validation():

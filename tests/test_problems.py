@@ -216,6 +216,28 @@ def test_field_backed_scaffold_refuses_json(ex4):
     (lambda d: d.update(f={"matrix": [[1.0]], "remainder": 5}), r"f\.remainder"),
     (lambda d: d.update(v=42),
      r"v: expected an expression list, a \{matrix, remainder\} object"),
+    (lambda d: d.update(set={"type": "box", "lower": [1], "upper": [0]}),
+     r"set\.lower: must not exceed set\.upper"),
+    (lambda d: d.update(set={"type": "box", "lower": [0], "upper": [1, 2]}),
+     r"set\.upper: expected dimension 1, got 2"),
+    (lambda d: d.update(set={"type": "box", "lower": [float("nan")], "upper": [1]}),
+     r"set\.lower: vector entries must be finite"),
+    (lambda d: d.update(set={"type": "box", "lower": [0], "upper": [float("inf")]}),
+     r"set\.upper: vector entries must be finite"),
+    (lambda d: d.update(constants={"l": {"value": -1.0}}),
+     r"constants\.l\.value: expected a finite positive number"),
+    (lambda d: d.update(constants={"L": 0.0}),
+     r"constants\.L: expected a finite positive number"),
+    (lambda d: d.update(constants={"l": {"value": 1.0, "source": "guessed"}}),
+     r"constants\.l\.source: unknown source 'guessed'"),
+    (lambda d: d.update(inverse={"strategy": "linear_exact", "inner_tol": float("nan")}),
+     r"inverse\.inner_tol: expected a finite positive number"),
+    (lambda d: d.update(inverse={"strategy": "linear_exact", "inner_tol": -1e-12}),
+     r"inverse\.inner_tol: expected a finite positive number"),
+    (lambda d: d.update(inverse={"strategy": "linear_exact", "max_inner": 0}),
+     r"inverse\.max_inner: expected a finite positive number"),
+    (lambda d: d.update(inverse={"strategy": "linear_exact", "max_inner": float("inf")}),
+     r"inverse\.max_inner: expected a number"),
 ])
 def test_problem_from_dict_error_catalog(mutate, needle):
     doc = _minimal_doc()

@@ -282,7 +282,7 @@ def test_zero_step_fast_path_matches_generic(ex4):
 
 def test_zero_solver_contraction_ratios(ex4, ex4_solution):
     a_inv = 1.0 / np.linalg.svd(ex4.w.matrix, compute_uv=False).min()
-    g = VectorField(3, components=ex4.f.remainder)
+    g = VectorField(3, remainder=ex4.f.remainder)
     lg_hat = sample_lipschitz(g, SamplingPlan(seed=0))
     alpha = a_inv * lg_hat
     assert alpha < 1.0
