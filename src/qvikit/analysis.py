@@ -32,7 +32,8 @@ from .errors import EvalError, SamplingError
 # operations either way, and NumPy's sin and cos are math's here (a test
 # checks it), so an ulp there is not amplified past the margin.
 _MARGIN = 1e-9
-# Screens evaluate at most this many pairs at once.
+# Screens evaluate at most this many pairs at once, and the sampler draws
+# this many before it joins its small arrays.
 _CHUNK = 1024
 
 
@@ -64,32 +65,63 @@ class SamplingPlan:
     def __post_init__(self):
         if self.count < 2:
             raise ValueError("count must be at least 2")
+        if not math.isfinite(float(self.hi) - float(self.lo)):
+            raise ValueError("need finite lo, hi and hi - lo")
         if not self.lo < self.hi:
             raise ValueError("need lo < hi")
 
 
 def sample_pairs(plan, dim):
-    """Materialize the plan's point pairs in dimension ``dim``."""
+    """The plan's point pairs in dimension ``dim``, a list of read-only
+    ``(x, y)`` arrays.
+
+    They are a fixed function of ``(plan, dim)``: the pairs of a loop on
+    ``rng = np.random.default_rng(plan.seed)`` that per pair draws
+    ``x = rng.uniform(lo, hi, dim)``, then, if ``rng.uniform() < 0.5``,
+    ``y = rng.uniform(lo, hi, dim)``, else ``u = rng.normal(size=dim)`` and
+    ``y = clip(x + 1e-3 (hi - lo) u / _norm(u), lo, hi)``, and keeps those
+    with ``_norm(x - y) >= min_separation``. Here consecutive uniforms come
+    from one ``rng.random`` call, and the rest is done on the whole plan.
+    """
     rng = np.random.default_rng(plan.seed)
-    lo, hi = plan.lo, plan.hi
-    step = 1e-3 * (hi - lo)
-    pairs = []
-    for _ in range(plan.count):
-        x = rng.uniform(lo, hi, dim)
-        if rng.uniform() < 0.5:
-            y = rng.uniform(lo, hi, dim)
-        else:
-            u = rng.normal(size=dim)
-            nu = _norm(u)
-            if nu == 0.0:
-                continue
-            # np.clip(..., lo, hi) bit for bit, for less.
-            y = np.minimum(np.maximum(x + step * u / nu, lo), hi)
-        if _norm(x - y) >= plan.min_separation:
-            pairs.append((x, y))
-    if not pairs:
+    lo, hi = float(plan.lo), float(plan.hi)
+    # Per pair: x and its coin, then a uniform y together with the next
+    # pair's x and coin. Each block's small arrays are joined.
+    draws, normals, uniform, norms = [rng.random(dim + 1)], [np.empty(0)], [], []
+    for start in range(0, plan.count, _CHUNK):
+        for _ in range(min(_CHUNK, plan.count - start)):
+            uniform.append(draws[-1][-1] < 0.5)
+            if uniform[-1]:
+                draws.append(rng.random(2 * dim + 1))
+            else:
+                normals.append(rng.normal(size=dim))
+                norms.append(_norm(normals[-1]))
+                draws.append(rng.random(dim + 1))
+        draws, normals = [np.concatenate(draws)], [np.concatenate(normals)]
+    U, uniform = draws[0], np.array(uniform)
+    width = dim + 1 + dim * uniform
+    at = (np.cumsum(width) - width)[:, None] + np.arange(dim)
+    X = lo + (hi - lo) * U[at]
+    Y = np.empty_like(X)
+    Y[uniform] = lo + (hi - lo) * U[at[uniform] + dim + 1]
+    step = 1e-3 * (plan.hi - plan.lo)
+    # A zero u gives a NaN y, which the test below drops; a wide box
+    # overflows |x - y|^2 to inf, which it keeps.
+    with np.errstate(all="ignore"):
+        u, nu = normals[0].reshape(-1, dim), np.array(norms)[:, None]
+        Y[~uniform] = np.minimum(np.maximum(X[~uniform] + step * u / nu, lo), hi)
+        D = X - Y
+        d, ms = np.sqrt((D * D).sum(1)), plan.min_separation
+    # The separation test by row sums, and by _norm where their rounding
+    # (or an underflow) could decide it.
+    keep = d >= ms
+    unsure = np.flatnonzero((np.abs(d - ms) <= _MARGIN * ms) | (d < 1e-145))
+    keep[unsure] = [_norm(D[i]) >= ms for i in unsure]
+    if not keep.any():
         raise SamplingError("sampling plan produced no usable pairs")
-    return pairs
+    X, Y = X[keep], Y[keep]
+    X.flags.writeable = Y.flags.writeable = False
+    return list(zip(X, Y))
 
 
 def _batched(fields, pairs):

@@ -154,13 +154,16 @@ def _member(spec, key, path):
 
 
 def _number(spec, key, path, kind=float, positive=False):
-    """``kind(spec[key])``; a missing or non-numeric value, or with
-    ``positive`` one that is not finite and positive, is a ConfigError."""
+    """``kind(spec[key])``; a missing or non-numeric value, one that ``kind``
+    would change (2.7 as an int), or with ``positive`` one that is not finite
+    and positive, is a ConfigError."""
     value = _member(spec, key, path)
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{path}.{key}: expected a number, got {value!r}") from None
+    if kind is int and number != value:
+        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
     if positive and not 0 < number < np.inf:
         raise ConfigError(f"{path}.{key}: expected a finite positive number, got {value!r}")
     return number
@@ -176,16 +179,35 @@ def _field_to_json(field):
     return out
 
 
+def _matrix(spec, dim, what):
+    """``spec["matrix"]`` as a finite (dim, dim) array; else a ConfigError
+    naming ``what.matrix``."""
+    try:
+        M = np.asarray(spec["matrix"], float)
+    except (TypeError, ValueError, OverflowError):
+        M = None
+    if M is None or M.shape != (dim, dim) or not np.isfinite(M).all():
+        raise ConfigError(f"{what}.matrix: expected a {dim}x{dim} matrix of finite numbers")
+    return M
+
+
+def _expressions(texts, dim, what):
+    """``texts`` if it is a list of ``dim`` entries; else a ConfigError."""
+    if not isinstance(texts, list) or len(texts) != dim:
+        raise ConfigError(f"{what}: expected an expression list of length {dim}")
+    return texts
+
+
 def _field_from_json(spec, dim, what):
     if spec == "zero":
         return VectorField.zero(dim)
     if isinstance(spec, list):
-        return VectorField.from_exprs(spec, dim)
+        return VectorField.from_exprs(_expressions(spec, dim, what), dim)
     if isinstance(spec, dict) and "matrix" in spec:
         remainder = spec.get("remainder")
-        if remainder is not None and not isinstance(remainder, list):
-            raise ConfigError(f"{what}.remainder: expected an expression list")
-        return VectorField.from_matrix(np.asarray(spec["matrix"], float), remainder)
+        if remainder is not None:
+            remainder = _expressions(remainder, dim, f"{what}.remainder")
+        return VectorField.from_matrix(_matrix(spec, dim, what), remainder)
     raise ConfigError(f"{what}: expected an expression list, "
                       "a {matrix, remainder} object, or \"zero\"")
 
@@ -253,7 +275,8 @@ def _inverse_from_json(spec, v, dim):
         if "l_g" not in spec:
             raise ConfigError("semilinear needs the remainder bound 'l_g'")
         g = VectorField(dim, remainder=v.remainder)
-        return Semilinear(v.matrix, g, _number(spec, "l_g", "inverse"), **kwargs)
+        return Semilinear(v.matrix, g, _number(spec, "l_g", "inverse", positive=True),
+                          **kwargs)
     if strategy == "scalar_bracket":
         if dim != 1:
             raise ConfigError("scalar_bracket only applies in dimension 1")
@@ -339,8 +362,7 @@ def problem_from_dict(doc):
         w_spec = doc.get("w")
         if not isinstance(w_spec, dict) or "matrix" not in w_spec:
             raise ConfigError("zero problems need 'w' with a matrix")
-        return ZeroProblem(name, dim, f,
-                           ZeroMap.from_matrix(np.asarray(w_spec["matrix"], float)))
+        return ZeroProblem(name, dim, f, ZeroMap.from_matrix(_matrix(w_spec, dim, "w")))
     if kind != "qvi":
         raise ConfigError(f"unknown problem kind {kind!r}")
 

@@ -292,6 +292,21 @@ def test_malformed_problem_file_exits_1_with_typed_error(kind, tmp_path, capsys)
     assert re.match(r"error: (ConfigError|ParseError): ", err)
 
 
+@pytest.mark.parametrize("key,matrix", [("f", 5), ("v", [[1.0, 2.0]]), ("w", [[1.0]])])
+def test_bad_field_matrix_exits_1_naming_its_path(key, matrix, tmp_path, capsys):
+    name, command, x0 = ("example4", "zero", EX4_X0) if key == "w" \
+        else ("example1", "solve", "6,2")
+    doc = problem_to_dict(get_builtin(name))
+    doc[key] = {"matrix": matrix}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, command, str(path), "--x0", x0, "--h", "0.01")
+    assert (code, out) == (1, "")
+    dim = doc["dim"]
+    assert err == f"error: ConfigError: {key}.matrix: expected a {dim}x{dim} matrix " \
+        "of finite numbers\n"
+
+
 def test_long_sums_solve_and_dump_or_exit_1(tmp_path, capsys):
     def write(terms, name):
         doc = problem_to_dict(get_builtin("example1"))

@@ -238,6 +238,29 @@ def test_field_backed_scaffold_refuses_json(ex4):
      r"inverse\.max_inner: expected a finite positive number"),
     (lambda d: d.update(inverse={"strategy": "linear_exact", "max_inner": float("inf")}),
      r"inverse\.max_inner: expected a number"),
+    (lambda d: d.update(inverse={"strategy": "linear_exact", "max_inner": 2.7}),
+     r"inverse\.max_inner: expected an integer, got 2\.7"),
+    (lambda d: d.update(inverse={"strategy": "linear_exact", "max_inner": "3"}),
+     r"inverse\.max_inner: expected an integer"),
+    (lambda d: d.update(v={"matrix": [[0.5]], "remainder": ["0.1*sin(x1)"]},
+                        inverse={"strategy": "semilinear", "l_g": -1.0}),
+     r"inverse\.l_g: expected a finite positive number"),
+    (lambda d: d.update(v={"matrix": [[0.5]], "remainder": ["0.1*sin(x1)"]},
+                        inverse={"strategy": "semilinear", "l_g": 0}),
+     r"inverse\.l_g: expected a finite positive number"),
+    (lambda d: d.update(f={"matrix": 5}), r"f\.matrix: expected a 1x1 matrix"),
+    (lambda d: d.update(f={"matrix": [[1.0, 2.0]]}), r"f\.matrix: expected a 1x1 matrix"),
+    (lambda d: d.update(f={"matrix": [[1.0], [2.0, 3.0]]}), r"f\.matrix"),
+    (lambda d: d.update(f={"matrix": [["one"]]}), r"f\.matrix"),
+    (lambda d: d.update(v={"matrix": [[0.5, 0.0], [0.0, 0.5]]}),
+     r"v\.matrix: expected a 1x1 matrix"),
+    (lambda d: d.update(v={"matrix": [[float("nan")]]}), r"v\.matrix: .* finite numbers"),
+    (lambda d: d.update(kind="zero", w={"matrix": [[1.0, 0.0]]}),
+     r"w\.matrix: expected a 1x1 matrix"),
+    (lambda d: d.update(kind="zero", w={"matrix": 2.0}), r"w\.matrix"),
+    (lambda d: d.update(f=["-x1", "-x1"]), r"f: expected an expression list of length 1"),
+    (lambda d: d.update(v={"matrix": [[0.5]], "remainder": []}),
+     r"v\.remainder: expected an expression list of length 1"),
 ])
 def test_problem_from_dict_error_catalog(mutate, needle):
     doc = _minimal_doc()
