@@ -17,13 +17,15 @@ contract.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
-import warnings
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor
-from scipy.linalg.lapack import dgetrs
+import scipy
 
 from .analysis import (
     _MARGIN,
@@ -41,14 +43,45 @@ from .errors import (
 )
 
 
+def _flapack():
+    """scipy's LAPACK extension module, without the scipy.linalg package.
+
+    ``import scipy.linalg`` loads some 300 modules; the two routines used
+    here live in one extension behind it, loaded here from its file. It is
+    the module scipy.linalg.lapack wraps, so the Fortran calls and their
+    bits are the same.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:  # scipy.linalg is already loaded
+        return sys.modules[name]
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(scipy.__path__[0], "linalg")])
+    if spec is None:
+        return importlib.import_module(name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # The extension registers itself under its name. Drop that entry, so a
+    # later ``import scipy.linalg`` builds its package as usual; it gets the
+    # same function objects.
+    sys.modules.pop(name, None)
+    return module
+
+
+_LAPACK = _flapack()
+dgetrf, dgetrs = _LAPACK.dgetrf, _LAPACK.dgetrs
+
+
 class _LU:
     """LU factors of a square matrix, checked for singularity, and its solves."""
 
     def __init__(self, A, what):
-        with warnings.catch_warnings():
-            # scipy warns on exact zero pivots; the check below raises instead.
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(A, check_finite=True)
+        """The LAPACK call of scipy.linalg.lu_factor, bit for bit. Its
+        contract holds: a non-finite A raises ValueError, and so does an
+        illegal argument. An exact zero pivot (info > 0) fails the
+        singularity check below."""
+        lu, piv, info = dgetrf(np.asarray_chkfinite(A))
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK getrf")
         d = np.abs(np.diag(lu))
         if not np.all(np.isfinite(lu)) or d.min() <= A.shape[0] * np.finfo(float).eps * d.max():
             raise SingularLinearPart(f"{what} is numerically singular")

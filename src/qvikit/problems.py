@@ -154,14 +154,16 @@ def _member(spec, key, path):
 
 
 def _number(spec, key, path, kind=float, positive=False):
-    """``kind(spec[key])``; a missing or non-numeric value, one that ``kind``
-    would change (2.7 as an int), or with ``positive`` one that is not finite
-    and positive, is a ConfigError."""
+    """``kind(spec[key])``; a missing or non-numeric value (JSON ``true``
+    included), one that ``kind`` would change (2.7 as an int), or with
+    ``positive`` one that is not finite and positive, is a ConfigError."""
     value = _member(spec, key, path)
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}") from None
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
     if kind is int and number != value:
         raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
     if positive and not 0 < number < np.inf:
@@ -285,8 +287,15 @@ def _inverse_from_json(spec, v, dim):
             a, b = (float(t) for t in bracket)
         except (TypeError, ValueError):
             raise ConfigError(f"inverse.bracket: expected [a, b], got {bracket!r}") from None
-        return ScalarBracket(v, (a, b),
-                             spec.get("direction", "decreasing"), **kwargs)
+        # |a| + |b| finite keeps the width b - a and the midpoints finite.
+        if not (a < b and np.isfinite(abs(a) + abs(b))):
+            raise ConfigError("inverse.bracket: expected finite a < b with |a| + |b| "
+                              f"finite, got {bracket!r}")
+        direction = spec.get("direction", "decreasing")
+        if direction not in ("increasing", "decreasing"):
+            raise ConfigError("inverse.direction: expected 'increasing' or "
+                              f"'decreasing', got {direction!r}")
+        return ScalarBracket(v, (a, b), direction, **kwargs)
     raise ConfigError(f"inverse: unknown strategy {strategy!r}")
 
 
@@ -344,14 +353,12 @@ def problem_from_dict(doc):
     """Build a problem from a parsed JSON document."""
     if not isinstance(doc, dict):
         raise ConfigError("problem file must hold a JSON object")
+    if "dim" not in doc:
+        raise ConfigError("problem file needs 'dim'")
     try:
-        dim = int(doc["dim"])
-    except KeyError:
-        raise ConfigError("problem file needs 'dim'") from None
-    except (TypeError, ValueError):
-        raise ConfigError(f"dim must be an integer, got {doc['dim']!r}") from None
-    if dim < 1:
-        raise ConfigError("dim must be at least 1")
+        dim = _number(doc, "dim", "problem", int, positive=True)
+    except ConfigError:
+        raise ConfigError(f"dim must be an integer of at least 1, got {doc['dim']!r}") from None
     name = _object(doc.get("meta") or {}, "meta").get("name", "unnamed")
     kind = doc.get("kind", "qvi")
     if "f" not in doc:

@@ -1,9 +1,18 @@
+import importlib.machinery
+import os
+import subprocess
+import sys
+import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.linalg import norm
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+
+import qvikit.inverse as inverse
 
 from qvikit.errors import (
     BracketingFailure,
@@ -181,6 +190,120 @@ def test_lu_solve_helper_rejects_non_finite_rhs():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert lu.solve(huge).tobytes() == lu_solve((lu.lu, lu.piv), huge).tobytes()
+
+
+def _regular_matrices():
+    """Random and ill-scaled square matrices, none numerically singular."""
+    rng = np.random.default_rng(7)
+    for n in range(1, 7):
+        for _ in range(20):
+            A = rng.standard_normal((n, n))
+            yield A
+            rows = 10.0 ** rng.integers(-3, 4, size=(n, 1))
+            yield A * rows * 10.0 ** rng.integers(-290, 291)
+
+
+_SINGULAR = [
+    np.zeros((1, 1)),
+    np.zeros((3, 3)),
+    np.array([[1.0, 2.0], [2.0, 4.0]]),
+    np.outer([1.0, -2.0, 3.0], [4.0, 5.0, -6.0]),
+    np.array([[2.0, 1.0, 0.0], [4.0, 2.0, 0.0], [1.0, 1.0, 0.0]]),
+]
+
+
+def _assert_lu_matches_scipy():
+    for A in _regular_matrices():
+        lu, piv = lu_factor(A)
+        got = _LU(A, "A")
+        assert got.lu.tobytes() == lu.tobytes()
+        assert got.piv.tobytes() == piv.tobytes()
+    for A in _SINGULAR:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)
+            lu, piv = lu_factor(A)
+        got_lu, got_piv, info = inverse.dgetrf(A)
+        assert info > 0
+        assert got_lu.tobytes() == lu.tobytes() and got_piv.tobytes() == piv.tobytes()
+        with pytest.raises(SingularLinearPart, match="A is numerically singular"):
+            _LU(A, "A")
+
+
+def test_lu_factors_match_scipy_bit_for_bit():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_lu_matches_scipy()
+
+
+def test_lu_factorization_rejects_non_finite_matrices():
+    for bad in ([[np.nan]], [[1.0, np.inf], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _LU(np.array(bad), "A")
+
+
+def test_lapack_fallback_import_gives_the_same_routines(monkeypatch):
+    name = "scipy.linalg._flapack"
+    searched = []
+
+    def find_spec(fullname, path=None, target=None):
+        searched.append((fullname, path))
+        return None
+
+    # The import system keeps its own PathFinder; only the direct load misses.
+    monkeypatch.setattr(importlib.machinery, "PathFinder",
+                        types.SimpleNamespace(find_spec=find_spec))
+    monkeypatch.delitem(sys.modules, name)
+    monkeypatch.setattr(scipy.linalg, "_flapack", scipy.linalg._flapack)
+    module = inverse._flapack()
+    assert searched and searched[0][0] == name
+    assert sys.modules[name] is module
+    monkeypatch.setattr(inverse, "dgetrf", module.dgetrf)
+    monkeypatch.setattr(inverse, "dgetrs", module.dgetrs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_lu_matches_scipy()
+    A = np.array([[4.0, 1.0, 0.5], [2.0, 3.0, -1.0], [0.0, 1e-3, 2.0]])
+    b = np.array([1.0, -2.0, 3e5])
+    assert _LU(A, "A").solve(b).tobytes() == lu_solve(lu_factor(A), b).tobytes()
+
+
+def _run_fresh(code):
+    src = str(Path(inverse.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+def test_import_loads_lapack_without_scipy_linalg():
+    _run_fresh("""
+import sys
+import numpy as np
+import qvikit
+import qvikit.inverse as inverse
+for name in qvikit.BUILTINS:
+    qvikit.get_builtin(name)
+assert "scipy.linalg" not in sys.modules, "scipy.linalg was imported"
+assert "scipy.linalg._flapack" not in sys.modules, "stray extension entry"
+import scipy.linalg
+from scipy.linalg import lapack
+assert lapack.dgetrf is inverse.dgetrf and lapack.dgetrs is inverse.dgetrs
+A = np.array([[4.0, 1.0], [2.0, 3.0]])
+lu, piv = scipy.linalg.lu_factor(A)
+assert lu.tobytes() == inverse._LU(A, "A").lu.tobytes()
+assert np.allclose(A @ scipy.linalg.lu_solve((lu, piv), [1.0, 2.0]), [1.0, 2.0])
+""")
+
+
+def test_import_after_scipy_linalg_takes_its_lapack_module():
+    _run_fresh("""
+import sys
+import scipy.linalg
+import qvikit.inverse as inverse
+assert sys.modules["scipy.linalg._flapack"] is scipy.linalg._flapack
+assert inverse.dgetrf is scipy.linalg.lapack.dgetrf
+""")
 
 
 @pytest.mark.parametrize("u", [

@@ -261,6 +261,40 @@ def test_field_backed_scaffold_refuses_json(ex4):
     (lambda d: d.update(f=["-x1", "-x1"]), r"f: expected an expression list of length 1"),
     (lambda d: d.update(v={"matrix": [[0.5]], "remainder": []}),
      r"v\.remainder: expected an expression list of length 1"),
+    (lambda d: d.update(inverse={"strategy": "linear_exact", "max_inner": True}),
+     r"inverse\.max_inner: expected a number, got True"),
+    (lambda d: d.update(inverse={"strategy": "linear_exact", "inner_tol": True}),
+     r"inverse\.inner_tol: expected a number, got True"),
+    (lambda d: d.update(constants={"L": True}), r"constants\.L: expected a number, got True"),
+    (lambda d: d.update(constants={"gamma": {"value": False}}),
+     r"constants\.gamma\.value: expected a number, got False"),
+    (lambda d: d.update(dim=2.7), r"dim must be an integer of at least 1, got 2\.7"),
+    (lambda d: d.update(dim=True), r"dim must be an integer of at least 1, got True"),
+    (lambda d: d.update(dim="1"), r"dim must be an integer of at least 1, got '1'"),
+    (lambda d: d.update(v=["-2*x1"], inverse={"strategy": "scalar_bracket",
+                                              "bracket": [0, float("inf")]}),
+     r"inverse\.bracket: expected finite a < b .* got \[0, inf\]"),
+    (lambda d: d.update(v=["-2*x1"], inverse={"strategy": "scalar_bracket",
+                                              "bracket": [float("nan"), 1]}),
+     r"inverse\.bracket: expected finite a < b .* got \[nan, 1\]"),
+    (lambda d: d.update(v=["-2*x1"], inverse={"strategy": "scalar_bracket",
+                                              "bracket": [1, 0]}),
+     r"inverse\.bracket: expected finite a < b .* got \[1, 0\]"),
+    (lambda d: d.update(v=["-2*x1"], inverse={"strategy": "scalar_bracket",
+                                              "bracket": [1, 1]}),
+     r"inverse\.bracket: expected finite a < b .* got \[1, 1\]"),
+    (lambda d: d.update(v=["-2*x1"], inverse={"strategy": "scalar_bracket",
+                                              "bracket": [-1e308, 1e308]}),
+     r"inverse\.bracket: expected finite a < b .* got \[-1e\+308, 1e\+308\]"),
+    (lambda d: d.update(v=["-2*x1"], inverse={"strategy": "scalar_bracket",
+                                              "bracket": [1e308, 1.5e308]}),
+     r"inverse\.bracket: expected finite a < b .* got \[1e\+308, 1\.5e\+308\]"),
+    (lambda d: d.update(v=["-2*x1"], inverse={"strategy": "scalar_bracket",
+                                              "bracket": [-1, 1], "direction": "sideways"}),
+     r"inverse\.direction: expected 'increasing' or 'decreasing', got 'sideways'"),
+    (lambda d: d.update(v=["-2*x1"], inverse={"strategy": "scalar_bracket",
+                                              "bracket": [-1, 1], "direction": 1}),
+     r"inverse\.direction: expected 'increasing' or 'decreasing', got 1"),
 ])
 def test_problem_from_dict_error_catalog(mutate, needle):
     doc = _minimal_doc()
