@@ -171,6 +171,13 @@ def _number(spec, key, path, kind=float, positive=False):
     return number
 
 
+def _holds_boolean(value):
+    """Whether a JSON value is ``true`` or ``false``, or a list holding one
+    at any depth: ``float`` takes them as numbers, the schema does not."""
+    return isinstance(value, bool) or (isinstance(value, list)
+                                       and any(map(_holds_boolean, value)))
+
+
 def _field_to_json(field):
     """A bare expression list for a remainder alone, else {matrix[, remainder]}."""
     if field.matrix is None:
@@ -188,7 +195,8 @@ def _matrix(spec, dim, what):
         M = np.asarray(spec["matrix"], float)
     except (TypeError, ValueError, OverflowError):
         M = None
-    if M is None or M.shape != (dim, dim) or not np.isfinite(M).all():
+    if (M is None or M.shape != (dim, dim) or not np.isfinite(M).all()
+            or _holds_boolean(spec["matrix"])):
         raise ConfigError(f"{what}.matrix: expected a {dim}x{dim} matrix of finite numbers")
     return M
 
@@ -206,9 +214,9 @@ def _field_from_json(spec, dim, what):
     if isinstance(spec, list):
         return VectorField.from_exprs(_expressions(spec, dim, what), dim)
     if isinstance(spec, dict) and "matrix" in spec:
-        remainder = spec.get("remainder")
-        if remainder is not None:
-            remainder = _expressions(remainder, dim, f"{what}.remainder")
+        remainder = None
+        if "remainder" in spec:  # null included: the schema has no such form
+            remainder = _expressions(spec["remainder"], dim, f"{what}.remainder")
         return VectorField.from_matrix(_matrix(spec, dim, what), remainder)
     raise ConfigError(f"{what}: expected an expression list, "
                       "a {matrix, remainder} object, or \"zero\"")
@@ -233,8 +241,11 @@ def _set_from_json(spec, dim):
     if kind == "box":
         bounds = {}
         for key in ("lower", "upper"):
+            value = _member(spec, key, "set")
+            if _holds_boolean(value):
+                raise ConfigError(f"set.{key}: expected numbers, got {value!r}")
             try:
-                bounds[key] = as_vector(_member(spec, key, "set"), dim)
+                bounds[key] = as_vector(value, dim)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"set.{key}: {exc}") from None
         if not np.all(bounds["lower"] <= bounds["upper"]):
@@ -286,7 +297,9 @@ def _inverse_from_json(spec, v, dim):
         try:
             a, b = (float(t) for t in bracket)
         except (TypeError, ValueError):
-            raise ConfigError(f"inverse.bracket: expected [a, b], got {bracket!r}") from None
+            a = None
+        if a is None or _holds_boolean(bracket):
+            raise ConfigError(f"inverse.bracket: expected [a, b], got {bracket!r}")
         # |a| + |b| finite keeps the width b - a and the midpoints finite.
         if not (a < b and np.isfinite(abs(a) + abs(b))):
             raise ConfigError("inverse.bracket: expected finite a < b with |a| + |b| "
@@ -310,7 +323,7 @@ def _constants_to_json(constants):
 
 def _constants_from_json(spec):
     kwargs = {}
-    for name, value in _object(spec or {}, "constants").items():
+    for name, value in _object(spec, "constants").items():
         if name not in ("L", "l", "l_tilde", "gamma", "mu"):
             raise ConfigError(f"constants: unknown name {name!r}")
         if isinstance(value, dict):
@@ -349,17 +362,25 @@ def problem_to_dict(problem):
     }
 
 
+_KEYS = ("meta", "kind", "dim", "f", "v", "w", "inverse", "set", "constants")
+
+
 def problem_from_dict(doc):
     """Build a problem from a parsed JSON document."""
     if not isinstance(doc, dict):
         raise ConfigError("problem file must hold a JSON object")
+    for key in doc:
+        if key not in _KEYS:
+            raise ConfigError(f"{key}: unknown key; a problem file has {', '.join(_KEYS)}")
     if "dim" not in doc:
         raise ConfigError("problem file needs 'dim'")
     try:
         dim = _number(doc, "dim", "problem", int, positive=True)
     except ConfigError:
         raise ConfigError(f"dim must be an integer of at least 1, got {doc['dim']!r}") from None
-    name = _object(doc.get("meta") or {}, "meta").get("name", "unnamed")
+    name = _object(doc.get("meta", {}), "meta").get("name", "unnamed")
+    if not isinstance(name, str):
+        raise ConfigError(f"meta.name: expected a string, got {name!r}")
     kind = doc.get("kind", "qvi")
     if "f" not in doc:
         raise ConfigError("problem file needs 'f'")
@@ -379,7 +400,7 @@ def problem_from_dict(doc):
     v = _field_from_json(doc["v"], dim, "v")
     inverse = _inverse_from_json(doc["inverse"], v, dim)
     cset = _set_from_json(doc["set"], dim)
-    constants = _constants_from_json(doc.get("constants"))
+    constants = _constants_from_json(doc.get("constants", {}))
     return QviProblem(name, dim, f, v, inverse, cset, constants)
 
 

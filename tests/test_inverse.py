@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.linalg import norm
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
@@ -21,12 +23,14 @@ from qvikit.errors import (
     SingularLinearPart,
 )
 from qvikit.inverse import (
+    _FIRST_CHUNK,
     _LU,
     LinearExact,
     PicardContraction,
     ScalarBracket,
     Semilinear,
     _norm,
+    _verify,
     invert,
     lipschitz_of_inverse,
 )
@@ -364,3 +368,132 @@ def test_every_strategy_rejects_a_non_finite_point(ex1, ex3, r5):
         y[-1] = np.nan
         with pytest.raises(NoConvergence, match="non-finite"):
             invert(spec, y)
+
+
+def reference_picard(spec, y, inner_log=None):
+    """The loop that tested every Picard step before the chunked test: the
+    reference for PicardContraction.invert, bit for bit."""
+    y = inverse._point(y, getattr(spec.v_map, "dim", None))
+    # The evaluator the loop had: a field's evaluate, else the call itself.
+    v = (getattr(spec.v_map, "evaluate", None)
+         or (lambda x: np.asarray(spec.v_map(x), float)))
+    x = y.copy()
+    for _ in range(spec.max_inner):
+        xn = y + v(x)
+        step = _norm(xn - x)
+        if inner_log is not None:
+            inner_log.append(step)
+        x = xn
+        if step <= spec.inner_tol:
+            break
+    return _verify(spec, x, v(x), y)
+
+
+def _outcome(fn, spec, y, traced):
+    """(x or the raised error, the inner_log) of one invert, as bit strings."""
+    log = [] if traced else None
+    with np.errstate(all="ignore"):
+        try:
+            got = ("x", np.asarray(fn(spec, y, log)).tobytes())
+        except NoConvergence as exc:
+            got = ("NoConvergence", float.hex(exc.achieved), str(exc))
+        except Exception as exc:  # any other error must match as well
+            got = (type(exc).__name__, str(exc))
+    return got, None if log is None else [float.hex(s) for s in log]
+
+
+def _picard_field(kind, dim, entries, scale, offsets):
+    M = np.reshape(entries[:dim * dim], (dim, dim))
+    M = M * (scale / max(np.linalg.norm(M, 2), 1e-300))
+    if kind == "linear":
+        return VectorField.from_matrix(M)
+    if kind == "callable":
+        return lambda x: M @ x
+    # A remainder of slope at most scale * 0.3 / dim per component, or, for
+    # "explode", a square that raises EvalError once it overflows.
+    term = ("{c!r}*x{j}*x{j}" if kind == "explode" else "{c!r}*sin(x{j} + {o!r})")
+    texts = [term.format(c=0.3 * scale / dim, j=i % dim + 1, o=offsets[i])
+             for i in range(dim)]
+    return VectorField.from_matrix(0.7 * M, texts)
+
+
+_STEPS = st.sampled_from([1, 2, _FIRST_CHUNK - 1, _FIRST_CHUNK, _FIRST_CHUNK + 1,
+                          3 * _FIRST_CHUNK, 100])
+
+
+@settings(max_examples=400, deadline=None)
+@given(dim=st.integers(1, 4),
+       kind=st.sampled_from(["linear", "callable", "expression", "explode"]),
+       entries=st.lists(st.floats(-1, 1), min_size=16, max_size=16),
+       offsets=st.lists(st.floats(-3, 3), min_size=4, max_size=4),
+       scale=st.sampled_from([0.0, 0.3, 0.85, 0.99, 1.5, 1e3]),
+       y=st.lists(st.floats(-10, 10), min_size=4, max_size=4),
+       y_scale=st.sampled_from([1.0, 1e-150, 1e-170, 1e150]),
+       tol=st.sampled_from([1e-160, 1e-12, 1e-3]),
+       max_inner=_STEPS, near_stop=st.sampled_from([None, -1, 0, 1]))
+def test_picard_invert_matches_the_reference_loop(dim, kind, entries, offsets, scale,
+                                                   y, y_scale, tol, max_inner, near_stop):
+    spec = PicardContraction(_picard_field(kind, dim, entries, scale, offsets), 0.5,
+                             inner_tol=tol, max_inner=2000)
+    point = np.array(y[:dim]) * y_scale
+    if near_stop is not None:
+        # max_inner just below, at or just above the step the loop stops on.
+        max_inner = max(1, len(_outcome(reference_picard, spec, point, True)[1])
+                        + near_stop)
+    spec.max_inner = max_inner
+    want = _outcome(reference_picard, spec, point, True)
+    assert _outcome(PicardContraction.invert, spec, point, True) == want
+    assert _outcome(PicardContraction.invert, spec, point, False)[0] == want[0]
+
+
+def test_picard_screen_leaves_few_exact_norms(monkeypatch):
+    spec = PicardContraction(VectorField.from_matrix([[-0.2, -0.4], [-0.4, -0.6]]), 0.85)
+    y = np.array([5.0, -3.0])
+    log = []
+    want = invert(spec, y, inner_log=log)
+    calls = []
+
+    def counting_norm(u):
+        calls.append(1)
+        return _norm(u)
+
+    monkeypatch.setattr(inverse, "_norm", counting_norm)
+    assert invert(spec, y).tobytes() == want.tobytes()
+    assert len(log) > 100
+    assert len(calls) <= 5  # the exact test at the stop, then _verify
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-12, 1e-160, 1e-162])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_picard_step_at_the_tolerance_stops_as_the_reference_does(dim, tol):
+    # From y = 0 under a constant v = c, the first step is c itself and the
+    # second is 0: the loop stops after one step exactly when _norm(c) <= tol.
+    rng = np.random.default_rng(dim)
+    stops = set()
+    for _ in range(300):
+        u = rng.standard_normal(dim)
+        # Within a few ulps of tol, or a few subnormal ulps of tol^2.
+        spread = rng.choice([2.0 ** -52, 1e-3, 0.3])
+        c = u * (tol / _norm(u)) * (1.0 + rng.integers(-3, 4) * spread)
+        spec = PicardContraction(lambda x, c=c: c, 0.0, inner_tol=tol)
+        want = _outcome(reference_picard, spec, np.zeros(dim), True)
+        assert _outcome(PicardContraction.invert, spec, np.zeros(dim), True) == want
+        stops.add(len(want[1]))
+    assert stops == {1, 2}
+
+
+@pytest.mark.parametrize("j", range(1, 10))
+def test_picard_error_past_the_stop_is_not_raised(j):
+    # Steps 1, 1/2, 1/4, ... toward 2, and v fails past 2 - 2^-5: the loop
+    # returns when a step of at most 2^-j comes before that, and raises the
+    # error otherwise, though the chunk evaluates v past the stop.
+    def v(x):
+        if x[0] > 2.0 - 2.0 ** -5:
+            raise ValueError("outside the domain")
+        return x / 2.0 + 1.0
+
+    spec = PicardContraction(v, 0.5, inner_tol=2.0 ** -j)
+    want = _outcome(reference_picard, spec, np.zeros(1), True)
+    assert want[0][0] == ("x" if j <= 5 else "ValueError")
+    assert _outcome(PicardContraction.invert, spec, np.zeros(1), True) == want
+    assert _outcome(PicardContraction.invert, spec, np.zeros(1), False)[0] == want[0]

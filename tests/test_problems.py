@@ -176,6 +176,40 @@ def test_field_backed_scaffold_refuses_json(ex4):
         problem_to_dict(bad)
 
 
+# Documents the schema rejects and the loader once took: JSON true and false
+# for numbers, an unknown top-level key, a null remainder, a meta.name that
+# is no string, and a null or non-object meta or constants.
+_SCHEMA_REJECTS = [
+    (lambda d: d.update(f={"matrix": [[True]]}), r"f\.matrix: expected a 1x1 matrix"),
+    (lambda d: d.update(v={"matrix": [[False]]}), r"v\.matrix: expected a 1x1 matrix"),
+    (lambda d: d.update(kind="zero", w={"matrix": [[True]]}),
+     r"w\.matrix: expected a 1x1 matrix"),
+    (lambda d: d.update(set={"type": "box", "lower": [False], "upper": [1]}),
+     r"set\.lower: expected numbers, got \[False\]"),
+    (lambda d: d.update(set={"type": "box", "lower": [0], "upper": [True]}),
+     r"set\.upper: expected numbers, got \[True\]"),
+    (lambda d: d.update(set={"type": "box", "lower": 0, "upper": True}),
+     r"set\.upper: expected numbers, got True"),
+    (lambda d: d.update(v=["-2*x1"], inverse={"strategy": "scalar_bracket",
+                                              "bracket": [False, True]}),
+     r"inverse\.bracket: expected \[a, b\], got \[False, True\]"),
+    (lambda d: d.update(v=["-2*x1"], inverse={"strategy": "scalar_bracket",
+                                              "bracket": [-1, True]}),
+     r"inverse\.bracket: expected \[a, b\], got \[-1, True\]"),
+    (lambda d: d.update(name="ex"), r"name: unknown key; a problem file has meta, kind"),
+    (lambda d: d.update(comment=None), r"comment: unknown key"),
+    (lambda d: d.update(f={"matrix": [[1.0]], "remainder": None}),
+     r"f\.remainder: expected an expression list of length 1"),
+    (lambda d: d.update(v={"matrix": [[0.5]], "remainder": None}),
+     r"v\.remainder: expected an expression list of length 1"),
+    (lambda d: d.update(meta={"name": 5}), r"meta\.name: expected a string, got 5"),
+    (lambda d: d.update(meta={"name": None}), r"meta\.name: expected a string, got None"),
+    (lambda d: d.update(meta=None), "meta: expected a JSON object, got NoneType"),
+    (lambda d: d.update(meta=[]), "meta: expected a JSON object, got list"),
+    (lambda d: d.update(constants=None), "constants: expected a JSON object, got NoneType"),
+]
+
+
 @pytest.mark.parametrize("mutate,needle", [
     (lambda d: d.pop("dim"), "dim"),
     (lambda d: d.update(dim=0), "at least 1"),
@@ -295,12 +329,29 @@ def test_field_backed_scaffold_refuses_json(ex4):
     (lambda d: d.update(v=["-2*x1"], inverse={"strategy": "scalar_bracket",
                                               "bracket": [-1, 1], "direction": 1}),
      r"inverse\.direction: expected 'increasing' or 'decreasing', got 1"),
-])
+] + _SCHEMA_REJECTS)
 def test_problem_from_dict_error_catalog(mutate, needle):
     doc = _minimal_doc()
     mutate(doc)
     with pytest.raises(ConfigError, match=needle):
         problem_from_dict(doc)
+
+
+@pytest.mark.parametrize("mutate,needle", _SCHEMA_REJECTS)
+def test_schema_rejects_the_documents_the_loader_now_rejects(mutate, needle):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads(SCHEMA_PATH.read_text(encoding="utf-8"))
+    doc = _minimal_doc()
+    jsonschema.validate(doc, schema)
+    mutate(doc)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, schema)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_builtin_dump_reloads_byte_identical(name):
+    text = dumps_problem(get_builtin(name))
+    assert dumps_problem(loads_problem(text)) == text
 
 
 def test_problem_from_dict_rejects_non_object():
