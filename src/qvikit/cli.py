@@ -95,11 +95,17 @@ def _parse_h(text):
     return h
 
 
+def _csv_row(values):
+    """Python floats as a CSV row, in _fmt's format."""
+    return ",".join([f"{v:.17g}" for v in values])
+
+
 def _write_solve_csv(path, report, dim):
     header = "iter," + ",".join(f"x{i + 1}" for i in range(dim)) + ",residual"
     lines = [header]
-    for k, (xk, rk) in enumerate(zip(report.iterates, report.residuals)):
-        lines.append(",".join([str(k)] + [_fmt(v) for v in xk] + [_fmt(rk)]))
+    rows = zip(np.array(report.iterates).tolist(), np.array(report.residuals).tolist())
+    for k, (xk, rk) in enumerate(rows):
+        lines.append(f"{k}," + _csv_row(xk + [rk]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -109,8 +115,8 @@ def _write_sweep_csv(path, result):
     header = "t," + ",".join(f"x{i + 1}" for i in range(dim)) + ",speed"
     speeds = np.concatenate(([0.0], result.speeds))
     lines = [header]
-    for t, x, s in zip(result.ts, result.xs, speeds):
-        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in x] + [_fmt(s)]))
+    for t, x, s in zip(result.ts.tolist(), result.xs.tolist(), speeds.tolist()):
+        lines.append(_csv_row([t, *x, s]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -5,10 +5,16 @@ class QvikitError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ParseError(QvikitError):
+class ConfigError(QvikitError):
+    """A required constant or configuration value is missing or inconsistent."""
+
+
+class ParseError(ConfigError):
     """Expression text was rejected.
 
-    Carries the byte offset of the offending token in ``offset``.
+    Carries the byte offset of the offending token in ``offset``. A problem
+    file's expressions are configuration, so the loader's every rejection is
+    a ConfigError.
     """
 
     def __init__(self, message, offset):
@@ -38,10 +44,6 @@ class BracketingFailure(QvikitError):
 
 class SamplingError(QvikitError):
     """A sampling plan produced no usable pairs."""
-
-
-class ConfigError(QvikitError):
-    """A required constant or configuration value is missing or inconsistent."""
 
 
 class DiagnosticsError(QvikitError):

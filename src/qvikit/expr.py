@@ -14,15 +14,18 @@ Binary +, -, *, / are left-associative; "^" binds tighter than unary minus
 (so -2^2 == -4) and is right-associative, with the exponent restricted to
 positive integer literals. Variables are named x1..x<dim>. The function
 catalog is fixed: sin, cos, abs, sqrt (one argument), min, max (two).
+
+Trees evaluate through generated Python functions (field_function), cached
+by value; the generated source holds no text from the expression, only
+made-up names, integers, operators and catalog names.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,11 +46,11 @@ _MAX_HEIGHT = 256
 
 
 class _Node:
-    """Base of the tree nodes. A root evaluated once keeps its compiled
-    closures as private attributes (see eval_expr); pickling leaves them out."""
+    """Base of the tree nodes. A root evaluated once keeps its generated
+    functions as private attributes (see eval_expr); pickling leaves them out."""
 
     def __getstate__(self):
-        return {k: v for k, v in vars(self).items() if not k.endswith("_closure")}
+        return {k: v for k, v in vars(self).items() if not k.endswith("_function")}
 
 
 @dataclass(frozen=True)
@@ -261,104 +264,110 @@ def _ipow(base, k):
     return out
 
 
-class _Backend(NamedTuple):
-    """How compiled closures compute: on one point or on a batch of points."""
-
-    attr: str           # where a compiled root keeps its closure
-    var: object         # 0-based index -> closure reading that variable
-    finite: object      # value -> every entry is finite
-    has_zero: object    # value -> some entry is zero
-    arithmetic: dict
-    functions: dict
-
-
-_POINT = _Backend(
-    "_point_closure", lambda i: lambda x: float(x[i]), math.isfinite, operator.not_,
-    {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv},
-    {"sin": math.sin, "cos": math.cos, "abs": abs, "sqrt": math.sqrt,
-     "min": min, "max": max})
-_BATCH = _Backend(
-    "_batch_closure", lambda i: lambda X: X[i], lambda a: np.isfinite(a).all(),
-    lambda a: not np.all(a),
-    {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide},
-    {"sin": np.sin, "cos": np.cos, "abs": np.abs, "sqrt": np.sqrt,
-     "min": np.minimum, "max": np.maximum})
+# How generated code computes: on one point, with Python floats and math, or
+# on a batch of points, with NumPy arrays. Per backend: the source reading
+# variable i, the tests that a value is not finite and that a divisor has a
+# zero, and the functions that source calls by name.
+_BACKENDS = {
+    "point": ("float(x[{}])", "not isfinite({})", "not {}",
+              {"isfinite": math.isfinite, "sin": math.sin, "cos": math.cos,
+               "abs": abs, "sqrt": math.sqrt, "min": min, "max": max}),
+    "batch": ("x[{}]", "not isfinite({}).all()", "not all({})",
+              {"isfinite": np.isfinite, "all": np.all, "sin": np.sin, "cos": np.cos,
+               "abs": np.abs, "sqrt": np.sqrt, "min": np.minimum, "max": np.maximum}),
+}
+# The source text of each operator and catalog function: a tree's operator
+# or function name reaches the source only as one of these strings.
+_SOURCE = {"+": "+", "-": "-", "*": "*", "/": "/", **{name: name for name in FUNCTIONS}}
+# Generated functions kept by trees and backend, so that a problem rebuilt
+# from its file reuses its fields' functions instead of compiling them again.
+_CACHE_SIZE = 256
 
 
-def _compile(ast, b):
-    """Nested closures computing ``ast`` with backend ``b``: left operand
-    before right, arguments in order, every operation's result checked."""
-    if isinstance(ast, Number):
-        value = ast.value
-        return lambda x: value
-    if isinstance(ast, Var):
-        return b.var(ast.index - 1)
-    if isinstance(ast, Unary):
-        child = _compile(ast.child, b)
-        return lambda x: -child(x)
-    finite = b.finite
-    if isinstance(ast, Binary):
-        left = _compile(ast.left, b)
-        message = f"non-finite value from {ast.op!r}"
-        if ast.op == "^":
-            k = int(ast.right.value)
+def _emit(asts, backend):
+    """The source of ``fn(x)``, returning the values of the trees ``asts`` in
+    order on ``backend``, and the values of the global names it binds.
 
-            def node(x):
-                out = _ipow(left(x), k)
-                if not finite(out):
-                    raise EvalError(message)
-                return out
-            return node
-        if ast.op not in b.arithmetic:
-            raise TypeError(f"not an expression node: {ast!r}")
-        right, apply = _compile(ast.right, b), b.arithmetic[ast.op]
-        if ast.op == "/":
-            has_zero = b.has_zero
+    Each operation is one statement on generated names, left operand before
+    right and arguments in order, its result checked as the grammar says.
+    Constants and messages are bound by name, so the source holds only
+    generated names, integers, operators and catalog names.
+    """
+    read, nonfinite, has_zero, _ = _BACKENDS[backend]
+    lines, bound, reads = [], {}, {}
 
-            def node(x):
-                num = left(x)
-                den = right(x)
-                if has_zero(den):
-                    raise EvalError("division by zero")
-                out = apply(num, den)
-                if not finite(out):
-                    raise EvalError(message)
-                return out
-            return node
+    def bind(value):
+        name = f"k{len(bound)}"
+        bound[name] = value
+        return name
 
-        def node(x):
-            out = apply(left(x), right(x))
-            if not finite(out):
-                raise EvalError(message)
-            return out
-        return node
-    if isinstance(ast, Call):
-        if len(ast.args) != FUNCTIONS.get(ast.name):
-            raise TypeError(f"not an expression node: {ast!r}")
-        args = [_compile(a, b) for a in ast.args]
-        fn, name = b.functions[ast.name], ast.name
+    def store(expression, message=None, call=None):
+        """A new name for ``expression``, checked finite when a ``message``
+        is given; math's domain errors in a ``call`` become EvalError."""
+        t = f"t{len(lines)}"
+        if call is None:
+            lines.append(f"{t} = {expression}")
+        else:
+            prefix = bind(call + ": ")
+            lines.extend([f"try: {t} = {expression}",
+                          f"except ValueError as e: raise EvalError({prefix} + str(e)) from e"])
+        if message is not None:
+            lines.append(f"if {nonfinite.format(t)}: raise EvalError({bind(message)})")
+        return t
 
-        def node(x):
-            values = [a(x) for a in args]
-            try:
-                out = fn(*values)
-            except ValueError as exc:  # math's domain errors
-                raise EvalError(f"{name}: {exc}") from exc
-            if not finite(out):
-                raise EvalError(f"non-finite value from {name}")
-            return out
-        return node
-    raise TypeError(f"not an expression node: {ast!r}")
+    def emit(ast):
+        if isinstance(ast, Number):
+            return bind(ast.value)
+        if isinstance(ast, Var):
+            if ast.index not in reads:
+                reads[ast.index] = store(read.format(int(ast.index) - 1))
+            return reads[ast.index]
+        if isinstance(ast, Unary):
+            return store(f"-{emit(ast.child)}")
+        if isinstance(ast, Binary) and ast.op == "^":
+            return store(f"ipow({emit(ast.left)}, {int(ast.right.value)})",
+                         "non-finite value from '^'")
+        if isinstance(ast, Binary) and ast.op in ("+", "-", "*", "/"):
+            left, right = emit(ast.left), emit(ast.right)
+            if ast.op == "/":
+                lines.append(f"if {has_zero.format(right)}: "
+                             f"raise EvalError({bind('division by zero')})")
+            return store(f"{left} {_SOURCE[ast.op]} {right}",
+                         f"non-finite value from {ast.op!r}")
+        if isinstance(ast, Call) and len(ast.args) == FUNCTIONS.get(ast.name):
+            args = ", ".join([emit(a) for a in ast.args])
+            return store(f"{_SOURCE[ast.name]}({args})",
+                         f"non-finite value from {ast.name}", ast.name)
+        raise TypeError(f"not an expression node: {ast!r}")
+
+    values = "".join(f"{emit(ast)}, " for ast in asts)
+    body = "".join(f"    {line}\n" for line in lines)
+    return f"def fn(x):\n{body}    return ({values})\n", bound
 
 
-def _compiled(ast, b):
-    """The closure for ``ast`` on backend ``b``, compiled on first use and
-    kept on the (frozen) root node."""
-    closure = getattr(ast, b.attr, None)
-    if closure is None:
-        closure = _compile(ast, b)
-        object.__setattr__(ast, b.attr, closure)
-    return closure
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def field_function(asts, backend):
+    """The function of the tuple of trees ``asts`` on ``backend``, "point" or
+    "batch": it returns a tuple of their values at one point (or at each
+    column of an (n, N) array), raising EvalError as eval_expr says.
+
+    Compiled from generated source on first request and cached: trees equal
+    as values compute the same bits, since parsed constants carry no sign.
+    """
+    source, bound = _emit(asts, backend)
+    namespace = {**_BACKENDS[backend][3], **bound, "EvalError": EvalError, "ipow": _ipow}
+    exec(compile(source, "<expression>", "exec"), namespace)
+    return namespace["fn"]
+
+
+def _kept(ast, backend):
+    """The function of the one tree ``ast``, kept on its (frozen) root node."""
+    attr = f"_{backend}_function"
+    fn = getattr(ast, attr, None)
+    if fn is None:
+        fn = field_function((ast,), backend)
+        object.__setattr__(ast, attr, fn)
+    return fn
 
 
 def eval_expr(ast, x):
@@ -373,16 +382,16 @@ def eval_expr(ast, x):
     """
     if not (isinstance(x, np.ndarray) and x.ndim == 2):
         try:
-            point = ast._point_closure
+            point = ast._point_function
         except AttributeError:
-            point = _compiled(ast, _POINT)
-        return point(x)
+            point = _kept(ast, "point")
+        return point(x)[0]
     X = np.asarray(x, float)
     if not np.isfinite(X).all():
         raise EvalError("non-finite entry in the batch of points")
-    batch = _compiled(ast, _BATCH)
+    batch = _kept(ast, "batch")
     with np.errstate(all="ignore"):
-        out = batch(X)
+        (out,) = batch(X)
     if np.ndim(out) == 0:  # no variable in the tree
         return np.full(X.shape[1], out)
     return out if out.base is None else out.copy()  # a bare variable: a row of X

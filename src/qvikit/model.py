@@ -81,9 +81,10 @@ def project(cset, z):
 class VectorField:
     """Map R^n -> R^n evaluated as matrix @ x + remainder(x).
 
-    Either part may be absent, not both; the remainder is n expression ASTs.
-    The matrix is what makes spectral analysis possible; fields without one
-    fall back to sampling estimators.
+    Either part may be absent, not both; the remainder is n expression ASTs,
+    which a point evaluation computes with one generated function that the
+    field keeps (pickling leaves it out). The matrix is what makes spectral
+    analysis possible; fields without one fall back to sampling estimators.
     """
 
     dim: int
@@ -128,6 +129,9 @@ class VectorField:
                 raise EvalError(f"component {i + 1}: {exc}") from exc
         return out
 
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if k != "_function"}
+
     def evaluate(self, x):
         """The field at a float vector ``x`` of length ``dim``, unchecked.
 
@@ -136,7 +140,18 @@ class VectorField:
         """
         if self.remainder is None:
             return self.matrix.dot(x)
-        rest = self._eval_asts(self.remainder, x, np.empty(self.dim))
+        fn = self.__dict__.get("_function")
+        if fn is None:
+            fn = edsl.field_function(tuple(self.remainder), "point")
+            object.__setattr__(self, "_function", fn)
+        try:
+            rest = np.array(fn(x.tolist()))
+        except EvalError:
+            rest = None
+        if rest is None:
+            # Tree by tree, the same error again, named by its component and,
+            # outside the handler, chained as if raised first.
+            rest = self._eval_asts(self.remainder, x, np.empty(self.dim))
         # A remainder alone is returned as is, not as 0 + rest: signed zeros
         # keep their bits.
         return rest if self.matrix is None else self.matrix.dot(x) + rest

@@ -146,6 +146,16 @@ def _object(spec, path):
     return spec
 
 
+def _known(spec, keys, path):
+    """``spec`` if it holds no key outside ``keys``; otherwise a ConfigError
+    naming the unknown key's path (``path`` "" is the document itself)."""
+    for key in spec:
+        if key not in keys:
+            raise ConfigError(f"{path + '.' if path else ''}{key}: unknown key; "
+                              f"{path or 'a problem file'} has {', '.join(keys)}")
+    return spec
+
+
 def _member(spec, key, path):
     """``spec[key]``; a missing key is a ConfigError naming ``path.key``."""
     if key not in spec:
@@ -214,6 +224,7 @@ def _field_from_json(spec, dim, what):
     if isinstance(spec, list):
         return VectorField.from_exprs(_expressions(spec, dim, what), dim)
     if isinstance(spec, dict) and "matrix" in spec:
+        _known(spec, ("matrix", "remainder"), what)
         remainder = None
         if "remainder" in spec:  # null included: the schema has no such form
             remainder = _expressions(spec["remainder"], dim, f"{what}.remainder")
@@ -233,7 +244,7 @@ def _set_to_json(cset):
 
 
 def _set_from_json(spec, dim):
-    kind = _object(spec, "set").get("type")
+    kind = _known(_object(spec, "set"), ("type", "lower", "upper"), "set").get("type")
     if kind == "whole_space":
         return WholeSpace(dim)
     if kind == "orthant":
@@ -267,8 +278,11 @@ def _inverse_to_json(spec):
             "direction": spec.direction, **base}
 
 
+_INVERSE_KEYS = ("strategy", "l", "l_g", "bracket", "direction", "inner_tol", "max_inner")
+
+
 def _inverse_from_json(spec, v, dim):
-    strategy = _object(spec, "inverse").get("strategy")
+    strategy = _known(_object(spec, "inverse"), _INVERSE_KEYS, "inverse").get("strategy")
     kwargs = {}
     if "inner_tol" in spec:
         kwargs["inner_tol"] = _number(spec, "inner_tol", "inverse", positive=True)
@@ -327,6 +341,7 @@ def _constants_from_json(spec):
         if name not in ("L", "l", "l_tilde", "gamma", "mu"):
             raise ConfigError(f"constants: unknown name {name!r}")
         if isinstance(value, dict):
+            _known(value, ("value", "source"), f"constants.{name}")
             number = _number(value, "value", f"constants.{name}", positive=True)
             source = value.get("source", "declared")
         else:
@@ -369,18 +384,18 @@ def problem_from_dict(doc):
     """Build a problem from a parsed JSON document."""
     if not isinstance(doc, dict):
         raise ConfigError("problem file must hold a JSON object")
-    for key in doc:
-        if key not in _KEYS:
-            raise ConfigError(f"{key}: unknown key; a problem file has {', '.join(_KEYS)}")
+    _known(doc, _KEYS, "")
     if "dim" not in doc:
         raise ConfigError("problem file needs 'dim'")
     try:
         dim = _number(doc, "dim", "problem", int, positive=True)
     except ConfigError:
         raise ConfigError(f"dim must be an integer of at least 1, got {doc['dim']!r}") from None
-    name = _object(doc.get("meta", {}), "meta").get("name", "unnamed")
-    if not isinstance(name, str):
-        raise ConfigError(f"meta.name: expected a string, got {name!r}")
+    meta = _object(doc.get("meta", {}), "meta")
+    for key in ("name", "description"):
+        if not isinstance(meta.get(key, ""), str):
+            raise ConfigError(f"meta.{key}: expected a string, got {meta[key]!r}")
+    name = meta.get("name", "unnamed")
     kind = doc.get("kind", "qvi")
     if "f" not in doc:
         raise ConfigError("problem file needs 'f'")
@@ -390,6 +405,7 @@ def problem_from_dict(doc):
         w_spec = doc.get("w")
         if not isinstance(w_spec, dict) or "matrix" not in w_spec:
             raise ConfigError("zero problems need 'w' with a matrix")
+        _known(w_spec, ("matrix",), "w")
         return ZeroProblem(name, dim, f, ZeroMap.from_matrix(_matrix(w_spec, dim, "w")))
     if kind != "qvi":
         raise ConfigError(f"unknown problem kind {kind!r}")

@@ -1,4 +1,7 @@
+import io
 import math
+import re
+import tokenize
 
 import numpy as np
 import pytest
@@ -7,16 +10,20 @@ from hypothesis import strategies as st
 
 from qvikit.errors import EvalError, ParseError
 from qvikit.expr import (
+    _CACHE_SIZE,
     FUNCTIONS,
     Binary,
     Call,
     Number,
     Unary,
     Var,
+    _emit,
     eval_expr,
+    field_function,
     parse,
     print_expr,
 )
+from qvikit.model import VectorField
 
 
 def ev(text, dim, x=()):
@@ -443,3 +450,91 @@ def test_compiled_tree_pickles_and_compares_as_before():
     again = pickle.loads(pickle.dumps(ast))
     assert again == ast and hash(again) == hash(ast)
     assert eval_expr(again, [0.5]) == eval_expr(ast, [0.5])
+
+
+# -- generated field functions --------------------------------------------------
+
+def _field_trees(dim):
+    leaves = st.one_of(st.builds(Number, _small_numbers),
+                       st.builds(Var, st.integers(min_value=1, max_value=dim)))
+    return st.recursive(leaves, _small_nodes, max_leaves=20)
+
+
+_fields = st.one_of([st.tuples(
+    st.lists(_field_trees(dim), min_size=dim, max_size=dim).map(tuple),
+    st.lists(_coordinates, min_size=dim, max_size=dim)) for dim in (1, 2, 3)])
+
+
+def reference_field(asts, x):
+    """The field's values tree by tree, or the first error with the prefix
+    VectorField gives it."""
+    values = []
+    for i, ast in enumerate(asts):
+        kind, result = outcome(reference_eval, ast, x)
+        if kind == "error":
+            return "error", f"component {i + 1}: {result}"
+        values.append(result)
+    return "value", values
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fields)
+def test_field_function_matches_the_tree_walk(field):
+    asts, x = field
+    vf = VectorField(len(asts), remainder=asts)
+    try:
+        got = "value", [v.hex() for v in vf.evaluate(np.array(x)).tolist()]
+    except EvalError as exc:
+        got = "error", str(exc)
+        # Chained from the message without the prefix, as eval_expr raises it.
+        assert str(exc.__cause__) == str(exc).split(": ", 1)[1]
+    assert got == reference_field(asts, x)
+
+
+_SOURCE_WORDS = {"def", "return", "try", "except", "as", "raise", "from", "if", "not",
+                 "fn", "x", "e", "float", "str", "isfinite", "all", "ipow", "EvalError",
+                 "ValueError",
+                 *FUNCTIONS}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fields, st.sampled_from(["point", "batch"]))
+def test_emitted_source_holds_only_generated_names(field, backend):
+    source, bound = _emit(field[0], backend)
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.NAME:
+            assert token.string in _SOURCE_WORDS or \
+                re.fullmatch(r"t\d+", token.string) or token.string in bound
+        elif token.type == tokenize.NUMBER:
+            assert re.fullmatch(r"\d+", token.string)
+        elif token.type == tokenize.OP:
+            assert token.string in set("+-*/=()[],:.")
+        else:
+            assert token.type in (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+                                  tokenize.ENDMARKER)
+    assert all(re.fullmatch(r"k\d+", name) for name in bound)
+
+
+def test_field_function_cache_stays_at_its_bound():
+    def field(k):
+        return tuple(parse(t, 2) for t in (f"{k} * x1 + sin(x2)", f"x2 / {k + 1}"))
+
+    x = np.array([0.3, -1.7])
+    count = _CACHE_SIZE + 20
+    for k in range(count):
+        asts = field(k)
+        want = [float.fromhex(bits) for bits in reference_field(asts, x)[1]]
+        assert VectorField(2, remainder=asts).evaluate(x).tolist() == want
+        assert field_function.cache_info().currsize <= _CACHE_SIZE
+    assert field_function.cache_info().currsize == _CACHE_SIZE
+    # The first fields left the cache; built again, they compile again.
+    again = VectorField(2, remainder=field(0)).evaluate(x)
+    assert again.tolist() == [float.fromhex(b) for b in reference_field(field(0), x)[1]]
+
+
+def test_equal_trees_share_one_generated_function():
+    first = VectorField.from_exprs(["0.8*sin(x2)^2", "x1 / 3"], 2)
+    second = VectorField.from_exprs(["0.8 * sin(x2) ^ 2", "x1/3"], 2)
+    x = np.array([1.0, 2.0])
+    assert first.evaluate(x).tobytes() == second.evaluate(x).tobytes()
+    assert first._function is second._function

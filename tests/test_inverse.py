@@ -29,6 +29,7 @@ from qvikit.inverse import (
     PicardContraction,
     ScalarBracket,
     Semilinear,
+    _all_finite,
     _norm,
     _verify,
     invert,
@@ -186,14 +187,25 @@ def test_lu_solve_helper_matches_scipy_bit_for_bit(n, trans):
 
 def test_lu_solve_helper_rejects_non_finite_rhs():
     lu = _LU(np.array([[2.0, 1.0], [1.0, 3.0]]), "A")
-    for bad in ([np.nan, 1.0], [1.0, np.inf], [-np.inf, np.inf]):
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            lu.solve(np.array(bad))
-    # Finite entries whose squares overflow are a valid right-hand side.
-    huge = np.array([1e200, -3e200])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        for bad in ([np.nan, 1.0], [1.0, np.inf], [-np.inf, np.inf]):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                lu.solve(np.array(bad))
+        # Finite entries whose squares overflow are a valid right-hand side.
+        huge = np.array([1e200, -3e200])
         assert lu.solve(huge).tobytes() == lu_solve((lu.lu, lu.piv), huge).tobytes()
+
+
+@pytest.mark.parametrize("a", [
+    np.empty(0), np.empty((0, 3)), np.array(2.0), np.array(np.nan), np.array([1e308, -1e308]),
+    np.array([1.0, np.nan]), np.array([-np.inf]), np.zeros((2, 3)),
+    np.array([[1.0, 2.0], [np.inf, 0.0]]), np.array([[np.nan]]).T,
+], ids=lambda a: f"{a.shape}-{a.tolist()}")
+def test_all_finite_gives_numpys_verdict_without_warnings(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _all_finite(a) is bool(np.isfinite(a).all())
 
 
 def _regular_matrices():

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from numpy.linalg import norm
@@ -341,3 +343,13 @@ def test_id_minus_is_the_point_map_x_minus_v(ex3):
     # Over a field with no batch form, Id - v has none either.
     assert IdMinus(FuncField(3, ex3.v)).evaluate_batch(np.zeros((3, 2))) is None
     assert not hasattr(FuncField(3, ex3.v), "evaluate_batch")
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "remark5"])
+def test_evaluated_problem_pickles_and_its_copy_evaluates_alike(name):
+    problem = qk.get_builtin(name)
+    x = np.full(problem.dim, 0.7)
+    before = [problem.f(x), problem.v(x), qk.invert(problem.inverse, x)]
+    copy = pickle.loads(pickle.dumps(problem))
+    after = [copy.f(x), copy.v(x), qk.invert(copy.inverse, x)]
+    assert [a.tobytes() for a in after] == [b.tobytes() for b in before]

@@ -207,6 +207,24 @@ _SCHEMA_REJECTS = [
     (lambda d: d.update(meta=None), "meta: expected a JSON object, got NoneType"),
     (lambda d: d.update(meta=[]), "meta: expected a JSON object, got list"),
     (lambda d: d.update(constants=None), "constants: expected a JSON object, got NoneType"),
+    # Unknown keys inside the objects the schema closes, and a description
+    # that is no string.
+    (lambda d: d["inverse"].update(tolerance=1e-9),
+     r"inverse\.tolerance: unknown key; inverse has strategy, l, l_g"),
+    (lambda d: d["set"].update(radius=1.0), r"set\.radius: unknown key; set has type"),
+    (lambda d: d.update(set={"type": "box", "lower": [0], "upper": [1], "closed": True}),
+     r"set\.closed: unknown key"),
+    (lambda d: d.update(constants={"L": {"value": 2.0, "note": "slope"}}),
+     r"constants\.L\.note: unknown key; constants\.L has value, source"),
+    (lambda d: d.update(f={"matrix": [[1.0]], "scale": 2}),
+     r"f\.scale: unknown key; f has matrix, remainder"),
+    (lambda d: d["v"].update(remainder=["0"], shift=[0]), r"v\.shift: unknown key"),
+    (lambda d: d.update(kind="zero", w={"matrix": [[1.0]], "remainder": ["0"]}),
+     r"w\.remainder: unknown key; w has matrix"),
+    (lambda d: d.update(meta={"name": "ex", "description": 5}),
+     r"meta\.description: expected a string, got 5"),
+    (lambda d: d.update(meta={"description": None}),
+     r"meta\.description: expected a string, got None"),
 ]
 
 
@@ -346,6 +364,107 @@ def test_schema_rejects_the_documents_the_loader_now_rejects(mutate, needle):
     mutate(doc)
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(doc, schema)
+
+
+def test_schema_and_loader_accept_a_picard_contraction_of_zero():
+    # PicardContraction takes 0 <= l < 1, and the schema agrees.
+    jsonschema = pytest.importorskip("jsonschema")
+    doc = _minimal_doc()
+    doc["inverse"] = {"strategy": "picard", "l": 0}
+    jsonschema.validate(doc, json.loads(SCHEMA_PATH.read_text(encoding="utf-8")))
+    assert problem_from_dict(doc).inverse.l == 0.0
+
+
+# -- one JSON path of a dumped builtin changed at a time ----------------------
+
+_SOLVE_FROM = {"example1": ([6.0, 2.0], 0.01), "example2": ([43.0, 22.0, 55.0], 0.3),
+               "example3": ([5.0, 4.0, 2.0], 0.3), "example4": ([1e4, 2e4, 3e4], 1.0),
+               "remark5": ([0.0], 0.5)}
+_VALUES = [True, None, "x", -1, 0, [], {}]
+
+
+def _json_paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _mutants(doc):
+    """Copies of ``doc`` with one path changed: an unknown key added to an
+    object, a key deleted, or a value replaced by each of _VALUES."""
+    for path in _json_paths(doc):
+        if isinstance(_at(doc, path), dict):
+            changed = json.loads(json.dumps(doc))
+            _at(changed, path)["unknown"] = 1
+            yield path, "add a key", changed
+        if not path:
+            continue
+        if isinstance(_at(doc, path[:-1]), dict):
+            changed = json.loads(json.dumps(doc))
+            del _at(changed, path[:-1])[path[-1]]
+            yield path, "delete", changed
+        for value in _VALUES:
+            changed = json.loads(json.dumps(doc))
+            _at(changed, path[:-1])[path[-1]] = value
+            yield path, f"set {value!r}", changed
+
+
+def _solve_outcome(problem, name):
+    """The bits of a short solve from the builtin's start, or its error."""
+    x0, h = _SOLVE_FROM[name]
+    config = SolverConfig(h=h, max_iter=10)
+    try:
+        if isinstance(problem, ZeroProblem):
+            report = solve_zero(problem.f, problem.w, x0, config)
+        else:
+            report = solve_alg1(problem, x0, config)
+    except Exception as exc:  # any outcome must repeat after the round trip
+        return type(exc).__name__, str(exc)
+    return report.x_final.tobytes(), report.iterations, repr(report.residual_final)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_changed_documents_load_or_raise_config_error(name):
+    """Every one-path change of a dumped builtin loads or raises ConfigError,
+    and what loads solves bit-identically after a dump and reload."""
+    wrong = []
+    for path, change, doc in _mutants(problem_to_dict(get_builtin(name))):
+        try:
+            problem = problem_from_dict(doc)
+        except ConfigError:
+            continue
+        except Exception as exc:  # the property under test: no other error
+            wrong.append((path, change, repr(exc)))
+            continue
+        again = loads_problem(dumps_problem(problem))
+        if _solve_outcome(again, name) != _solve_outcome(problem, name):
+            wrong.append((path, change, "round trip solves differently"))
+    assert wrong == []
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_changed_documents_the_schema_rejects_raise_config_error(name):
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft202012Validator(
+        json.loads(SCHEMA_PATH.read_text(encoding="utf-8")))
+    loaded = []
+    for path, change, doc in _mutants(problem_to_dict(get_builtin(name))):
+        if validator.is_valid(doc):
+            continue
+        try:
+            problem_from_dict(doc)
+        except ConfigError:
+            continue
+        loaded.append((path, change))
+    assert loaded == []
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
