@@ -35,6 +35,10 @@ _MARGIN = 1e-9
 # Screens evaluate at most this many pairs at once, and the sampler draws
 # this many before it joins its small arrays.
 _CHUNK = 1024
+# Power iteration stops once the Rayleigh quotient moves by at most this
+# relative amount, or after this many steps from each start.
+_POWER_TOL = 1e-10
+_POWER_MAX_ITER = 100_000
 
 
 def _norm(u):
@@ -191,7 +195,7 @@ def _col_norm(A):
     return np.sqrt((A * A).sum(0))
 
 
-def power_lambda_max(matvec, n, tol=1e-10, max_iter=100_000):
+def power_lambda_max(matvec, n):
     """Largest eigenvalue of a symmetric PSD operator given as a matvec.
 
     Runs power iteration from two deterministic starts (all ones, and
@@ -202,7 +206,7 @@ def power_lambda_max(matvec, n, tol=1e-10, max_iter=100_000):
     for start in (np.ones(n), np.arange(1.0, n + 1.0)):
         u = start / np.linalg.norm(start)
         lam = 0.0
-        for _ in range(max_iter):
+        for _ in range(_POWER_MAX_ITER):
             w = matvec(u)
             lam_new = float(u @ w)
             nw = float(np.linalg.norm(w))
@@ -210,7 +214,7 @@ def power_lambda_max(matvec, n, tol=1e-10, max_iter=100_000):
                 lam_new = 0.0
                 break
             u = w / nw
-            if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
+            if abs(lam_new - lam) <= _POWER_TOL * max(abs(lam_new), 1e-300):
                 lam = lam_new
                 break
             lam = lam_new

@@ -2,7 +2,8 @@
 
 Subcommands: solve (fixed-point and zero-finder iterations), sweep
 (time-stamped trajectory of the discretized sweeping dynamics), analyze
-(constant estimation with bias direction), zero (root problems).
+(constant estimation with bias direction), zero (root problems; it is
+solve --algorithm alg3 with --tol 1e-10).
 
 Exit codes are a contract: 0 converged, 2 declared divergence, 3 iteration
 cap, 1 usage or input errors. CSV columns are "iter,x1,...,xn,residual"
@@ -64,13 +65,21 @@ def _num_or_none(v):
     return float(v)
 
 
-def _resolve_problem(args):
+def _resolve_problem(args, zero):
+    """The named problem, which must be a zero problem if ``zero``, else a QVI."""
     spec = args.problem_flag or args.problem
     if spec is None:
         raise UsageError("a problem is required: --problem FILE or builtin:NAME")
     if spec.startswith("builtin:"):
-        return get_builtin(spec[len("builtin:"):])
-    return load_problem(spec)
+        problem = get_builtin(spec[len("builtin:"):])
+    else:
+        problem = load_problem(spec)
+    if isinstance(problem, ZeroProblem) != zero:
+        what = "solve --algorithm alg3" if zero and args.command == "solve" else args.command
+        need = ('a zero problem (kind "zero"), not a qvi problem' if zero else
+                "a qvi problem, not a zero problem (those run with --algorithm alg3)")
+        raise UsageError(f"{what} needs {need}")
+    return problem
 
 
 def _parse_x0(text, dim):
@@ -95,28 +104,14 @@ def _parse_h(text):
     return h
 
 
-def _csv_row(values):
-    """Python floats as a CSV row, in _fmt's format."""
-    return ",".join([f"{v:.17g}" for v in values])
-
-
-def _write_solve_csv(path, report, dim):
-    header = "iter," + ",".join(f"x{i + 1}" for i in range(dim)) + ",residual"
-    lines = [header]
-    rows = zip(np.array(report.iterates).tolist(), np.array(report.residuals).tolist())
-    for k, (xk, rk) in enumerate(rows):
-        lines.append(f"{k}," + _csv_row(xk + [rk]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_sweep_csv(path, result):
-    dim = result.xs.shape[1]
-    header = "t," + ",".join(f"x{i + 1}" for i in range(dim)) + ",speed"
-    speeds = np.concatenate(([0.0], result.speeds))
-    lines = [header]
-    for t, x, s in zip(result.ts.tolist(), result.xs.tolist(), speeds.tolist()):
-        lines.append(_csv_row([t, *x, s]))
+def _write_csv(path, first, xs, last, lead, tail):
+    """Rows "lead,x1,...,xn,tail" under the header "first,x1,...,xn,last",
+    each number in _fmt's format."""
+    xs = np.asarray(xs).tolist()
+    names = [f"x{i + 1}" for i in range(len(xs[0]))]
+    lines = [",".join([first, *names, last])]
+    for a, x, b in zip(np.asarray(lead).tolist(), xs, np.asarray(tail).tolist()):
+        lines.append(",".join([f"{v:.17g}" for v in (a, *x, b)]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -134,9 +129,10 @@ def _report_summary(report):
     }
 
 
-def _finish_solve(args, report, dim):
+def _finish_solve(args, report):
     if args.out:
-        _write_solve_csv(args.out, report, dim)
+        _write_csv(args.out, "iter", report.iterates, "residual",
+                   range(len(report.iterates)), report.residuals)
     if args.summary:
         with open(args.summary, "w", encoding="utf-8") as fh:
             json.dump(_report_summary(report), fh, indent=2)
@@ -153,44 +149,37 @@ def _finish_solve(args, report, dim):
 
 
 def cmd_solve(args):
-    problem = _resolve_problem(args)
+    """solve, and zero as alg3; an alg3 "auto" h is solve_zero's default."""
+    zero = args.algorithm == "alg3"
+    problem = _resolve_problem(args, zero)
     h = _parse_h(args.h)
-    record = "full" if args.out else "residuals"
-    if args.algorithm == "alg3":
-        if not isinstance(problem, ZeroProblem):
-            raise UsageError("--algorithm alg3 needs a zero problem (kind \"zero\")")
-        x0 = _parse_x0(args.x0, problem.dim)
-        config = SolverConfig(h=1.0 if h is None else h, tol=args.tol,
-                              max_iter=args.max_iter, record=record)
-        report = solve_zero(problem.f, problem.w, x0, config)
-        return _finish_solve(args, report, problem.dim)
-    if isinstance(problem, ZeroProblem):
-        raise UsageError("zero problems solve with --algorithm alg3 (or the zero command)")
     x0 = _parse_x0(args.x0, problem.dim)
-    if h is None:
+    if h is None and not zero:
         plan = SamplingPlan(seed=args.seed)
         h = tseng_auto_step(problem, plan) if args.algorithm == "tseng" \
             else auto_step(problem, plan)
-    config = SolverConfig(h=h, tol=args.tol, max_iter=args.max_iter, record=record)
-    if args.algorithm == "alg1":
+    config = SolverConfig(h=h, tol=args.tol, max_iter=args.max_iter,
+                          record="full" if args.out else "residuals")
+    if zero:
+        report = solve_zero(problem.f, problem.w, x0, config)
+    elif args.algorithm == "alg1":
         report = solve_alg1(problem, x0, config)
     elif args.algorithm == "catchup":
         report = solve_catchup(problem, x0, config)
     else:
         report = solve_tseng(problem, x0, config, literal=args.literal)
-    return _finish_solve(args, report, problem.dim)
+    return _finish_solve(args, report)
 
 
 def cmd_sweep(args):
-    problem = _resolve_problem(args)
-    if isinstance(problem, ZeroProblem):
-        raise UsageError("sweep needs a qvi problem, not a zero problem")
+    problem = _resolve_problem(args, zero=False)
     x0 = _parse_x0(args.x0, problem.dim)
     if not args.h > 0:
         raise UsageError(f"--h must be positive, got {args.h}")
     result = sweep_trajectory(problem, x0, args.h, args.t_end)
     if args.out:
-        _write_sweep_csv(args.out, result)
+        _write_csv(args.out, "t", result.xs, "speed", result.ts,
+                   np.concatenate(([0.0], result.speeds)))
     alpha_hat = r2 = None
     try:
         slope, r2, _ = loglinear_fit(result.speeds)
@@ -206,9 +195,7 @@ def cmd_sweep(args):
 
 
 def cmd_analyze(args):
-    problem = _resolve_problem(args)
-    if isinstance(problem, ZeroProblem):
-        raise UsageError("analyze needs a qvi problem, not a zero problem")
+    problem = _resolve_problem(args, zero=False)
     plan = SamplingPlan(seed=args.seed, count=args.samples)
     f, v = problem.f, problem.v
     w = IdMinus(v)
@@ -231,19 +218,6 @@ def cmd_analyze(args):
         print(f"pseudo: violations={report.violations} of {report.checked} "
               "sampled ordered pairs")
     return 0
-
-
-def cmd_zero(args):
-    problem = _resolve_problem(args)
-    if not isinstance(problem, ZeroProblem):
-        raise UsageError("zero needs a zero problem (kind \"zero\"); use solve instead")
-    x0 = _parse_x0(args.x0, problem.dim)
-    h = _parse_h(args.h)
-    config = SolverConfig(h=1.0 if h is None else h, tol=args.tol,
-                          max_iter=args.max_iter,
-                          record="full" if args.out else "residuals")
-    report = solve_zero(problem.f, problem.w, x0, config)
-    return _finish_solve(args, report, problem.dim)
 
 
 def _add_problem_args(sub):
@@ -296,7 +270,7 @@ def build_parser(default_seed):
     zero.add_argument("--max-iter", type=int, default=10_000)
     zero.add_argument("--out", default=None, help="CSV trace path")
     zero.add_argument("--summary", default=None, help="summary JSON path")
-    zero.set_defaults(func=cmd_zero)
+    zero.set_defaults(func=cmd_solve, algorithm="alg3")
 
     return parser
 

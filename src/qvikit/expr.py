@@ -57,6 +57,11 @@ class _Node:
 class Number(_Node):
     value: float
 
+    def __post_init__(self):
+        # +0.0, as parsed: trees equal as values then compute equal bits.
+        if self.value == 0:
+            object.__setattr__(self, "value", 0.0)
+
 
 @dataclass(frozen=True)
 class Var(_Node):
@@ -352,7 +357,7 @@ def field_function(asts, backend):
     column of an (n, N) array), raising EvalError as eval_expr says.
 
     Compiled from generated source on first request and cached: trees equal
-    as values compute the same bits, since parsed constants carry no sign.
+    as values compute the same bits, since a Number constant carries no sign.
     """
     source, bound = _emit(asts, backend)
     namespace = {**_BACKENDS[backend][3], **bound, "EvalError": EvalError, "ipow": _ipow}

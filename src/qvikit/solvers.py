@@ -55,6 +55,8 @@ from .model import (
 # gamma-hat is an upper bound (shrink it), L-hat a lower bound (grow it).
 GAMMA_SAFETY = 0.9
 LIP_SAFETY = 1.1
+# Iterates whose norm passes this (or is not finite) count as diverged.
+_DIVERGENCE_GUARD = 1e12
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,6 @@ class SolverConfig:
     tol: float = 1e-8
     max_iter: int = 10_000
     record: str = "none"  # none | residuals | full
-    divergence_guard: float = 1e12
 
     def __post_init__(self):
         if self.h is not None and not self.h > 0:
@@ -119,7 +120,7 @@ def _run(state0, probe, config, h, x_of=lambda state: state):
                 diverged = True
                 break
         x = x_of(state)
-        if not _norm(x) <= config.divergence_guard:  # NaN or inf norms too
+        if not _norm(x) <= _DIVERGENCE_GUARD:  # NaN or inf norms too
             diverged = True
             break
         if n >= config.max_iter:
@@ -351,8 +352,8 @@ def zero_step(f, w, x, h):
     return w.solve(np.asarray(w.apply(x), float) - h * f(x))
 
 
-def solve_zero(f, w, x0, config=SolverConfig(h=1.0)):
-    """Drive |f(x_n)| below tol with the derivative-free w-scaffold iteration."""
+def solve_zero(f, w, x0, config=SolverConfig()):
+    """Drive |f(x_n)| below tol with the w-scaffold iteration; h is 1 by default."""
     h = config.h if config.h is not None else 1.0
     return _run(np.asarray(x0, float),
                 lambda x: (_norm(f(x)), lambda: zero_step(f, w, x, h)), config, h)
@@ -371,7 +372,7 @@ class SweepResult:
         return np.linalg.norm(np.diff(self.xs, axis=0), axis=1) / dt
 
 
-def sweep_trajectory(problem, x0, h, t_end, divergence_guard=1e12):
+def sweep_trajectory(problem, x0, h, t_end):
     """Time-stamped trajectory of the discretized sweeping dynamics.
 
     States are reported at t_k = k h and generated by the modified
@@ -382,8 +383,7 @@ def sweep_trajectory(problem, x0, h, t_end, divergence_guard=1e12):
         raise ValueError("h must be positive")
     if t_end < h:
         raise ValueError("t_end must be at least h")
-    config = SolverConfig(h=h, max_iter=int(round(t_end / h)), record="full",
-                          divergence_guard=divergence_guard)
+    config = SolverConfig(h=h, max_iter=int(round(t_end / h)), record="full")
     report = _run(np.asarray(x0, float),
                   lambda x: (None, lambda: alg1_step(problem, x, h)), config, h)
     xs = np.asarray(report.iterates)

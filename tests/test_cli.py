@@ -118,6 +118,19 @@ def test_solve_alg3_alias_for_zero_problems(capsys):
     assert out.startswith("status=converged ")
 
 
+@pytest.mark.parametrize("step,code", [((), 0), (("--h", "0.5", "--max-iter", "5"), 3)])
+def test_zero_is_solve_alg3_with_tol_1e_10(step, code, tmp_path, capsys):
+    def outputs(*command):
+        csv, summary = tmp_path / "trace.csv", tmp_path / "summary.json"
+        result = run(capsys, *command, "builtin:example4", "--x0", EX4_X0, *step,
+                     "--out", str(csv), "--summary", str(summary))
+        return result, csv.read_bytes(), summary.read_bytes()
+
+    zero = outputs("zero")
+    assert zero[0][0] == code
+    assert zero == outputs("solve", "--algorithm", "alg3", "--tol", "1e-10")
+
+
 def test_sweep_scalar_trace(tmp_path, capsys):
     csv = tmp_path / "sweep.csv"
     code, out, _ = run(capsys, "sweep", "builtin:remark5", "--x0", "0.5",

@@ -538,3 +538,13 @@ def test_equal_trees_share_one_generated_function():
     x = np.array([1.0, 2.0])
     assert first.evaluate(x).tobytes() == second.evaluate(x).tobytes()
     assert first._function is second._function
+
+
+@pytest.mark.parametrize("first,second", [(0.0, -0.0), (-0.0, 0.0)])
+def test_signed_zero_constants_give_the_same_bits_in_either_order(first, second):
+    # The cache keys trees by value, and 0.0 == -0.0; a zero constant is
+    # stored as +0.0, so what ran first cannot decide the sign of the result.
+    field_function.cache_clear()
+    values = [eval_expr(Binary("+", Number(z), Number(z)), []) for z in (first, second)]
+    assert [v.hex() for v in values] == ["0x0.0p+0", "0x0.0p+0"]
+    assert Number(-0.0) == Number(0.0) and math.copysign(1.0, Number(-0.0).value) == 1.0
