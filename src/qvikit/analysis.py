@@ -39,6 +39,9 @@ _CHUNK = 1024
 # relative amount, or after this many steps from each start.
 _POWER_TOL = 1e-10
 _POWER_MAX_ITER = 100_000
+# sample_pairs' last draw, (key or None, X, Y). It is replaced whole, so a
+# thread that reads it once sees one draw's key and arrays.
+_last = (None, None, None)
 
 
 def _norm(u):
@@ -67,6 +70,8 @@ class SamplingPlan:
     min_separation: float = 1e-6
 
     def __post_init__(self):
+        if isinstance(self.count, bool) or not hasattr(self.count, "__index__"):
+            raise ValueError(f"count must be an integer, got {self.count!r}")
         if self.count < 2:
             raise ValueError("count must be at least 2")
         if not math.isfinite(float(self.hi) - float(self.lo)):
@@ -76,8 +81,26 @@ class SamplingPlan:
 
 
 def sample_pairs(plan, dim):
-    """The plan's point pairs in dimension ``dim``, a list of read-only
+    """The plan's point pairs in dimension ``dim``, a fresh list of read-only
     ``(x, y)`` arrays.
+
+    The last draw is kept: asking again for the same ``(plan, dim)``, as
+    ``auto_step`` does for gamma and L, draws once (``float.hex`` keys tell
+    -0.0 from 0.0, which draw other bits). A seed other than an int (a list,
+    a SeedSequence, a Generator) or a bound not an int or float draws afresh.
+    """
+    global _last
+    bounds, key, last = (plan.lo, plan.hi, plan.min_separation), None, _last
+    if type(plan.seed) is int and all(type(b) in (int, float) for b in bounds):
+        key = (plan.seed, type(dim), dim, plan.count,
+               *(b.hex() if type(b) is float else b for b in bounds))
+    if key is None or key != last[0]:
+        last = _last = (key, *_draw(plan, dim))
+    return list(zip(*last[1:]))
+
+
+def _draw(plan, dim):
+    """The plan's pairs in dimension ``dim`` as two read-only (N, dim) arrays.
 
     They are a fixed function of ``(plan, dim)``: the pairs of a loop on
     ``rng = np.random.default_rng(plan.seed)`` that per pair draws
@@ -125,7 +148,7 @@ def sample_pairs(plan, dim):
         raise SamplingError("sampling plan produced no usable pairs")
     X, Y = X[keep], Y[keep]
     X.flags.writeable = Y.flags.writeable = False
-    return list(zip(X, Y))
+    return X, Y
 
 
 def _batched(fields, pairs):

@@ -151,6 +151,8 @@ def _finish_solve(args, report):
 def cmd_solve(args):
     """solve, and zero as alg3; an alg3 "auto" h is solve_zero's default."""
     zero = args.algorithm == "alg3"
+    if args.literal and args.algorithm != "tseng":
+        raise UsageError(f"--literal needs --algorithm tseng, got {args.algorithm}")
     problem = _resolve_problem(args, zero)
     h = _parse_h(args.h)
     x0 = _parse_x0(args.x0, problem.dim)
@@ -270,7 +272,7 @@ def build_parser(default_seed):
     zero.add_argument("--max-iter", type=int, default=10_000)
     zero.add_argument("--out", default=None, help="CSV trace path")
     zero.add_argument("--summary", default=None, help="summary JSON path")
-    zero.set_defaults(func=cmd_solve, algorithm="alg3")
+    zero.set_defaults(func=cmd_solve, algorithm="alg3", literal=False)
 
     return parser
 

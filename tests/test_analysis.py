@@ -21,9 +21,12 @@ from qvikit.analysis import (
     sample_pairs,
 )
 from estimator_pins import record
+from qvikit import analysis
 from qvikit.errors import EvalError, SamplingError
 from qvikit.inverse import ScalarBracket
 from qvikit.model import FuncField, IdMinus, VectorField, to_vi
+from qvikit.problems import get_builtin
+from qvikit.solvers import auto_step, tseng_auto_step
 
 PLAN0 = SamplingPlan(seed=0)
 
@@ -203,6 +206,20 @@ def test_sampling_plan_validation():
             SamplingPlan(seed=0, lo=lo, hi=hi)
 
 
+@pytest.mark.parametrize("count", [2.5, 3.0, np.float64(3.0), True, False, np.True_,
+                                   "3", None])
+def test_sampling_plan_count_must_be_an_integer(count):
+    with pytest.raises(ValueError, match="count must be an integer"):
+        SamplingPlan(seed=0, count=count)
+
+
+@pytest.mark.parametrize("count", [np.int64(3), np.int32(3), np.uint8(3)])
+def test_sampling_plan_takes_numpy_integer_counts(count):
+    plan = SamplingPlan(seed=0, count=count)
+    assert _pairs_or_error(sample_pairs, plan, 2) \
+        == _pairs_or_error(reference_pairs, SamplingPlan(seed=0, count=3), 2)
+
+
 def test_degenerate_plan_raises():
     plan = SamplingPlan(seed=0, count=5, lo=0.0, hi=1e-9)
     with pytest.raises(SamplingError):
@@ -279,6 +296,94 @@ def test_sampled_pairs_are_read_only():
     assert all(not x.flags.writeable and not y.flags.writeable for x, y in pairs)
     with pytest.raises(ValueError):
         pairs[0][0][0] = 1.0
+
+
+def _counted_draws(monkeypatch):
+    """Empties sample_pairs' memo and returns the list of the (plan, dim)
+    of every fresh draw from then on."""
+    draws, draw = [], analysis._draw
+
+    def counted(plan, dim):
+        draws.append((plan, dim))
+        return draw(plan, dim)
+    monkeypatch.setattr(analysis, "_last", (None, None, None))
+    monkeypatch.setattr(analysis, "_draw", counted)
+    return draws
+
+
+@pytest.mark.parametrize("name,step,calls", [
+    ("example1", auto_step, 2), ("example2", auto_step, 2),
+    ("example3", auto_step, 2), ("example3", tseng_auto_step, 1)])
+def test_a_sampled_step_draws_once(monkeypatch, name, step, calls):
+    problem, asked = get_builtin(name), []
+
+    def logged(plan, dim):
+        asked.append((plan, dim))
+        return sample_pairs(plan, dim)
+    monkeypatch.setattr(analysis, "sample_pairs", logged)
+    draws = _counted_draws(monkeypatch)
+    h = step(problem, SamplingPlan(seed=11, count=500))
+    assert (len(asked), len(draws)) == (calls, 1)
+    # A numpy integer seed bypasses the memo and draws the same bits anew.
+    assert step(problem, SamplingPlan(seed=np.int64(11), count=500)) == h
+    assert len(draws) == 1 + calls
+
+
+def test_the_memo_gives_each_key_its_reference_pairs(monkeypatch):
+    draws = _counted_draws(monkeypatch)
+    a, b = SamplingPlan(seed=21, count=300), SamplingPlan(seed=22, count=300)
+    keys = [(a, 2), (a, 3), (b, 2), (a, 2)]
+    for plan, dim in keys:
+        want = _pairs_or_error(reference_pairs, plan, dim)
+        for _ in range(2):
+            assert _pairs_or_error(sample_pairs, plan, dim) == want
+    assert draws == keys
+
+
+def test_plans_that_draw_other_bits_are_drawn_afresh(monkeypatch):
+    draws = _counted_draws(monkeypatch)
+    # Equal plans whose signed zeros draw different bits.
+    plus, minus = (SamplingPlan(seed=3, count=4000, lo=lo, hi=1.0) for lo in (0.0, -0.0))
+    assert plus == minus
+    got = [_pairs_or_error(sample_pairs, plan, 2) for plan in (plus, minus, plus)]
+    assert got[0] != got[1] and got[2] == got[0]
+    assert got[:2] == [_pairs_or_error(reference_pairs, plan, 2) for plan in (plus, minus)]
+    assert len(draws) == 3
+    # A Generator moves on with each draw; a list seed is never kept either.
+    generator, twin = (SamplingPlan(seed=np.random.default_rng(5), count=300)
+                       for _ in range(2))
+    got = [_pairs_or_error(sample_pairs, generator, 2) for _ in range(2)]
+    fresh = [_pairs_or_error(lambda plan, dim: zip(*analysis._draw(plan, dim)), twin, 2)
+             for _ in range(2)]
+    assert got[0] != got[1] and got == fresh
+    listed = SamplingPlan(seed=[1, 2], count=300)
+    assert _pairs_or_error(sample_pairs, listed, 2) == _pairs_or_error(sample_pairs, listed, 2)
+    assert len(draws) == 9
+    # float32 bounds draw other bits than the floats they equal.
+    single = SamplingPlan(seed=1, count=300, lo=np.float32(0.1), hi=np.float32(0.7))
+    double = SamplingPlan(seed=1, count=300, lo=float(single.lo), hi=float(single.hi))
+    got = [_pairs_or_error(sample_pairs, plan, 2) for plan in (double, single)]
+    assert got[0] != got[1]
+    assert got == [_pairs_or_error(reference_pairs, plan, 2) for plan in (double, single)]
+    assert len(draws) == 11
+
+
+def test_a_returned_list_is_the_callers_own(monkeypatch):
+    draws = _counted_draws(monkeypatch)
+    plan = SamplingPlan(seed=4, count=50)
+    want = _pairs_or_error(reference_pairs, plan, 2)
+    pairs = sample_pairs(plan, 2)
+    pairs.append(pairs[0])
+    pairs[1] = (np.zeros(2), np.zeros(2))
+    sample_pairs(plan, 2).clear()
+    again = sample_pairs(plan, 2)
+    assert [(x.tobytes(), y.tobytes()) for x, y in again] == want
+    assert len(draws) == 1
+    assert all(not x.flags.writeable and not y.flags.writeable for x, y in again)
+    with pytest.raises(ValueError):
+        again[0][0][0] = 1.0
+    with pytest.raises(ValueError):
+        again[0][1].flags.writeable = True
 
 
 PINS = json.loads((Path(__file__).parent / "estimator_pins.json").read_text())

@@ -267,6 +267,12 @@ def test_singular_scaffold_reports_cleanly(tmp_path, capsys):
     (["zero", "builtin:example1", "--x0", "1,1"], "zero problem"),
     (["analyze", "builtin:example4", "--estimate", "L"], "qvi problem"),
     (["solve", "missing.json", "--x0", "1"], "missing.json"),
+    (["solve", "builtin:example1", "--algorithm", "alg1", "--literal", "--x0", "6,2",
+      "--h", "0.01"], "--literal needs --algorithm tseng, got alg1"),
+    (["solve", "builtin:example1", "--algorithm", "catchup", "--literal", "--x0", "6,2",
+      "--h", "0.01"], "--literal needs --algorithm tseng, got catchup"),
+    (["solve", "builtin:example4", "--algorithm", "alg3", "--literal", "--x0", EX4_X0],
+     "--literal needs --algorithm tseng, got alg3"),
 ])
 def test_usage_errors_exit_one(capsys, argv, needle):
     code, out, err = run(capsys, *argv)
