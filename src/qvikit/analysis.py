@@ -14,12 +14,15 @@ from point values by rounding, so every pair whose exact ratio could be the
 extremum (or whose test could go either way) is computed by point, as it
 would be in a loop over all pairs. The results are the point loop's, bit
 for bit; a batch that hits a zero divisor or a non-finite value sends the
-estimator to that loop, which raises the point error.
+estimator to that loop, which raises the point error. The last draw, and
+each field's batch values on it, are kept for the next screen of its rows.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +42,14 @@ _CHUNK = 1024
 # relative amount, or after this many steps from each start.
 _POWER_TOL = 1e-10
 _POWER_MAX_ITER = 100_000
-# sample_pairs' last draw, (key or None, X, Y). It is replaced whole, so a
-# thread that reads it once sees one draw's key and arrays.
-_last = (None, None, None)
+# sample_pairs' last draw, (key or None, X, Y, kept), replaced whole. kept maps a
+# chunk start to {id(field): (field, values)}, at most _KEPT fields, held so no id is reused.
+_KEPT = 4
+_last = (None, None, None, None)
+
+
+class _Pairs(list):
+    """sample_pairs' rows; ``draw`` is their draw's _last and the rows as drawn."""
 
 
 def _norm(u):
@@ -78,6 +86,13 @@ class SamplingPlan:
             raise ValueError("need finite lo, hi and hi - lo")
         if not self.lo < self.hi:
             raise ValueError("need lo < hi")
+        seeds = self.seed if isinstance(self.seed, (list, tuple)) else [self.seed]
+        if not isinstance(self.seed, (np.random.SeedSequence, np.random.Generator)) and not all(
+                not isinstance(s, bool) and hasattr(s, "__index__") and s >= 0 for s in seeds):
+            raise ValueError(f"seed {self.seed!r}: need ints >= 0, a SeedSequence or a Generator")
+        ms = self.min_separation
+        if isinstance(ms, bool) or not isinstance(ms, numbers.Real) or not 0 <= ms < math.inf:
+            raise ValueError(f"min_separation must be a finite real >= 0, got {ms!r}")
 
 
 def sample_pairs(plan, dim):
@@ -95,8 +110,10 @@ def sample_pairs(plan, dim):
         key = (plan.seed, type(dim), dim, plan.count,
                *(b.hex() if type(b) is float else b for b in bounds))
     if key is None or key != last[0]:
-        last = _last = (key, *_draw(plan, dim))
-    return list(zip(*last[1:]))
+        last = _last = (key, *_draw(plan, dim), {})
+    pairs = _Pairs(zip(last[1], last[2]))
+    pairs.draw = last, tuple(pairs)
+    return pairs
 
 
 def _draw(plan, dim):
@@ -151,27 +168,29 @@ def _draw(plan, dim):
     return X, Y
 
 
-def _batched(fields, pairs):
+def _batched(fields, pairs, X, Y, kept):
     """The pairs' points, and each field's values at them, for a screen.
 
-    Returns ``(X, Y, values)``: the pairs' first and second points as the
+    ``X`` and ``Y`` hold the points as rows, ``kept`` fields' batch values on
+    them, to which it adds. Returns ``(X, Y, values)``: the points as the
     columns of two (dim, N) arrays, and per field ``(FX, FY, ex, ey)``, its
-    values at those columns and bounds on their distance from the point
-    values. A field without a batch form is called point by point, in the
-    order of the point loops, with zero bounds. Returns None when no field
-    has a batch form or a batch raises EvalError; the caller then runs its
-    point loop, which raises the point error.
+    values there and bounds on their distance from the point values; a field
+    without a batch form is called point by point, in the order of the point
+    loops, with zero bounds. None when no field has a batch form or a batch
+    raises EvalError: the caller then runs its point loop.
     """
-    P = np.array(pairs)
-    X, Y = np.ascontiguousarray(P[:, 0].T), np.ascontiguousarray(P[:, 1].T)
+    X, Y = np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T)
     values = [None] * len(fields)
     try:
         for i, field in enumerate(fields):
+            values[i] = kept.get(id(field), (None, None))[1]
             batch = getattr(field, "evaluate_batch", None)
-            at_x = None if batch is None else batch(X)
+            at_x = None if batch is None or values[i] is not None else batch(X)
             if at_x is not None:
                 at_y = batch(Y)
                 values[i] = (at_x[0], at_y[0], _MARGIN * at_x[1], _MARGIN * at_y[1])
+                if len(kept) < _KEPT:
+                    kept[id(field)] = field, values[i]
     except EvalError:
         return None
     if all(v is None for v in values):
@@ -187,14 +206,19 @@ def _batched(fields, pairs):
 
 
 def _screen(fields, pairs, bounds):
-    """``bounds(X, Y, values)`` over ``pairs``, computed on batches of at most
-    _CHUNK pairs (which bounds the memory a screen takes) and joined; None
-    if any batch is unusable (see _batched)."""
+    """``bounds(X, Y, values)`` over ``pairs`` on batches of at most _CHUNK
+    pairs (bounding a screen's memory), joined; None if a batch is unusable
+    (see _batched). Pairs not one draw's rows, in order, are stacked afresh."""
+    (_, X, Y, kept), rows = getattr(pairs, "draw", ((None,) * 4, ()))
+    if len(pairs) != len(rows) or not all(map(operator.is_, pairs, rows)):
+        P = np.array(pairs).reshape(len(pairs), 2, -1)
+        X, Y, kept = P[:, 0], P[:, 1], {}
     parts = []
     # A batch that overflows or divides by zero only makes the screen give up.
     with np.errstate(all="ignore"):
         for start in range(0, len(pairs), _CHUNK):
-            batched = _batched(fields, pairs[start:start + _CHUNK])
+            part = slice(start, start + _CHUNK)
+            batched = _batched(fields, pairs[part], X[part], Y[part], kept.setdefault(start, {}))
             if batched is None:
                 return None
             parts.append(bounds(*batched))

@@ -222,6 +222,12 @@ def cmd_analyze(args):
     return 0
 
 
+def _seed(text):
+    if text.isdecimal():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"need an integer >= 0 (default: QVI_SEED), got {text!r}")
+
+
 def _add_problem_args(sub):
     sub.add_argument("problem", nargs="?", default=None,
                      help="problem file or builtin:NAME")
@@ -243,7 +249,7 @@ def build_parser(default_seed):
     solve.add_argument("--max-iter", type=int, default=10_000)
     solve.add_argument("--out", default=None, help="CSV trace path")
     solve.add_argument("--summary", default=None, help="summary JSON path")
-    solve.add_argument("--seed", type=int, default=default_seed)
+    solve.add_argument("--seed", type=_seed, default=default_seed)
     solve.add_argument("--literal", action="store_true",
                        help="with tseng: use the uncorrected update (comparison only)")
     solve.set_defaults(func=cmd_solve)
@@ -260,7 +266,7 @@ def build_parser(default_seed):
     _add_problem_args(analyze)
     analyze.add_argument("--estimate", required=True,
                          choices=["L", "l", "gamma", "pseudo"])
-    analyze.add_argument("--seed", type=int, default=default_seed)
+    analyze.add_argument("--seed", type=_seed, default=default_seed)
     analyze.add_argument("--samples", type=int, default=10_000)
     analyze.set_defaults(func=cmd_analyze)
 
@@ -279,8 +285,7 @@ def build_parser(default_seed):
 
 def main(argv=None):
     try:
-        default_seed = int(os.environ.get("QVI_SEED", "0"))
-        parser = build_parser(default_seed)
+        parser = build_parser(os.environ.get("QVI_SEED", "0"))
         args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:

@@ -83,8 +83,8 @@ class VectorField:
 
     Either part may be absent, not both; the remainder is n expression ASTs,
     which a point evaluation computes with one generated function that the
-    field keeps (pickling leaves it out). The matrix is what makes spectral
-    analysis possible; fields without one fall back to sampling estimators.
+    field keeps (pickling leaves it out). The matrix, a read-only copy, makes
+    spectral analysis possible; fields without one fall back to sampling.
     """
 
     dim: int
@@ -97,11 +97,12 @@ class VectorField:
         if self.remainder is not None and len(self.remainder) != self.dim:
             raise ValueError(f"need {self.dim} expressions, got {len(self.remainder)}")
         if self.matrix is not None:
-            M = np.asarray(self.matrix, float)
+            M = np.array(self.matrix, float)
             if M.shape != (self.dim, self.dim):
                 raise ValueError(f"matrix must be {self.dim}x{self.dim}")
             if not np.all(np.isfinite(M)):
                 raise ValueError("matrix entries must be finite")
+            M.flags.writeable = False
             object.__setattr__(self, "matrix", M)
 
     @classmethod
@@ -129,8 +130,8 @@ class VectorField:
                 raise EvalError(f"component {i + 1}: {exc}") from exc
         return out
 
-    def __getstate__(self):
-        return {k: v for k, v in vars(self).items() if k != "_function"}
+    def __reduce__(self):
+        return type(self), (self.dim, self.matrix, self.remainder)
 
     def evaluate(self, x):
         """The field at a float vector ``x`` of length ``dim``, unchecked.

@@ -1,5 +1,8 @@
+import dataclasses
+import gc
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +216,25 @@ def test_sampling_plan_count_must_be_an_integer(count):
         SamplingPlan(seed=0, count=count)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("seed", 2.5), ("seed", -1), ("seed", True), ("seed", np.True_), ("seed", "3"),
+    ("seed", None), ("seed", [1, -2]), ("seed", [1, 2.0]), ("seed", (True,)),
+    ("min_separation", None), ("min_separation", math.nan), ("min_separation", -1.0),
+    ("min_separation", math.inf), ("min_separation", True), ("min_separation", "1e-6"),
+    ("min_separation", 1j)])
+def test_sampling_plan_rejects_a_bad_seed_or_min_separation(field, value):
+    with pytest.raises(ValueError, match=field):
+        SamplingPlan(**{"seed": 0, field: value})
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint8(3), 2**70, [1, 2], (3, np.int32(4)), [],
+                                  np.random.SeedSequence(5), np.random.default_rng(5)])
+@pytest.mark.parametrize("min_separation", [0, 0.0, np.float32(1e-3), np.int64(1)])
+def test_sampling_plan_takes_every_kind_of_seed(seed, min_separation):
+    plan = SamplingPlan(seed=seed, count=20, min_separation=min_separation)
+    assert sample_pairs(plan, 2)
+
+
 @pytest.mark.parametrize("count", [np.int64(3), np.int32(3), np.uint8(3)])
 def test_sampling_plan_takes_numpy_integer_counts(count):
     plan = SamplingPlan(seed=0, count=count)
@@ -306,7 +328,7 @@ def _counted_draws(monkeypatch):
     def counted(plan, dim):
         draws.append((plan, dim))
         return draw(plan, dim)
-    monkeypatch.setattr(analysis, "_last", (None, None, None))
+    monkeypatch.setattr(analysis, "_last", (None, None, None, None))
     monkeypatch.setattr(analysis, "_draw", counted)
     return draws
 
@@ -327,6 +349,61 @@ def test_a_sampled_step_draws_once(monkeypatch, name, step, calls):
     # A numpy integer seed bypasses the memo and draws the same bits anew.
     assert step(problem, SamplingPlan(seed=np.int64(11), count=500)) == h
     assert len(draws) == 1 + calls
+
+
+def _chunk_sizes(plan, dim):
+    n = len(sample_pairs(plan, dim))
+    return [min(analysis._CHUNK, n - start) for start in range(0, n, analysis._CHUNK)]
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_a_sampled_step_evaluates_f_once_per_chunk(monkeypatch, name):
+    # gamma and L screen f on the same draw: each chunk's X and Y once.
+    problem, sizes = get_builtin(name), []
+    batch = VectorField.evaluate_batch
+
+    def counted(field, X):
+        if field is problem.f:
+            sizes.append(X.shape[1])
+        return batch(field, X)
+    monkeypatch.setattr(VectorField, "evaluate_batch", counted)
+    _counted_draws(monkeypatch)
+    plan = SamplingPlan(seed=12, count=2500)
+    auto_step(problem, plan)
+    chunks = _chunk_sizes(plan, problem.dim)
+    assert len(chunks) == 3
+    assert sizes == [n for n in chunks for _ in "XY"]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda pairs: pairs.__setitem__(slice(None), [(x / 2 + 1.0, y / 2) for x, y in pairs]),
+    lambda pairs: pairs.reverse(),
+    lambda pairs: pairs.__setitem__(slice(1, -1), pairs[-2:0:-1]),
+    lambda pairs: list(reversed(pairs)),
+], ids=["hand-built", "reversed", "reversed-inside", "reversed-copy"])
+def test_screens_of_pairs_other_than_the_draws_rows_give_the_point_bits(monkeypatch, ex3,
+                                                                        edit):
+    # The estimators get sample_pairs' list edited in place (or a copy), as
+    # many pairs as the draw: a screen that read the draw's arrays for them
+    # would keep the wrong pairs.
+    draw = sample_pairs
+
+    def edited(plan, dim):
+        pairs = draw(plan, dim)
+        return edit(pairs) or pairs
+    monkeypatch.setattr(analysis, "sample_pairs", edited)
+    plan = SamplingPlan(seed=7, count=2500)
+    f, w = ex3.f, IdMinus(ex3.v)
+    point_f, point_w = FuncField(3, f), FuncField(3, w)
+    assert sample_lipschitz(f, plan) == sample_lipschitz(point_f, plan)
+    assert sample_pair_modulus(f, w, plan) == sample_pair_modulus(point_f, point_w, plan)
+    # A pair with hundreds of violations, so the witnesses tell pairs apart.
+    w = VectorField.from_exprs(["-x1 + 0.5*sin(3*x2)", "x2", "x3*cos(x1)"], 3)
+    batched = check_pseudo_pair(f, w, plan)
+    point = check_pseudo_pair(point_f, FuncField(3, w), plan)
+    assert batched.violations == point.violations > 100
+    assert [a.tobytes() + b.tobytes() for a, b in batched.witnesses] == \
+        [a.tobytes() + b.tobytes() for a, b in point.witnesses]
 
 
 def test_the_memo_gives_each_key_its_reference_pairs(monkeypatch):
@@ -384,6 +461,16 @@ def test_a_returned_list_is_the_callers_own(monkeypatch):
         again[0][0][0] = 1.0
     with pytest.raises(ValueError):
         again[0][1].flags.writeable = True
+
+
+def test_the_memo_keeps_no_rows_of_a_dropped_list():
+    # It keeps the draw's arrays and batch values, not the row objects: a
+    # 10k-pair list's would hold about 3 MB for the life of the process.
+    pairs = sample_pairs(SamplingPlan(seed=4, count=50), 2)
+    row = weakref.ref(pairs[0][0])
+    del pairs
+    gc.collect()
+    assert row() is None
 
 
 PINS = json.loads((Path(__file__).parent / "estimator_pins.json").read_text())
@@ -481,13 +568,14 @@ class _Perturbed:
     batch evaluation promises: the screens must still find the point result."""
 
     def __init__(self, field, seed):
-        self.field, self.dim = field, field.dim
+        self.field, self.dim, self.batches = field, field.dim, 0
         self.rng = np.random.default_rng(seed)
 
     def __call__(self, x):
         return self.field(x)
 
     def evaluate_batch(self, X):
+        self.batches += 1
         values, magnitude = self.field.evaluate_batch(X)
         noise = self.rng.uniform(-1.0, 1.0, values.shape) / values.shape[0]
         return values + 0.1 * _MARGIN * magnitude * noise, magnitude
@@ -511,6 +599,19 @@ def test_screens_survive_batch_values_off_by_their_bound(seed):
     batched = ScalarBracket(_Perturbed(v, seed), (-20.0, 20.0), "increasing")
     point = ScalarBracket(FuncField(1, v), (-20.0, 20.0), "increasing")
     assert batched.lipschitz(seed, 400) == point.lipschitz(seed, 400)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batch_values_kept_for_gamma_serve_l(monkeypatch, seed):
+    # auto_step screens f for gamma, then for L, on one draw: a perturbed
+    # f is batch-evaluated once per chunk and still gives the point step.
+    _counted_draws(monkeypatch)
+    problem = get_builtin("example2")
+    f = _Perturbed(problem.f, seed)
+    plan = SamplingPlan(seed=seed, count=2500)
+    h = auto_step(dataclasses.replace(problem, f=f), plan)
+    assert h == auto_step(dataclasses.replace(problem, f=FuncField(3, problem.f)), plan)
+    assert f.batches == 2 * len(_chunk_sizes(plan, 3)) == 6
 
 
 @pytest.mark.parametrize("seed", range(4))

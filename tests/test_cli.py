@@ -96,6 +96,19 @@ def test_auto_step_seed_pin_and_env(monkeypatch, capsys):
     assert _h_used(out4) != _h_used(out0)
 
 
+@pytest.mark.parametrize("value", ["abc", "-1", "2.5", ""])
+def test_a_bad_qvi_seed_is_named(monkeypatch, capsys, value):
+    monkeypatch.setenv("QVI_SEED", value)
+    code, out, err = run(capsys, "solve", "builtin:example1", "--x0", "6,2", "--max-iter", "1")
+    assert (code, out) == (1, "")
+    assert err == f"error: argument --seed: need an integer >= 0 (default: QVI_SEED), " \
+        f"got {value!r}\n"
+    # Only a command that would sample reads it, and only without --seed.
+    assert run(capsys, "solve", "builtin:example1", "--x0", "6,2", "--max-iter", "1",
+               "--seed", "0")[0] == 3
+    assert run(capsys, "zero", "builtin:example4", "--x0", EX4_X0)[0] == 0
+
+
 def test_zero_subcommand(tmp_path, capsys):
     csv = tmp_path / "zero.csv"
     summary = tmp_path / "zero.json"
@@ -273,6 +286,10 @@ def test_singular_scaffold_reports_cleanly(tmp_path, capsys):
       "--h", "0.01"], "--literal needs --algorithm tseng, got catchup"),
     (["solve", "builtin:example4", "--algorithm", "alg3", "--literal", "--x0", EX4_X0],
      "--literal needs --algorithm tseng, got alg3"),
+    (["solve", "builtin:example1", "--x0", "1,1", "--seed", "-1"],
+     "argument --seed: need an integer >= 0 (default: QVI_SEED), got '-1'"),
+    (["solve", "builtin:example1", "--x0", "1,1", "--seed", "2.5"], "argument --seed"),
+    (["analyze", "builtin:example1", "--estimate", "L", "--seed", "abc"], "argument --seed"),
 ])
 def test_usage_errors_exit_one(capsys, argv, needle):
     code, out, err = run(capsys, *argv)

@@ -1,3 +1,4 @@
+import copy
 import pickle
 
 import numpy as np
@@ -264,6 +265,20 @@ def test_vector_field_needs_exactly_one_form():
     assert np.array_equal(both(x), [6.0, 2.0])
     with pytest.raises(ValueError, match="need 2 expressions, got 1"):
         VectorField(2, matrix=np.eye(2), remainder=remainder[:1])
+
+
+def test_a_fields_matrix_is_a_read_only_copy():
+    M = np.array([[1.0, 2.0], [3.0, 4.0]])
+    fields = [VectorField(2, matrix=M), VectorField.from_matrix(M, ["sin(x1)", "x2"])]
+    M[0, 0] = 9.0
+    for f in fields:
+        assert f.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert fields[0](np.ones(2)).tolist() == [3.0, 7.0]
+    # Copies keep it read-only.
+    for f in fields + [pickle.loads(pickle.dumps(fields[0])), copy.deepcopy(fields[1])]:
+        assert not f.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            f.matrix[0, 0] = 5.0
 
 
 def test_vector_field_checks_the_expression_count():
