@@ -82,6 +82,10 @@ class SamplingPlan:
             raise ValueError(f"count must be an integer, got {self.count!r}")
         if self.count < 2:
             raise ValueError("count must be at least 2")
+        for name in ("lo", "hi"):
+            bound = getattr(self, name)
+            if isinstance(bound, bool) or not isinstance(bound, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {bound!r}")
         if not math.isfinite(float(self.hi) - float(self.lo)):
             raise ValueError("need finite lo, hi and hi - lo")
         if not self.lo < self.hi:

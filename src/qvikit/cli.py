@@ -26,7 +26,6 @@ from .analysis import (
     sample_pair_modulus,
 )
 from .errors import DiagnosticsError, QvikitError
-from .model import IdMinus
 from .problems import ZeroProblem, get_builtin, load_problem
 from .solvers import (
     SolverConfig,
@@ -199,8 +198,7 @@ def cmd_sweep(args):
 def cmd_analyze(args):
     problem = _resolve_problem(args, zero=False)
     plan = SamplingPlan(seed=args.seed, count=args.samples)
-    f, v = problem.f, problem.v
-    w = IdMinus(v)
+    f, v, w = problem.f, problem.v, problem.w
     if args.estimate in ("L", "l"):
         # An estimate: constants stored on the problem are skipped.
         value, source = resolve_constant(problem, args.estimate, plan, stored=False)

@@ -16,7 +16,10 @@ contract.
 
 PicardContraction tests its stopping rule a chunk of iterates at a time: one
 NumPy pass screens every step, and only the steps that may stop the loop get
-the exact test, so it stops on the iterate a step-by-step loop stops on.
+the exact test, so it stops on the iterate a step-by-step loop stops on. Its
+first chunk is as long as the previous invert's loop on the same spec, so in a
+solve one chunk and one screen mostly suffice; a field's iterate that repeats
+bit for bit (an overflow to inf) ends the loop at once.
 """
 
 from __future__ import annotations
@@ -106,6 +109,12 @@ class _LU:
         """
         if not _all_finite(b):
             raise ValueError("array must not contain infs or NaNs")
+        return self._solve(b, trans)
+
+    def _solve(self, b, trans=0):
+        """``solve`` without its finiteness check, for a caller that checked
+        ``b`` itself. L and U are finite, so a non-finite b gives a
+        non-finite result, never a finite one; a nonzero info still raises."""
         x, info = dgetrs(self.lu, self.piv, b, trans=trans)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
@@ -185,7 +194,11 @@ class LinearExact:
 
     def invert(self, y, inner_log=None):
         y = _point(y, self.V.shape[0])
-        x = self._lu.refined_solve(y)
+        # _LU.refined_solve, but y is checked already: only the refinement's
+        # right-hand side is.
+        lu = self._lu
+        x = lu._solve(y)
+        x = x + lu.solve(y - lu.A.dot(x))
         return _verify(self, x, self.V.dot(x), y)
 
     def lipschitz(self):
@@ -208,9 +221,8 @@ def _first_stop(xs, tol, inner_log):
     # The iterates are contiguous float arrays of one shape: joining their
     # bytes stacks them at a fraction of np.array's cost.
     X = np.frombuffer(b"".join(xs)).reshape(len(xs), -1)
-    with np.errstate(all="ignore"):
-        D = X[1:] - X[:-1]
-        squares = np.einsum("ij,ij->i", D, D)
+    D = X[1:] - X[:-1]
+    squares = np.einsum("ij,ij->i", D, D)
     bound = max(tol * tol * (1.0 + 1e-6), 1e-300)
     stop = None
     for i in np.flatnonzero(~(squares > bound)).tolist():
@@ -242,9 +254,13 @@ class PicardContraction:
     """Inverse via the fixed-point iteration x <- y + v(x), for l < 1.
 
     The loop stops on the first step with _norm(step) <= inner_tol, or after
-    max_inner steps. It iterates in chunks, a short first one and then ones
-    sized from the decay of the steps, never past max_inner, and tests each
-    chunk with _first_stop. The result, the inner_log values and an error are
+    max_inner steps. It iterates in chunks, never past max_inner, and tests
+    each chunk with _first_stop. The first chunk is as long as the previous
+    invert's loop on this spec (8 steps at first, at most 512), so the inverts
+    of a solve mostly run one chunk; later ones are sized from the decay of
+    the steps. For a model field v_map, a pure function, a chunk that ends on
+    a repeated iterate (bit for bit, say inf) ends the loop: every later step
+    repeats its last one. The result, the inner_log values and an error are
     those of a loop that tests every step; iterates past the stop are dropped.
     """
 
@@ -252,11 +268,15 @@ class PicardContraction:
     l: float
     inner_tol: float = 1e-12
     max_inner: int = 100_000
+    _steps = _FIRST_CHUNK  # steps of the last invert that stopped
 
     def __post_init__(self):
+        from .model import VectorField  # model imports this module
+
         if not 0.0 <= self.l < 1.0:
             raise ConfigError(f"declared contraction l={self.l} must be < 1")
         self._v = _unchecked(self.v_map)
+        self._pure = isinstance(self.v_map, VectorField)
 
     def v(self, x):
         return np.asarray(self.v_map(x), float)
@@ -264,26 +284,33 @@ class PicardContraction:
     def invert(self, y, inner_log=None):
         y = _point(y, getattr(self.v_map, "dim", None))
         v, tol = self._v, self.inner_tol
-        x, left, k = y.copy(), self.max_inner, _FIRST_CHUNK
-        while left > 0:
-            xs, failure = [x], None
-            try:
-                for _ in range(min(k, left)):
-                    x = y + v(x)
-                    xs.append(x)
-            except Exception as exc:
-                failure = exc
-            stop, squares = _first_stop(xs, tol, inner_log)
-            if stop is not None:
-                x = xs[stop]
-                break
-            if failure is not None:
-                # A loop that tests each step raises it too: no step before
-                # the one that failed stopped it.
-                raise failure
-            left -= len(xs) - 1
-            k = _next_chunk(squares, tol, k)
-        return _verify(self, x, v(x), y)
+        x, left, k = y.copy(), self.max_inner, min(max(self._steps, 1), _MAX_CHUNK)
+        with np.errstate(all="ignore"):
+            while left > 0:
+                xs, failure = [x], None
+                try:
+                    for _ in range(min(k, left)):
+                        x = y + v(x)
+                        xs.append(x)
+                except Exception as exc:
+                    failure = exc
+                stop, squares = _first_stop(xs, tol, inner_log)
+                if stop is not None:
+                    x = xs[stop]
+                    self._steps = self.max_inner - left + stop
+                    break
+                if failure is not None:
+                    # A loop that tests each step raises it too: no step
+                    # before the one that failed stopped it.
+                    raise failure
+                left -= len(xs) - 1
+                if self._pure and x.tobytes() == xs[-2].tobytes():
+                    # A pure v repeats this last step to the end of the loop.
+                    if inner_log is not None:
+                        inner_log.extend([_norm(x - xs[-2])] * left)
+                    break
+                k = _next_chunk(squares, tol, k)
+            return _verify(self, x, v(x), y)
 
     def lipschitz(self):
         return 1.0 / (1.0 - self.l)
@@ -321,14 +348,18 @@ class Semilinear:
 
     def invert(self, y, inner_log=None):
         y = _point(y, self.A.shape[0])
-        solve, g = self._lu.solve, self._g
+        solve, g = self._lu._solve, self._g
         # Stop on a step small enough that the g-increment bound keeps the
         # final residual under inner_tol even when l_g > 1.
         step_tol = 0.5 * self.inner_tol / max(1.0, self.l_g)
         x = solve(y)
         for _ in range(self.max_inner):
-            xn = solve(y + g(x))
+            b = y + g(x)
+            xn = solve(b)
             step = _norm(xn - x)
+            if not step < math.inf:
+                # Every non-finite b lands here; the checked solve raises on it.
+                self._lu.solve(b)
             if inner_log is not None:
                 inner_log.append(step)
             x = xn

@@ -12,6 +12,7 @@ Types here are immutable values; all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -271,6 +272,12 @@ class QviProblem:
         dims = {self.dim, self.f.dim, self.v.dim, self.set.dim}
         if dims != {self.dim}:
             raise ValueError(f"dimension mismatch across problem parts: {dims}")
+
+    @cached_property
+    def w(self):
+        """Id - v, one field per problem, so batch values the sampling
+        estimators keep for it serve each later screen of the same draw."""
+        return IdMinus(self.v)
 
 
 def project_moving(problem, base, z):

@@ -44,7 +44,6 @@ from .analysis import (
 from .errors import BracketingFailure, ConfigError, DiagnosticsError, NoConvergence
 from .inverse import _LU, ScalarBracket, invert
 from .model import (
-    IdMinus,
     _natural_residual_parts,
     natural_residual,
     project,
@@ -193,7 +192,7 @@ def resolve_constant(problem, name, plan=None, safety=1.0, stored=True):
     if plan is None:
         return None, None
     if name == "gamma":
-        modulus = sample_pair_modulus(problem.f, IdMinus(problem.v), plan)
+        modulus = sample_pair_modulus(problem.f, problem.w, plan)
         return safety * modulus, "sampled"
     field = problem.f if name == "L" else problem.v
     return safety * sample_lipschitz(field, plan), "sampled"

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,22 @@ def test_sampling_plan_count_must_be_an_integer(count):
 def test_sampling_plan_rejects_a_bad_seed_or_min_separation(field, value):
     with pytest.raises(ValueError, match=field):
         SamplingPlan(**{"seed": 0, field: value})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lo", False), ("hi", True), ("lo", np.True_), ("hi", "3"), ("lo", "-1"), ("lo", None),
+    ("hi", 1j), ("hi", np.complex128(3)), ("lo", [0.0]), ("hi", np.array(3.0))])
+def test_sampling_plan_rejects_a_bool_or_non_real_bound(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a real number"):
+        SamplingPlan(**{"seed": 0, field: value})
+
+
+@pytest.mark.parametrize("lo,hi", [(-1, 3), (np.int64(-1), np.float32(2.5)),
+                                   (Fraction(-1, 2), 0.5), (np.float64(0.0), 2**70)])
+def test_sampling_plan_takes_real_bounds(lo, hi):
+    pairs = sample_pairs(SamplingPlan(seed=0, count=20, lo=lo, hi=hi), 2)
+    assert all(lo <= min(p.min() for p in pair) and max(p.max() for p in pair) <= hi
+               for pair in pairs)
 
 
 @pytest.mark.parametrize("seed", [np.int64(3), np.uint8(3), 2**70, [1, 2], (3, np.int32(4)), [],

@@ -2,6 +2,7 @@ import importlib.machinery
 import os
 import subprocess
 import sys
+import time
 import types
 import warnings
 from pathlib import Path
@@ -442,9 +443,11 @@ _STEPS = st.sampled_from([1, 2, _FIRST_CHUNK - 1, _FIRST_CHUNK, _FIRST_CHUNK + 1
        y=st.lists(st.floats(-10, 10), min_size=4, max_size=4),
        y_scale=st.sampled_from([1.0, 1e-150, 1e-170, 1e150]),
        tol=st.sampled_from([1e-160, 1e-12, 1e-3]),
-       max_inner=_STEPS, near_stop=st.sampled_from([None, -1, 0, 1]))
+       max_inner=_STEPS, near_stop=st.sampled_from([None, -1, 0, 1]),
+       hint=st.sampled_from([0, 1, 7, 8, 9, "stop-1", "stop", "stop+1", "max_inner", 10**6]))
 def test_picard_invert_matches_the_reference_loop(dim, kind, entries, offsets, scale,
-                                                   y, y_scale, tol, max_inner, near_stop):
+                                                   y, y_scale, tol, max_inner, near_stop,
+                                                   hint):
     spec = PicardContraction(_picard_field(kind, dim, entries, scale, offsets), 0.5,
                              inner_tol=tol, max_inner=2000)
     point = np.array(y[:dim]) * y_scale
@@ -454,8 +457,16 @@ def test_picard_invert_matches_the_reference_loop(dim, kind, entries, offsets, s
                         + near_stop)
     spec.max_inner = max_inner
     want = _outcome(reference_picard, spec, point, True)
-    assert _outcome(PicardContraction.invert, spec, point, True) == want
-    assert _outcome(PicardContraction.invert, spec, point, False)[0] == want[0]
+    # The step count a previous invert left on the spec, the first chunk's
+    # length: near the stop, at max_inner or far past both.
+    stop = len(want[1])
+    if isinstance(hint, str):
+        hint = {"stop-1": stop - 1, "stop": stop, "stop+1": stop + 1,
+                "max_inner": max_inner}[hint]
+    for traced in (True, False):
+        spec._steps = hint
+        got = _outcome(PicardContraction.invert, spec, point, traced)
+        assert got == (want if traced else (want[0], None))
 
 
 def test_picard_screen_leaves_few_exact_norms(monkeypatch):
@@ -509,3 +520,128 @@ def test_picard_error_past_the_stop_is_not_raised(j):
     assert want[0][0] == ("x" if j <= 5 else "ValueError")
     assert _outcome(PicardContraction.invert, spec, np.zeros(1), True) == want
     assert _outcome(PicardContraction.invert, spec, np.zeros(1), False)[0] == want[0]
+
+
+def _stationary_picard():
+    # x <- 1 + 3x overflows to inf within about 650 steps, then repeats.
+    return PicardContraction(VectorField.from_matrix([[3.0]]), 0.5)
+
+
+@pytest.mark.parametrize("traced", [True, False])
+def test_picard_stops_on_a_repeated_non_finite_iterate(traced):
+    spec = _stationary_picard()
+    want = _outcome(reference_picard, spec, [1.0], traced)
+    assert want[0][:2] == ("NoConvergence", "nan")
+    assert want[1] is None or len(want[1]) == spec.max_inner
+    assert _outcome(PicardContraction.invert, spec, [1.0], traced) == want
+    seconds = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(NoConvergence):
+                spec.invert([1.0], inner_log=[] if traced else None)
+            seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.05
+
+
+def test_picard_runs_on_through_a_repeated_iterate_of_a_callable():
+    # Only a model field is known to be a pure function: a callable whose
+    # iterate repeats still runs every step, as the reference loop does.
+    calls = []
+
+    def v(x):
+        calls.append(1)
+        return 3.0 * x
+
+    spec = PicardContraction(v, 0.5, max_inner=2000)
+    want = _outcome(reference_picard, spec, [1.0], True)
+    del calls[:]
+    assert _outcome(PicardContraction.invert, spec, [1.0], True) == want
+    assert len(calls) == 2000 + 1
+
+
+def reference_semilinear(spec, y, inner_log=None):
+    """Semilinear.invert as it was, each inner right-hand side checked by
+    _LU.solve: the reference for Semilinear.invert, bit for bit."""
+    y = inverse._point(y, spec.A.shape[0])
+    solve, g = spec._lu.solve, spec._g
+    step_tol = 0.5 * spec.inner_tol / max(1.0, spec.l_g)
+    x = solve(y)
+    for _ in range(spec.max_inner):
+        xn = solve(y + g(x))
+        step = _norm(xn - x)
+        if inner_log is not None:
+            inner_log.append(step)
+        x = xn
+        if step <= step_tol:
+            break
+    return _verify(spec, x, spec.v(x), y)
+
+
+def _semilinear_remainder(kind, dim, amplitude, offsets):
+    if kind == "callable":
+        return lambda x: amplitude * np.sin(x + np.array(offsets[:dim]))
+    if kind == "huge":
+        # Finite values whose sum with a large y overflows to inf.
+        return lambda x: np.full(dim, 1.5e308) + amplitude * np.sin(x)
+    # A sine remainder, or for "explode" a square that raises EvalError
+    # once it overflows.
+    term = "{c!r}*x{j}*x{j}" if kind == "explode" else "{c!r}*sin(x{j} + {o!r})"
+    return VectorField.from_exprs(
+        [term.format(c=amplitude, j=i + 1, o=offsets[i]) for i in range(dim)], dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.integers(1, 3),
+       kind=st.sampled_from(["expression", "callable", "explode", "huge"]),
+       entries=st.lists(st.floats(-1, 1), min_size=9, max_size=9),
+       scale=st.sampled_from([0.0, 0.5, 3.0, 100.0]),
+       offsets=st.lists(st.floats(-3, 3), min_size=3, max_size=3),
+       contraction=st.sampled_from([0.0, 0.3, 0.9]),
+       y=st.lists(st.floats(-10, 10), min_size=3, max_size=3),
+       y_scale=st.sampled_from([1.0, 1e-170, 1e150, 1e307]),
+       tol=st.sampled_from([1e-160, 1e-12, 1e-3]),
+       max_inner=st.sampled_from([1, 2, 3, 10, 100]))
+def test_semilinear_invert_matches_the_reference_loop(dim, kind, entries, scale, offsets,
+                                                      contraction, y, y_scale, tol,
+                                                      max_inner):
+    A = np.reshape(entries[:dim * dim], (dim, dim)) * scale
+    try:
+        lu = _LU(np.eye(dim) - A, "I - A")
+    except SingularLinearPart:
+        return
+    l_g = contraction / lu.inverse_norm()
+    spec = Semilinear(A, _semilinear_remainder(kind, dim, l_g / dim, offsets),
+                      l_g, inner_tol=tol, max_inner=max_inner)
+    point = np.array(y[:dim]) * y_scale
+    want = _outcome(reference_semilinear, spec, point, True)
+    assert _outcome(Semilinear.invert, spec, point, True) == want
+    assert _outcome(Semilinear.invert, spec, point, False)[0] == want[0]
+
+
+def test_semilinear_rejects_an_overflowing_right_hand_side_as_the_solve_does():
+    g = lambda x: np.full(2, 1.5e308)  # noqa: E731
+    spec = Semilinear(np.zeros((2, 2)), g, 0.1)
+    point = np.array([1e308, 0.0])
+    want = _outcome(reference_semilinear, spec, point, True)
+    assert want == (("ValueError", "array must not contain infs or NaNs"), [])
+    assert _outcome(Semilinear.invert, spec, point, True) == want
+
+
+def test_linear_exact_refinement_that_overflows_raises_as_before():
+    # I - V = 2^-52: the first solve of y = 1e300 overflows to inf, so the
+    # refinement's right-hand side is not finite.
+    spec = LinearExact(np.array([[1.0 - 2.0 ** -52]]))
+    point = np.array([1e300])
+
+    def reference(spec, y, inner_log=None):
+        y = inverse._point(y, spec.V.shape[0])
+        x = spec._lu.refined_solve(y)
+        return _verify(spec, x, spec.V.dot(x), y)
+
+    want = _outcome(reference, spec, point, False)
+    assert want[0] == ("ValueError", "array must not contain infs or NaNs")
+    assert _outcome(LinearExact.invert, spec, point, False) == want
+    assert _outcome(LinearExact.invert, spec, np.array([1.0]), False) == \
+        _outcome(reference, spec, np.array([1.0]), False)

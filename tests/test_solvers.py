@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from numpy.linalg import norm
 
+from qvikit import analysis, inverse
 from qvikit.errors import ConfigError, DiagnosticsError, SingularLinearPart
 from qvikit.inverse import LinearExact, lipschitz_of_inverse
 from qvikit.model import (
     Box,
     Constant,
+    IdMinus,
     ProblemConstants,
     QviProblem,
     VectorField,
@@ -44,7 +46,7 @@ from qvikit.analysis import (
     sample_pair_modulus,
 )
 from qvikit.model import FuncField
-from qvikit.problems import dumps_problem, loads_problem
+from qvikit.problems import dumps_problem, get_builtin, loads_problem
 
 
 def _declared(dim, gamma, L):
@@ -476,6 +478,28 @@ def test_solver_results_bit_for_bit(case, ex1, ex2, ex3, ex4, r5):
     assert (iterations, tuple(float(v).hex() for v in x_final)) == BIT_PINS[case]
 
 
+def test_picard_inverts_of_a_solve_screen_once_each(ex1, monkeypatch):
+    # Each invert's first chunk is as long as the previous invert's loop, so
+    # it mostly holds the stop: one screen, not a probe chunk and a second.
+    problem = _picard_example1(ex1)
+    spec, calls, screens = problem.inverse, [], []
+    first_stop, invert = inverse._first_stop, type(problem.inverse).invert
+
+    def counted(*args):
+        screens.append(args)
+        return first_stop(*args)
+
+    def logged(y, inner_log=None):
+        calls.append(y)
+        return invert(spec, y, inner_log)
+    monkeypatch.setattr(inverse, "_first_stop", counted)
+    monkeypatch.setattr(spec, "invert", logged, raising=False)
+    report = solve_alg1(problem, [6.0, 2.0], SolverConfig(h=0.01))
+    assert report.iterations == BIT_PINS["alg1.example1-picard"][0]
+    assert len(calls) > 600
+    assert len(screens) <= 1.1 * len(calls)
+
+
 class _Counting:
     """A field that counts its calls."""
 
@@ -536,3 +560,26 @@ def test_pure_linear_f_takes_spectral_constants():
     assert auto_step(problem, allow_sampling=False) == gamma / operator_norm(F) ** 2
     l_tilde = problem.inverse.lipschitz()
     assert tseng_auto_step(problem) == 0.9 / (operator_norm(F) * l_tilde)
+
+
+def test_a_second_auto_step_reuses_the_kept_values_of_w(monkeypatch):
+    # gamma screens the pair (f, Id - v): one Id - v per problem, so a second
+    # auto_step on the plan evaluates no batch of it and keeps nothing more.
+    problem, batches = get_builtin("example1"), []
+    batch = IdMinus.evaluate_batch
+
+    def counted(field, X):
+        batches.append(field)
+        return batch(field, X)
+    monkeypatch.setattr(IdMinus, "evaluate_batch", counted)
+    monkeypatch.setattr(analysis, "_last", (None, None, None, None))
+    plan = SamplingPlan(seed=21, count=2500)
+    h = auto_step(problem, plan)
+    kept = analysis._last[3]
+    sizes = {start: len(fields) for start, fields in kept.items()}
+    assert batches and all(w is problem.w for w in batches)
+    assert all(id(problem.w) in fields for fields in kept.values())
+    del batches[:]
+    assert auto_step(problem, plan) == h
+    assert analysis._last[3] is kept and batches == []
+    assert {start: len(fields) for start, fields in kept.items()} == sizes
