@@ -70,6 +70,7 @@ from .solvers import (
     fit_linear_rate,
     loglinear_fit,
     rate_bounds,
+    resolve_constant,
     solve_alg1,
     solve_catchup,
     solve_tseng,

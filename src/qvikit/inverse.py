@@ -19,7 +19,8 @@ NumPy pass screens every step, and only the steps that may stop the loop get
 the exact test, so it stops on the iterate a step-by-step loop stops on. Its
 first chunk is as long as the previous invert's loop on the same spec, so in a
 solve one chunk and one screen mostly suffice; a field's iterate that repeats
-bit for bit (an overflow to inf) ends the loop at once.
+the iterate one or two steps back bit for bit (an overflow to inf, or to inf and
+-inf in turn) ends the loop at once.
 """
 
 from __future__ import annotations
@@ -259,9 +260,10 @@ class PicardContraction:
     invert's loop on this spec (8 steps at first, at most 512), so the inverts
     of a solve mostly run one chunk; later ones are sized from the decay of
     the steps. For a model field v_map, a pure function, a chunk that ends on
-    a repeated iterate (bit for bit, say inf) ends the loop: every later step
-    repeats its last one. The result, the inner_log values and an error are
-    those of a loop that tests every step; iterates past the stop are dropped.
+    the iterate one or two steps back (bit for bit: inf, or inf after -inf
+    after inf) ends the loop, as every later step repeats that cycle. The
+    result, the inner_log values and an error are those of a loop that tests
+    every step; iterates past the stop are dropped.
     """
 
     v_map: object  # callable displacement, Lipschitz constant l
@@ -304,10 +306,16 @@ class PicardContraction:
                     # before the one that failed stopped it.
                     raise failure
                 left -= len(xs) - 1
-                if self._pure and x.tobytes() == xs[-2].tobytes():
-                    # A pure v repeats this last step to the end of the loop.
+                same = [x.tobytes() == z.tobytes() for z in xs[-2:-4:-1]] \
+                    if self._pure else []
+                if any(same):
+                    # A pure v repeats the last one or two iterates to the end
+                    # of the loop: every later step has the last one's norm,
+                    # and the loop ends on x or, after an odd count, xs[-2].
                     if inner_log is not None:
                         inner_log.extend([_norm(x - xs[-2])] * left)
+                    if not same[0] and left % 2:
+                        x = xs[-2]
                     break
                 k = _next_chunk(squares, tol, k)
             return _verify(self, x, v(x), y)
@@ -373,11 +381,11 @@ class Semilinear:
 
 @dataclass(eq=False)
 class ScalarBracket:
-    """Bisection inverse for one-dimensional v with monotone x - v(x)."""
+    """Bisection inverse for one-dimensional v with x - v(x) increasing or
+    decreasing: each midpoint's sign is compared with the left end's."""
 
     v_map: object
     bracket: tuple
-    direction: str = "decreasing"  # slope sign of x - v(x) on the bracket
     inner_tol: float = 1e-12
     max_inner: int = 100_000
 
@@ -385,8 +393,6 @@ class ScalarBracket:
         a, b = self.bracket
         if not a < b:
             raise ValueError("bracket must satisfy a < b")
-        if self.direction not in ("increasing", "decreasing"):
-            raise ValueError("direction must be 'increasing' or 'decreasing'")
         self._v = _unchecked(self.v_map)
 
     def v(self, x):
@@ -459,9 +465,6 @@ def _inverse_ratio_bounds(X, Y, values):
     high = np.where(dw + err < 1e-12, -np.inf,
                     dx / np.maximum(dw - err, 0.0) * (1 + _MARGIN))
     return low, high
-
-
-InverseSpec = LinearExact | PicardContraction | Semilinear | ScalarBracket
 
 
 def invert(spec, y, inner_log=None):

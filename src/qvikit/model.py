@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import expr as edsl
-from .errors import ConfigError, EvalError
+from .errors import EvalError
 from .analysis import _norm
 from .inverse import invert
 
@@ -238,24 +238,15 @@ class ProblemConstants:
     """Optional Lipschitz/monotonicity constants attached to a problem.
 
     L: Lipschitz constant of f; l: of v; l_tilde: of (Id-v)^{-1};
-    gamma: strong pair-monotonicity modulus of (f, Id-v); mu: strong
-    monotonicity modulus of f alone.
+    gamma: strong pair-monotonicity modulus of (f, Id-v). A value stored
+    here is what a file or builtin declares; solvers.resolve_constant
+    derives the others.
     """
 
     L: Constant | None = None
     l: Constant | None = None
     l_tilde: Constant | None = None
     gamma: Constant | None = None
-    mu: Constant | None = None
-
-    def require(self, name):
-        c = getattr(self, name)
-        if c is None:
-            raise ConfigError(
-                f"constant {name!r} is not available: declare it on the problem "
-                "or allow sampling"
-            )
-        return c.value
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,7 +255,7 @@ class QviProblem:
     dim: int
     f: VectorField
     v: VectorField
-    inverse: object  # InverseSpec matching v
+    inverse: object  # the inverse strategy of v (qvikit.inverse)
     set: ConvexSet
     constants: ProblemConstants = ProblemConstants()
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import operator_norm
 from .errors import ConfigError
 from .expr import print_expr
 from .inverse import (
@@ -55,13 +54,8 @@ def example1():
     f = VectorField.from_matrix([[3.0, 1.0], [1.0, 4.0]],
                                 ["cos(x2)^3", "sin(x1)"])
     v = VectorField.from_matrix([[-0.2, -0.4], [-0.4, -0.6]])
-    inv = LinearExact(v.matrix)
-    constants = ProblemConstants(
-        l=Constant(operator_norm(v.matrix), "spectral"),
-        l_tilde=Constant(inv.lipschitz(), "spectral"),
-    )
-    return QviProblem("example1", 2, f, v, inv,
-                      Box([-30.0, -30.0], [40.0, 40.0]), constants)
+    return QviProblem("example1", 2, f, v, LinearExact(v.matrix),
+                      Box([-30.0, -30.0], [40.0, 40.0]))
 
 
 def example2():
@@ -70,13 +64,8 @@ def example2():
         ["1.2*abs(sin(x2)^3)", "1.1*abs(sin(x3))", "cos(abs(x1)+x3)^3"],
     )
     v = VectorField.from_matrix(_SHARED_V_MATRIX)
-    inv = LinearExact(v.matrix)
-    constants = ProblemConstants(
-        l=Constant(operator_norm(v.matrix), "spectral"),
-        l_tilde=Constant(inv.lipschitz(), "spectral"),
-    )
-    return QviProblem("example2", 3, f, v, inv,
-                      Box([-400.0] * 3, [500.0] * 3), constants)
+    return QviProblem("example2", 3, f, v, LinearExact(v.matrix),
+                      Box([-400.0] * 3, [500.0] * 3))
 
 
 def example3():
@@ -91,11 +80,8 @@ def example3():
     g = VectorField(3, remainder=v.remainder)
     # Componentwise slope bounds 0.6, 0.5, 0.7 give |g'| <= sqrt(1.10).
     inv = Semilinear(v.matrix, g, l_g=1.05)
-    constants = ProblemConstants(
-        l_tilde=Constant(inv.lipschitz(), "spectral"),
-    )
     return QviProblem("example3", 3, f, v, inv,
-                      Box([-400.0] * 3, [500.0] * 3), constants)
+                      Box([-400.0] * 3, [500.0] * 3))
 
 
 def example4():
@@ -109,16 +95,15 @@ def example4():
 def remark5():
     f = VectorField.from_exprs(["-x1 + (1/3)*sin(x1)"], 1)
     v = VectorField.from_exprs(["2*x1 + (1/3)*cos(x1)"], 1)
-    inv = ScalarBracket(v, (-20.0, 20.0), "decreasing")
     constants = ProblemConstants(
         # Exact slope bounds: |f'| <= 4/3, |v'| <= 7/3; the pair modulus
         # 2/9 follows from expanding <f(x)-f(y), (x-v(x))-(y-v(y))>.
         L=Constant(4.0 / 3.0, "declared"),
         l=Constant(7.0 / 3.0, "declared"),
         gamma=Constant(2.0 / 9.0, "declared"),
-        l_tilde=Constant(inv.lipschitz(), "sampled"),
     )
-    return QviProblem("remark5", 1, f, v, inv, NonnegativeOrthant(1), constants)
+    return QviProblem("remark5", 1, f, v, ScalarBracket(v, (-20.0, 20.0)),
+                      NonnegativeOrthant(1), constants)
 
 
 BUILTINS = {
@@ -274,11 +259,10 @@ def _inverse_to_json(spec):
     if isinstance(spec, Semilinear):
         return {"strategy": "semilinear", "l_g": spec.l_g, **base}
     return {"strategy": "scalar_bracket",
-            "bracket": [float(spec.bracket[0]), float(spec.bracket[1])],
-            "direction": spec.direction, **base}
+            "bracket": [float(spec.bracket[0]), float(spec.bracket[1])], **base}
 
 
-_INVERSE_KEYS = ("strategy", "l", "l_g", "bracket", "direction", "inner_tol", "max_inner")
+_INVERSE_KEYS = ("strategy", "l", "l_g", "bracket", "inner_tol", "max_inner")
 
 
 def _inverse_from_json(spec, v, dim):
@@ -318,17 +302,13 @@ def _inverse_from_json(spec, v, dim):
         if not (a < b and np.isfinite(abs(a) + abs(b))):
             raise ConfigError("inverse.bracket: expected finite a < b with |a| + |b| "
                               f"finite, got {bracket!r}")
-        direction = spec.get("direction", "decreasing")
-        if direction not in ("increasing", "decreasing"):
-            raise ConfigError("inverse.direction: expected 'increasing' or "
-                              f"'decreasing', got {direction!r}")
-        return ScalarBracket(v, (a, b), direction, **kwargs)
+        return ScalarBracket(v, (a, b), **kwargs)
     raise ConfigError(f"inverse: unknown strategy {strategy!r}")
 
 
 def _constants_to_json(constants):
     out = {}
-    for name in ("L", "l", "l_tilde", "gamma", "mu"):
+    for name in ("L", "l", "l_tilde", "gamma"):
         c = getattr(constants, name)
         if c is not None:
             out[name] = {"value": c.value, "source": c.source}
@@ -338,7 +318,7 @@ def _constants_to_json(constants):
 def _constants_from_json(spec):
     kwargs = {}
     for name, value in _object(spec, "constants").items():
-        if name not in ("L", "l", "l_tilde", "gamma", "mu"):
+        if name not in ("L", "l", "l_tilde", "gamma"):
             raise ConfigError(f"constants: unknown name {name!r}")
         if isinstance(value, dict):
             _known(value, ("value", "source"), f"constants.{name}")
@@ -356,8 +336,6 @@ def _constants_from_json(spec):
 def problem_to_dict(problem):
     """Serialize a problem to the JSON document structure."""
     if isinstance(problem, ZeroProblem):
-        if problem.w.matrix is None:
-            raise ConfigError("only matrix-backed scaffolds serialize to JSON")
         return {
             "meta": {"name": problem.name},
             "kind": "zero",

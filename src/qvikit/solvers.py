@@ -198,21 +198,15 @@ def resolve_constant(problem, name, plan=None, safety=1.0, stored=True):
     return safety * sample_lipschitz(field, plan), "sampled"
 
 
-def auto_step(problem, plan=None, allow_sampling=True):
+def auto_step(problem, plan=None):
     """Step size h = gamma / L^2, the rule whose rate does not involve l_tilde.
 
     gamma and L come from resolve_constant; a sampled estimate is
     safety-factored (0.9 gamma-hat, 1.1 L-hat).
     """
-    plan = (plan or SamplingPlan(seed=0)) if allow_sampling else None
+    plan = plan or SamplingPlan(seed=0)
     gamma, _ = resolve_constant(problem, "gamma", plan, GAMMA_SAFETY)
     L, _ = resolve_constant(problem, "L", plan, LIP_SAFETY)
-    missing = [n for n, val in (("gamma", gamma), ("L", L)) if val is None]
-    if missing:
-        raise ConfigError(
-            f"auto step needs {' and '.join(missing)}: declare them on the "
-            "problem or allow sampling"
-        )
     if gamma <= 0:
         raise ConfigError(f"auto step needs a positive gamma, got {gamma:.3e}")
     return gamma / L**2
@@ -323,32 +317,22 @@ def solve_tseng(problem, x0, config=SolverConfig(), literal=False):
 
 @dataclass(eq=False)
 class ZeroMap:
-    """The strictly increasing scaffold w of a zero problem, with its inverse.
+    """The strictly increasing scaffold w(x) = A x of a zero problem, with
+    the LU solve of A."""
 
-    Matrix scaffolds get a fast path (one LU solve per step); general
-    scaffolds carry an inverse strategy for w = Id - (Id - w).
-    """
-
-    apply: object
+    matrix: np.ndarray
     solve: object
-    matrix: np.ndarray | None = None
 
     @classmethod
     def from_matrix(cls, A):
         A = np.asarray(A, float)
-        return cls(apply=A.dot, solve=_LU(A, "w matrix").refined_solve, matrix=A)
-
-    @classmethod
-    def from_field(cls, w_field, inverse_spec):
-        return cls(apply=w_field, solve=lambda u: invert(inverse_spec, u))
+        return cls(A, _LU(A, "w matrix").refined_solve)
 
 
 def zero_step(f, w, x, h):
-    """One zero-finder step x - h A^{-1} f(x), or w^{-1}(w(x) - h f(x))."""
+    """One zero-finder step w^{-1}(w(x) - h f(x)) = x - h A^{-1} f(x)."""
     x = np.asarray(x, float)
-    if w.matrix is not None:
-        return x - h * w.solve(f(x))
-    return w.solve(np.asarray(w.apply(x), float) - h * f(x))
+    return x - h * w.solve(f(x))
 
 
 def solve_zero(f, w, x0, config=SolverConfig()):

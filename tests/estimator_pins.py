@@ -81,7 +81,7 @@ def record(id_minus=_func_id_minus, seeds=SEEDS):
     out["estimators"]["example4"] = {"lipschitz_f": [
         qk.sample_lipschitz(f4, qk.SamplingPlan(seed=s, count=COUNT)).hex()
         for s in seeds]}
-    out["remark5_l_tilde"] = qk.get_builtin("remark5").constants.l_tilde.value.hex()
+    out["remark5_l_tilde"] = qk.resolve_constant(qk.get_builtin("remark5"), "l_tilde")[0].hex()
     return out
 
 

@@ -31,6 +31,7 @@ from qvikit.solvers import (
     auto_step,
     loglinear_fit,
     rate_bounds,
+    resolve_constant,
     solve_alg1,
     solve_catchup,
     solve_tseng,
@@ -163,8 +164,8 @@ def test_criterion_08_rate_domination(ex1, ex1_solution):
     w = FuncField(2, lambda x: x - ex1.v(x))
     gamma = GAMMA_SAFETY * sample_pair_modulus(ex1.f, w, plan)
     L = LIP_SAFETY * sample_lipschitz(ex1.f, plan)
-    l = ex1.constants.require("l")
-    lt = ex1.constants.require("l_tilde")
+    l, _ = resolve_constant(ex1, "l")
+    lt, _ = resolve_constant(ex1, "l_tilde")
     rho, _ = rate_bounds(gamma, L, l, lt)
     h = gamma / L**2
     report = solve_alg1(ex1, np.array([6.0, 2.0]),

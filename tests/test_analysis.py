@@ -30,7 +30,7 @@ from qvikit.errors import EvalError, SamplingError
 from qvikit.inverse import ScalarBracket
 from qvikit.model import FuncField, IdMinus, VectorField, to_vi
 from qvikit.problems import get_builtin
-from qvikit.solvers import auto_step, tseng_auto_step
+from qvikit.solvers import auto_step, resolve_constant, tseng_auto_step
 
 PLAN0 = SamplingPlan(seed=0)
 
@@ -181,8 +181,8 @@ def test_transformed_map_keeps_modulus_bound(r5):
     T, _ = to_vi(r5)
     ident = FuncField(1, lambda y: y)
     plan = SamplingPlan(seed=0, count=2000, lo=-15.0, hi=15.0)
-    bound = composition_modulus_bound(r5.constants.require("gamma"),
-                                      r5.constants.require("l"))
+    bound = composition_modulus_bound(resolve_constant(r5, "gamma")[0],
+                                      resolve_constant(r5, "l")[0])
     assert sample_pair_modulus(T, ident, plan) >= bound - 1e-6
 
 
@@ -532,7 +532,7 @@ def test_screens_evaluate_few_pairs_by_point(ex2, r5):
     assert f.calls <= 20 and w.calls <= 20
     # remark5's l_tilde was pinned with the point loop over all 10k pairs.
     v = _Counted(r5.v)
-    bracket = ScalarBracket(v, r5.inverse.bracket, r5.inverse.direction)
+    bracket = ScalarBracket(v, r5.inverse.bracket)
     assert bracket.lipschitz().hex() == "0x1.7ffcb904063c4p+0"
     assert v.calls <= 40  # two per pair evaluated by point
 
@@ -613,8 +613,8 @@ def test_screens_survive_batch_values_off_by_their_bound(seed):
     assert sample_pair_modulus(a, point_b, plan) == \
         sample_pair_modulus(point_a, point_b, plan)
     v = VectorField.from_exprs(["-0.5*x1"], 1)
-    batched = ScalarBracket(_Perturbed(v, seed), (-20.0, 20.0), "increasing")
-    point = ScalarBracket(FuncField(1, v), (-20.0, 20.0), "increasing")
+    batched = ScalarBracket(_Perturbed(v, seed), (-20.0, 20.0))
+    point = ScalarBracket(FuncField(1, v), (-20.0, 20.0))
     assert batched.lipschitz(seed, 400) == point.lipschitz(seed, 400)
 
 

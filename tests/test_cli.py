@@ -328,6 +328,22 @@ def test_malformed_problem_file_exits_1_with_typed_error(kind, tmp_path, capsys)
     assert re.match(r"error: (ConfigError|ParseError): ", err)
 
 
+@pytest.mark.parametrize("section,key,needle", [
+    ("inverse", "direction", "inverse.direction: unknown key"),
+    ("constants", "mu", "constants: unknown name 'mu'"),
+])
+def test_a_file_with_a_dropped_key_exits_1(section, key, needle, tmp_path, capsys):
+    # remark5 files once held inverse.direction, and constants.mu was read
+    # and dumped but used by no solver: both are rejected now.
+    doc = problem_to_dict(get_builtin("remark5"))
+    doc[section][key] = "decreasing" if key == "direction" else 0.1
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "solve", str(path), "--x0", "0.5", "--h", "0.5")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: ConfigError: {needle}")
+
+
 @pytest.mark.parametrize("key,matrix", [("f", 5), ("v", [[1.0, 2.0]]), ("w", [[1.0]])])
 def test_bad_field_matrix_exits_1_naming_its_path(key, matrix, tmp_path, capsys):
     name, command, x0 = ("example4", "zero", EX4_X0) if key == "w" \

@@ -164,8 +164,6 @@ def test_bracket_failure_outside_range(r5):
 def test_bracket_validation(r5):
     with pytest.raises(ValueError):
         ScalarBracket(r5.v, (2.0, 1.0))
-    with pytest.raises(ValueError):
-        ScalarBracket(r5.v, (-1.0, 1.0), "sideways")
 
 
 def test_no_convergence_reports_achieved_residual():
@@ -543,6 +541,33 @@ def test_picard_stops_on_a_repeated_non_finite_iterate(traced):
                 spec.invert([1.0], inner_log=[] if traced else None)
             seconds.append(time.perf_counter() - start)
     assert min(seconds) < 0.05
+
+
+@pytest.mark.parametrize("max_inner", [100_000, 99_999])
+@pytest.mark.parametrize("traced", [True, False])
+def test_picard_stops_on_a_period_two_cycle(traced, max_inner, monkeypatch):
+    # x <- 1 - 3x overflows into inf, -inf, inf, ...: the iterate two steps
+    # back repeats. The loop ends there on the iterate the full loop ends
+    # on, which the parity of max_inner picks, with its error and log.
+    spec = PicardContraction(VectorField.from_matrix([[-3.0]]), 0.5,
+                             max_inner=max_inner)
+    checked, verify = [], _verify
+
+    def checking(spec, x, vx, y):
+        checked.append(x.tobytes())
+        return verify(spec, x, vx, y)
+
+    monkeypatch.setitem(globals(), "_verify", checking)
+    want = _outcome(reference_picard, spec, [1.0], traced)
+    assert want[0][:2] == ("NoConvergence", "inf")
+    assert want[1] is None or len(want[1]) == max_inner
+    monkeypatch.setattr(inverse, "_verify", checking)
+    calls, dot = [], spec._v
+    spec._v = lambda x: calls.append(1) or dot(x)
+    assert _outcome(PicardContraction.invert, spec, [1.0], traced) == want
+    last = np.inf if max_inner % 2 == 0 else -np.inf
+    assert checked[1] == checked[0] == np.array([last]).tobytes()
+    assert len(calls) < max_inner / 50
 
 
 def test_picard_runs_on_through_a_repeated_iterate_of_a_callable():

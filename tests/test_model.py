@@ -6,7 +6,7 @@ import pytest
 from numpy.linalg import norm
 
 import qvikit as qk
-from qvikit.errors import ConfigError, EvalError
+from qvikit.errors import EvalError
 from qvikit.model import (
     Box,
     Constant,
@@ -309,11 +309,6 @@ def test_constant_validation():
         Constant(-1.0, "declared")
     with pytest.raises(ValueError):
         Constant(1.0, "guessed")
-
-
-def test_constants_require_names_missing(ex2):
-    with pytest.raises(ConfigError, match="gamma"):
-        ex2.constants.require("gamma")
 
 
 def test_problem_dimension_agreement():

@@ -18,7 +18,8 @@ from qvikit.problems import (
     problem_from_dict,
     problem_to_dict,
 )
-from qvikit.solvers import SolverConfig, ZeroMap, solve_alg1, solve_zero
+from qvikit import analysis
+from qvikit.solvers import SolverConfig, resolve_constant, solve_alg1, solve_zero
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "problem.schema.json"
 
@@ -63,12 +64,45 @@ def test_declared_scalar_constants(r5):
     assert r5.constants.l.value == 7.0 / 3.0
     assert r5.constants.gamma.value == 2.0 / 9.0
     assert r5.constants.L.source == "declared"
-    assert r5.constants.l_tilde.source == "sampled"
+    assert r5.constants.l_tilde is None
+    assert resolve_constant(r5, "l_tilde")[1] == "sampled"
 
 
 def test_remark5_sampled_l_tilde_bits(r5):
     # Recorded with the point-loop estimator; the batched screen keeps it.
-    assert r5.constants.l_tilde.value.hex() == "0x1.7ffcb904063c4p+0"
+    assert resolve_constant(r5, "l_tilde")[0].hex() == "0x1.7ffcb904063c4p+0"
+
+
+# The constants the builtins once stored, as resolve_constant derives them.
+@pytest.mark.parametrize("name,constant,bits,source", [
+    ("example1", "l", "0x1.b1c5fafacc3bap-1", "spectral"),
+    ("example1", "l_tilde", "0x1.0caf84645649cp+0", "spectral"),
+    ("example2", "l", "0x1.71e579b3f4f82p+4", "spectral"),
+    ("example2", "l_tilde", "0x1.0bcfddf5e2a1cp-3", "spectral"),
+    ("example3", "l_tilde", "0x1.366fd214e745dp-3", "spectral"),
+    ("remark5", "l_tilde", "0x1.7ffcb904063c4p+0", "sampled"),
+])
+def test_builtin_constants_are_derived_not_stored(name, constant, bits, source):
+    problem = get_builtin(name)
+    assert getattr(problem.constants, constant) is None
+    value, got = resolve_constant(problem, constant)
+    assert (value.hex(), got) == (bits, source)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_builtin_dump_holds_only_declared_constants(name):
+    doc = problem_to_dict(get_builtin(name))
+    assert {c["source"] for c in doc.get("constants", {}).values()} <= {"declared"}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_building_a_builtin_draws_no_sample(name, monkeypatch):
+    draws, draw = [], analysis._draw
+    monkeypatch.setattr(analysis, "_last", (None, None, None, None))
+    monkeypatch.setattr(analysis, "_draw",
+                        lambda *args: draws.append(args) or draw(*args))
+    get_builtin(name)
+    assert draws == []
 
 
 @pytest.mark.parametrize("name,x0,h", [
@@ -151,7 +185,6 @@ def test_inverse_parameters_round_trip(ex3, r5):
     assert doc5["inverse"] == {
         "strategy": "scalar_bracket",
         "bracket": [-20.0, 20.0],
-        "direction": "decreasing",
         "inner_tol": 1e-12,
         "max_inner": 100_000,
     }
@@ -167,13 +200,6 @@ def test_picard_strategy_from_json():
     p = problem_from_dict(doc)
     assert isinstance(p.inverse, PicardContraction)
     assert p.inverse.max_inner == 500
-
-
-def test_field_backed_scaffold_refuses_json(ex4):
-    bad = ZeroProblem("t", 3, ex4.f,
-                      ZeroMap.from_field(ex4.f, LinearExact(np.zeros((3, 3)))))
-    with pytest.raises(ConfigError, match="matrix-backed"):
-        problem_to_dict(bad)
 
 
 # Documents the schema rejects and the loader once took: JSON true and false
@@ -225,6 +251,13 @@ _SCHEMA_REJECTS = [
      r"meta\.description: expected a string, got 5"),
     (lambda d: d.update(meta={"description": None}),
      r"meta\.description: expected a string, got None"),
+    # Keys that files once held: a bisection direction, which the bisection
+    # never read, and mu, which no solver read.
+    (lambda d: d.update(v=["-2*x1"], inverse={"strategy": "scalar_bracket",
+                                              "bracket": [-1, 1], "direction": "decreasing"}),
+     r"inverse\.direction: unknown key; inverse has strategy, l, l_g, bracket, inner_tol"),
+    (lambda d: d.update(constants={"mu": {"value": 1.0, "source": "declared"}}),
+     r"constants: unknown name 'mu'"),
 ]
 
 
@@ -341,12 +374,6 @@ _SCHEMA_REJECTS = [
     (lambda d: d.update(v=["-2*x1"], inverse={"strategy": "scalar_bracket",
                                               "bracket": [1e308, 1.5e308]}),
      r"inverse\.bracket: expected finite a < b .* got \[1e\+308, 1\.5e\+308\]"),
-    (lambda d: d.update(v=["-2*x1"], inverse={"strategy": "scalar_bracket",
-                                              "bracket": [-1, 1], "direction": "sideways"}),
-     r"inverse\.direction: expected 'increasing' or 'decreasing', got 'sideways'"),
-    (lambda d: d.update(v=["-2*x1"], inverse={"strategy": "scalar_bracket",
-                                              "bracket": [-1, 1], "direction": 1}),
-     r"inverse\.direction: expected 'increasing' or 'decreasing', got 1"),
 ] + _SCHEMA_REJECTS)
 def test_problem_from_dict_error_catalog(mutate, needle):
     doc = _minimal_doc()
