@@ -233,6 +233,10 @@ def _add_problem_args(sub):
                      help="problem file or builtin:NAME")
 
 
+# argparse reads "--x0 -1,2" as two options; "--x0=-1,2" keeps the value.
+_X0_HELP = "comma-separated start point; write --x0=-1,2 when the first entry is negative"
+
+
 def build_parser(default_seed):
     parser = _Parser(prog="qvikit", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
@@ -241,7 +245,7 @@ def build_parser(default_seed):
     _add_problem_args(solve)
     solve.add_argument("--algorithm", default="alg1",
                        choices=["alg1", "tseng", "catchup", "alg3"])
-    solve.add_argument("--x0", required=True, help="comma-separated start point")
+    solve.add_argument("--x0", required=True, help=_X0_HELP)
     solve.add_argument("--h", default="auto", help="step size, or 'auto'")
     solve.add_argument("--tol", type=float, default=1e-8)
     solve.add_argument("--max-iter", type=int, default=10_000)
@@ -254,7 +258,7 @@ def build_parser(default_seed):
 
     sweep = subs.add_parser("sweep", help="integrate the sweeping trajectory")
     _add_problem_args(sweep)
-    sweep.add_argument("--x0", required=True)
+    sweep.add_argument("--x0", required=True, help=_X0_HELP)
     sweep.add_argument("--h", type=float, required=True)
     sweep.add_argument("--T", dest="t_end", type=float, required=True)
     sweep.add_argument("--out", default=None, help="CSV trajectory path")
@@ -270,7 +274,7 @@ def build_parser(default_seed):
 
     zero = subs.add_parser("zero", help="run the derivative-free zero finder")
     _add_problem_args(zero)
-    zero.add_argument("--x0", required=True)
+    zero.add_argument("--x0", required=True, help=_X0_HELP)
     zero.add_argument("--h", default="1")
     zero.add_argument("--tol", type=float, default=1e-10)
     zero.add_argument("--max-iter", type=int, default=10_000)

@@ -1,6 +1,7 @@
 """Bundled benchmark problems and the JSON problem-file format.
 
-Problem files are plain JSON (schema in docs/problem.schema.json). Vector
+Problem files are plain JSON, checked against the schema shipped beside
+this module (src/qvikit/problem.schema.json) before anything is built. Vector
 fields are lists of expression strings or a {matrix, remainder} split; the
 inverse strategy is named explicitly so a file is self-contained. The same
 format round-trips: dumping a bundled problem and loading it back yields a
@@ -10,7 +11,10 @@ problem that solves bit-identically.
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +34,6 @@ from .model import (
     QviProblem,
     VectorField,
     WholeSpace,
-    as_vector,
 )
 from .solvers import ZeroMap
 
@@ -124,53 +127,93 @@ def get_builtin(name):
         ) from None
 
 
-def _object(spec, path):
-    """``spec`` if it is a JSON object; otherwise a ConfigError naming ``path``."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}: expected a JSON object, got {type(spec).__name__}")
-    return spec
+_SCHEMA = json.loads(Path(__file__).with_name("problem.schema.json")
+                     .read_text(encoding="utf-8"))
+_NAMES = {"object": "a JSON object", "array": "an array", "string": "a string",
+          "number": "a number", "integer": "an integer"}
+_BOUNDS = (("minimum", "of at least", operator.ge), ("exclusiveMinimum", "above", operator.gt),
+           ("exclusiveMaximum", "below", operator.lt))
+_SIZES = (("minLength", "at least", operator.ge), ("minItems", "at least", operator.ge),
+          ("maxItems", "at most", operator.le))
 
 
-def _known(spec, keys, path):
-    """``spec`` if it holds no key outside ``keys``; otherwise a ConfigError
-    naming the unknown key's path (``path`` "" is the document itself)."""
-    for key in spec:
-        if key not in keys:
-            raise ConfigError(f"{path + '.' if path else ''}{key}: unknown key; "
-                              f"{path or 'a problem file'} has {', '.join(keys)}")
-    return spec
-
-
-def _member(spec, key, path):
-    """``spec[key]``; a missing key is a ConfigError naming ``path.key``."""
-    if key not in spec:
-        raise ConfigError(f"{path}.{key} is required")
-    return spec[key]
-
-
-def _number(spec, key, path, kind=float, positive=False):
-    """``kind(spec[key])``; a missing or non-numeric value (JSON ``true``
-    included), one that ``kind`` would change (2.7 as an int), or with
-    ``positive`` one that is not finite and positive, is a ConfigError."""
-    value = _member(spec, key, path)
+def _is(value, kind):
+    """Whether ``value`` has the schema type ``kind``. A number is finite
+    (``json`` parses NaN and Infinity), and JSON ``true`` and ``false`` are
+    no numbers."""
+    if kind not in ("number", "integer"):
+        return isinstance(value, {"object": dict, "array": list, "string": str}[kind])
     try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    if kind is int and number != value:
-        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
-    if positive and not 0 < number < np.inf:
-        raise ConfigError(f"{path}.{key}: expected a finite positive number, got {value!r}")
-    return number
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value) and (kind == "number" or value == int(value)))
+    except OverflowError:  # an integer beyond the floats
+        return False
 
 
-def _holds_boolean(value):
-    """Whether a JSON value is ``true`` or ``false``, or a list holding one
-    at any depth: ``float`` takes them as numbers, the schema does not."""
-    return isinstance(value, bool) or (isinstance(value, list)
-                                       and any(map(_holds_boolean, value)))
+def _deref(schema):
+    """``schema``, or the definition its local ``$ref`` names."""
+    return _SCHEMA["$defs"][schema["$ref"].rsplit("/", 1)[1]] if "$ref" in schema else schema
+
+
+def _fail(path, expected, value):
+    got = type(value).__name__ if isinstance(value, (list, dict)) else repr(value)
+    return ConfigError(f"{path or 'problem file'}: expected {expected}, got {got}")
+
+
+def _validate(value, schema=_SCHEMA, path=""):
+    """Raise a ConfigError naming the JSON path where ``value`` first breaks
+    ``schema``, a node of problem.schema.json. Only the keywords that file
+    uses are read; each ``$ref`` there stands alone, and the branches of each
+    ``oneOf`` have distinct types, so the branch of the value's type decides.
+    A branch's ``title`` names it when no branch has that type."""
+    schema = _deref(schema)
+    if "oneOf" in schema:
+        branches = [_deref(branch) for branch in schema["oneOf"]]
+        fits = [branch for branch in branches if _is(value, branch["type"])]
+        if not fits:
+            names = [branch.get("title", _NAMES[branch["type"]]) for branch in branches]
+            raise _fail(path, f"{', '.join(names[:-1])} or {names[-1]}", value)
+        _validate(value, fits[0], path)
+    kind = schema.get("type")
+    if kind is not None and not _is(value, kind):
+        raise _fail(path, "a finite number" if kind == "number" and type(value) is float
+                    else _NAMES[kind], value)
+    if "const" in schema and value != schema["const"]:
+        raise _fail(path, repr(schema["const"]), value)
+    if "enum" in schema and value not in schema["enum"]:
+        raise ConfigError(f"{path}: unknown {path.rsplit('.', 1)[-1]} {value!r}; expected "
+                          f"one of {', '.join(map(repr, schema['enum']))}")
+    for key, words, holds in _BOUNDS if kind in ("number", "integer") else ():
+        if key in schema and not holds(value, schema[key]):
+            raise _fail(path, f"{_NAMES[kind]} {words} {schema[key]}", value)
+    for key, words, holds in _SIZES if kind in ("string", "array") else ():
+        if key in schema and not holds(len(value), schema[key]):
+            unit = "characters" if kind == "string" else "entries"
+            raise _fail(path, f"{words} {schema[key]} {unit}", len(value))
+    if "items" in schema:
+        for i, item in enumerate(value):
+            _validate(item, schema["items"], f"{path}[{i}]")
+    if isinstance(value, dict):
+        owner, prefix = path or "a problem file", f"{path}." if path else ""
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ConfigError(f"{prefix}{key}: missing; {owner} needs {key!r}")
+        known = schema.get("properties", {})
+        for key, item in value.items():
+            if key in known:
+                _validate(item, known[key], prefix + key)
+            elif schema.get("additionalProperties") is False:
+                raise ConfigError(f"{prefix}{key}: unknown key; {owner} has {', '.join(known)}")
+    for part in schema.get("allOf", ()):
+        _validate(value, part, path)
+    if "if" in schema:
+        try:
+            _validate(value, schema["if"], path)
+            then = schema.get("then")
+        except ConfigError:
+            then = schema.get("else")
+        if then is not None:
+            _validate(value, then, path)
 
 
 def _field_to_json(field):
@@ -183,22 +226,16 @@ def _field_to_json(field):
     return out
 
 
-def _matrix(spec, dim, what):
-    """``spec["matrix"]`` as a finite (dim, dim) array; else a ConfigError
-    naming ``what.matrix``."""
-    try:
-        M = np.asarray(spec["matrix"], float)
-    except (TypeError, ValueError, OverflowError):
-        M = None
-    if (M is None or M.shape != (dim, dim) or not np.isfinite(M).all()
-            or _holds_boolean(spec["matrix"])):
-        raise ConfigError(f"{what}.matrix: expected a {dim}x{dim} matrix of finite numbers")
-    return M
+def _matrix(rows, dim, what):
+    """``rows`` as a (dim, dim) array; any other shape is a ConfigError."""
+    if len(rows) != dim or any(len(row) != dim for row in rows):
+        raise ConfigError(f"{what}: expected a {dim}x{dim} matrix of finite numbers")
+    return np.array(rows, float)
 
 
 def _expressions(texts, dim, what):
-    """``texts`` if it is a list of ``dim`` entries; else a ConfigError."""
-    if not isinstance(texts, list) or len(texts) != dim:
+    """``texts`` if it holds ``dim`` expressions; else a ConfigError."""
+    if len(texts) != dim:
         raise ConfigError(f"{what}: expected an expression list of length {dim}")
     return texts
 
@@ -208,14 +245,10 @@ def _field_from_json(spec, dim, what):
         return VectorField.zero(dim)
     if isinstance(spec, list):
         return VectorField.from_exprs(_expressions(spec, dim, what), dim)
-    if isinstance(spec, dict) and "matrix" in spec:
-        _known(spec, ("matrix", "remainder"), what)
-        remainder = None
-        if "remainder" in spec:  # null included: the schema has no such form
-            remainder = _expressions(spec["remainder"], dim, f"{what}.remainder")
-        return VectorField.from_matrix(_matrix(spec, dim, what), remainder)
-    raise ConfigError(f"{what}: expected an expression list, "
-                      "a {matrix, remainder} object, or \"zero\"")
+    remainder = spec.get("remainder")
+    return VectorField.from_matrix(
+        _matrix(spec["matrix"], dim, f"{what}.matrix"),
+        remainder and _expressions(remainder, dim, f"{what}.remainder"))
 
 
 def _set_to_json(cset):
@@ -229,25 +262,17 @@ def _set_to_json(cset):
 
 
 def _set_from_json(spec, dim):
-    kind = _known(_object(spec, "set"), ("type", "lower", "upper"), "set").get("type")
-    if kind == "whole_space":
+    if spec["type"] == "whole_space":
         return WholeSpace(dim)
-    if kind == "orthant":
+    if spec["type"] == "orthant":
         return NonnegativeOrthant(dim)
-    if kind == "box":
-        bounds = {}
-        for key in ("lower", "upper"):
-            value = _member(spec, key, "set")
-            if _holds_boolean(value):
-                raise ConfigError(f"set.{key}: expected numbers, got {value!r}")
-            try:
-                bounds[key] = as_vector(value, dim)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"set.{key}: {exc}") from None
-        if not np.all(bounds["lower"] <= bounds["upper"]):
-            raise ConfigError("set.lower: must not exceed set.upper in any component")
-        return Box(**bounds)
-    raise ConfigError(f"set: unknown type {kind!r}")
+    for key in ("lower", "upper"):
+        if len(spec[key]) != dim:
+            raise ConfigError(f"set.{key}: expected dimension {dim}, got {len(spec[key])}")
+    lower, upper = np.array(spec["lower"], float), np.array(spec["upper"], float)
+    if not np.all(lower <= upper):
+        raise ConfigError("set.lower: must not exceed set.upper in any component")
+    return Box(lower, upper)
 
 
 def _inverse_to_json(spec):
@@ -262,48 +287,31 @@ def _inverse_to_json(spec):
             "bracket": [float(spec.bracket[0]), float(spec.bracket[1])], **base}
 
 
-_INVERSE_KEYS = ("strategy", "l", "l_g", "bracket", "inner_tol", "max_inner")
-
-
 def _inverse_from_json(spec, v, dim):
-    strategy = _known(_object(spec, "inverse"), _INVERSE_KEYS, "inverse").get("strategy")
-    kwargs = {}
+    strategy, kwargs = spec["strategy"], {}
     if "inner_tol" in spec:
-        kwargs["inner_tol"] = _number(spec, "inner_tol", "inverse", positive=True)
+        kwargs["inner_tol"] = float(spec["inner_tol"])
     if "max_inner" in spec:
-        kwargs["max_inner"] = _number(spec, "max_inner", "inverse", int, positive=True)
+        kwargs["max_inner"] = int(spec["max_inner"])
     if strategy == "linear_exact":
         if v.matrix is None or v.remainder is not None:
-            raise ConfigError("linear_exact needs v in pure matrix form")
+            raise ConfigError("inverse.strategy: linear_exact needs v in pure matrix form")
         return LinearExact(v.matrix, **kwargs)
     if strategy == "picard":
-        if "l" not in spec:
-            raise ConfigError("picard needs the declared contraction 'l'")
-        return PicardContraction(v, _number(spec, "l", "inverse"), **kwargs)
+        return PicardContraction(v, float(spec["l"]), **kwargs)
     if strategy == "semilinear":
         if v.matrix is None or v.remainder is None:
-            raise ConfigError("semilinear needs v in {matrix, remainder} form")
-        if "l_g" not in spec:
-            raise ConfigError("semilinear needs the remainder bound 'l_g'")
+            raise ConfigError("inverse.strategy: semilinear needs v in {matrix, remainder} form")
         g = VectorField(dim, remainder=v.remainder)
-        return Semilinear(v.matrix, g, _number(spec, "l_g", "inverse", positive=True),
-                          **kwargs)
-    if strategy == "scalar_bracket":
-        if dim != 1:
-            raise ConfigError("scalar_bracket only applies in dimension 1")
-        bracket = _member(spec, "bracket", "inverse")
-        try:
-            a, b = (float(t) for t in bracket)
-        except (TypeError, ValueError):
-            a = None
-        if a is None or _holds_boolean(bracket):
-            raise ConfigError(f"inverse.bracket: expected [a, b], got {bracket!r}")
-        # |a| + |b| finite keeps the width b - a and the midpoints finite.
-        if not (a < b and np.isfinite(abs(a) + abs(b))):
-            raise ConfigError("inverse.bracket: expected finite a < b with |a| + |b| "
-                              f"finite, got {bracket!r}")
-        return ScalarBracket(v, (a, b), **kwargs)
-    raise ConfigError(f"inverse: unknown strategy {strategy!r}")
+        return Semilinear(v.matrix, g, float(spec["l_g"]), **kwargs)
+    if dim != 1:  # scalar_bracket, the schema's last strategy
+        raise ConfigError("inverse.strategy: scalar_bracket only applies in dimension 1")
+    a, b = map(float, spec["bracket"])
+    # |a| + |b| finite keeps the width b - a and the midpoints finite.
+    if not (a < b and np.isfinite(abs(a) + abs(b))):
+        raise ConfigError("inverse.bracket: expected finite a < b with |a| + |b| "
+                          f"finite, got {spec['bracket']!r}")
+    return ScalarBracket(v, (a, b), **kwargs)
 
 
 def _constants_to_json(constants):
@@ -316,21 +324,9 @@ def _constants_to_json(constants):
 
 
 def _constants_from_json(spec):
-    kwargs = {}
-    for name, value in _object(spec, "constants").items():
-        if name not in ("L", "l", "l_tilde", "gamma"):
-            raise ConfigError(f"constants: unknown name {name!r}")
-        if isinstance(value, dict):
-            _known(value, ("value", "source"), f"constants.{name}")
-            number = _number(value, "value", f"constants.{name}", positive=True)
-            source = value.get("source", "declared")
-        else:
-            number, source = _number(spec, name, "constants", positive=True), "declared"
-        try:
-            kwargs[name] = Constant(number, source)
-        except ValueError as exc:  # the value is positive: the source is unknown
-            raise ConfigError(f"constants.{name}.source: {exc}") from None
-    return ProblemConstants(**kwargs)
+    return ProblemConstants(**{
+        name: Constant(float(c["value"]), c.get("source", "declared")) if isinstance(c, dict)
+        else Constant(float(c), "declared") for name, c in spec.items()})
 
 
 def problem_to_dict(problem):
@@ -355,47 +351,20 @@ def problem_to_dict(problem):
     }
 
 
-_KEYS = ("meta", "kind", "dim", "f", "v", "w", "inverse", "set", "constants")
-
-
 def problem_from_dict(doc):
-    """Build a problem from a parsed JSON document."""
-    if not isinstance(doc, dict):
-        raise ConfigError("problem file must hold a JSON object")
-    _known(doc, _KEYS, "")
-    if "dim" not in doc:
-        raise ConfigError("problem file needs 'dim'")
-    try:
-        dim = _number(doc, "dim", "problem", int, positive=True)
-    except ConfigError:
-        raise ConfigError(f"dim must be an integer of at least 1, got {doc['dim']!r}") from None
-    meta = _object(doc.get("meta", {}), "meta")
-    for key in ("name", "description"):
-        if not isinstance(meta.get(key, ""), str):
-            raise ConfigError(f"meta.{key}: expected a string, got {meta[key]!r}")
-    name = meta.get("name", "unnamed")
-    kind = doc.get("kind", "qvi")
-    if "f" not in doc:
-        raise ConfigError("problem file needs 'f'")
+    """Build a problem from a parsed JSON document. The document is checked
+    against problem.schema.json first; only the rules that depend on ``dim``
+    or on another field are checked here."""
+    _validate(doc)
+    dim, name = int(doc["dim"]), doc.get("meta", {}).get("name", "unnamed")
     f = _field_from_json(doc["f"], dim, "f")
-
-    if kind == "zero":
-        w_spec = doc.get("w")
-        if not isinstance(w_spec, dict) or "matrix" not in w_spec:
-            raise ConfigError("zero problems need 'w' with a matrix")
-        _known(w_spec, ("matrix",), "w")
-        return ZeroProblem(name, dim, f, ZeroMap.from_matrix(_matrix(w_spec, dim, "w")))
-    if kind != "qvi":
-        raise ConfigError(f"unknown problem kind {kind!r}")
-
-    for key in ("v", "inverse", "set"):
-        if key not in doc:
-            raise ConfigError(f"problem file needs {key!r}")
+    if doc.get("kind") == "zero":
+        return ZeroProblem(name, dim, f,
+                           ZeroMap.from_matrix(_matrix(doc["w"]["matrix"], dim, "w.matrix")))
     v = _field_from_json(doc["v"], dim, "v")
-    inverse = _inverse_from_json(doc["inverse"], v, dim)
-    cset = _set_from_json(doc["set"], dim)
-    constants = _constants_from_json(doc.get("constants", {}))
-    return QviProblem(name, dim, f, v, inverse, cset, constants)
+    return QviProblem(name, dim, f, v, _inverse_from_json(doc["inverse"], v, dim),
+                      _set_from_json(doc["set"], dim),
+                      _constants_from_json(doc.get("constants", {})))
 
 
 def dumps_problem(problem):

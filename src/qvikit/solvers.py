@@ -279,6 +279,8 @@ def tseng_auto_step(problem, plan=None):
     """
     L, _ = resolve_constant(problem, "L", plan or SamplingPlan(seed=0), LIP_SAFETY)
     l_tilde, _ = resolve_constant(problem, "l_tilde")
+    if L * l_tilde <= 0:
+        raise ConfigError(f"tseng auto step needs a positive L * l_tilde, got {L * l_tilde:.3e}")
     return 0.9 / (L * l_tilde)
 
 

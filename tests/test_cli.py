@@ -246,6 +246,36 @@ def test_tseng_literal_flag_runs(capsys):
     assert out.startswith("status=")
 
 
+def test_tseng_auto_step_on_a_constant_field_exits_1(tmp_path, capsys):
+    # A constant f has a sampled L of 0, so 0.9 / (L l_tilde) has no value.
+    doc = {"dim": 1, "f": ["5.79"], "v": {"matrix": [[0.643]]},
+           "inverse": {"strategy": "picard", "l": 0.15}, "set": {"type": "whole_space"}}
+    path = tmp_path / "constant.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "solve", str(path), "--algorithm", "tseng", "--x0", "0.5")
+    assert (code, out) == (1, "")
+    assert err == "error: ConfigError: tseng auto step needs a positive L * l_tilde, " \
+        "got 0.000e+00\n"
+
+
+@pytest.mark.parametrize("argv,x0", [
+    (["solve", "builtin:example1", "--h", "0.1"], "-1,2"),
+    (["sweep", "builtin:example1", "--h", "0.01", "--T", "1"], "-1,2"),
+    (["zero", "builtin:example4"], "-1,2,3"),
+])
+@pytest.mark.parametrize("joined", [True, False])
+def test_a_negative_first_x0_needs_the_equals_form(argv, x0, joined, capsys):
+    # argparse takes "-1,2" after a space for an option, not for a value.
+    x0_args = [f"--x0={x0}"] if joined else ["--x0", x0]
+    code, out, err = run(capsys, *argv, *x0_args)
+    if joined:
+        assert code == 0
+        assert out.startswith("status=done" if argv[0] == "sweep" else "status=converged")
+    else:
+        assert (code, out) == (1, "")
+        assert err == "error: argument --x0: expected one argument\n"
+
+
 def test_singular_scaffold_reports_cleanly(tmp_path, capsys):
     doc = {
         "kind": "zero",
@@ -330,7 +360,7 @@ def test_malformed_problem_file_exits_1_with_typed_error(kind, tmp_path, capsys)
 
 @pytest.mark.parametrize("section,key,needle", [
     ("inverse", "direction", "inverse.direction: unknown key"),
-    ("constants", "mu", "constants: unknown name 'mu'"),
+    ("constants", "mu", "constants.mu: unknown key"),
 ])
 def test_a_file_with_a_dropped_key_exits_1(section, key, needle, tmp_path, capsys):
     # remark5 files once held inverse.direction, and constants.mu was read
@@ -355,8 +385,8 @@ def test_bad_field_matrix_exits_1_naming_its_path(key, matrix, tmp_path, capsys)
     code, out, err = run(capsys, command, str(path), "--x0", x0, "--h", "0.01")
     assert (code, out) == (1, "")
     dim = doc["dim"]
-    assert err == f"error: ConfigError: {key}.matrix: expected a {dim}x{dim} matrix " \
-        "of finite numbers\n"
+    expected = "an array, got 5" if matrix == 5 else f"a {dim}x{dim} matrix of finite numbers"
+    assert err == f"error: ConfigError: {key}.matrix: expected {expected}\n"
 
 
 def test_long_sums_solve_and_dump_or_exit_1(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +19,10 @@ from qvikit.problems import (
     problem_from_dict,
     problem_to_dict,
 )
-from qvikit import analysis
+from qvikit import analysis, problems
 from qvikit.solvers import SolverConfig, resolve_constant, solve_alg1, solve_zero
 
-SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "problem.schema.json"
+SCHEMA_PATH = Path(problems.__file__).with_name("problem.schema.json")
 
 
 def _minimal_doc():
@@ -206,33 +207,35 @@ def test_picard_strategy_from_json():
 # for numbers, an unknown top-level key, a null remainder, a meta.name that
 # is no string, and a null or non-object meta or constants.
 _SCHEMA_REJECTS = [
-    (lambda d: d.update(f={"matrix": [[True]]}), r"f\.matrix: expected a 1x1 matrix"),
-    (lambda d: d.update(v={"matrix": [[False]]}), r"v\.matrix: expected a 1x1 matrix"),
+    (lambda d: d.update(f={"matrix": [[True]]}),
+     r"f\.matrix\[0\]\[0\]: expected a number, got True"),
+    (lambda d: d.update(v={"matrix": [[False]]}),
+     r"v\.matrix\[0\]\[0\]: expected a number, got False"),
     (lambda d: d.update(kind="zero", w={"matrix": [[True]]}),
-     r"w\.matrix: expected a 1x1 matrix"),
+     r"w\.matrix\[0\]\[0\]: expected a number, got True"),
     (lambda d: d.update(set={"type": "box", "lower": [False], "upper": [1]}),
-     r"set\.lower: expected numbers, got \[False\]"),
+     r"set\.lower\[0\]: expected a number, got False"),
     (lambda d: d.update(set={"type": "box", "lower": [0], "upper": [True]}),
-     r"set\.upper: expected numbers, got \[True\]"),
+     r"set\.upper\[0\]: expected a number, got True"),
     (lambda d: d.update(set={"type": "box", "lower": 0, "upper": True}),
-     r"set\.upper: expected numbers, got True"),
+     r"set\.lower: expected an array, got 0"),
     (lambda d: d.update(v=["-2*x1"], inverse={"strategy": "scalar_bracket",
                                               "bracket": [False, True]}),
-     r"inverse\.bracket: expected \[a, b\], got \[False, True\]"),
+     r"inverse\.bracket\[0\]: expected a number, got False"),
     (lambda d: d.update(v=["-2*x1"], inverse={"strategy": "scalar_bracket",
                                               "bracket": [-1, True]}),
-     r"inverse\.bracket: expected \[a, b\], got \[-1, True\]"),
+     r"inverse\.bracket\[1\]: expected a number, got True"),
     (lambda d: d.update(name="ex"), r"name: unknown key; a problem file has meta, kind"),
     (lambda d: d.update(comment=None), r"comment: unknown key"),
     (lambda d: d.update(f={"matrix": [[1.0]], "remainder": None}),
-     r"f\.remainder: expected an expression list of length 1"),
+     r"f\.remainder: expected an array, got None"),
     (lambda d: d.update(v={"matrix": [[0.5]], "remainder": None}),
-     r"v\.remainder: expected an expression list of length 1"),
+     r"v\.remainder: expected an array, got None"),
     (lambda d: d.update(meta={"name": 5}), r"meta\.name: expected a string, got 5"),
     (lambda d: d.update(meta={"name": None}), r"meta\.name: expected a string, got None"),
-    (lambda d: d.update(meta=None), "meta: expected a JSON object, got NoneType"),
+    (lambda d: d.update(meta=None), "meta: expected a JSON object, got None"),
     (lambda d: d.update(meta=[]), "meta: expected a JSON object, got list"),
-    (lambda d: d.update(constants=None), "constants: expected a JSON object, got NoneType"),
+    (lambda d: d.update(constants=None), "constants: expected a JSON object, got None"),
     # Unknown keys inside the objects the schema closes, and a description
     # that is no string.
     (lambda d: d["inverse"].update(tolerance=1e-9),
@@ -257,11 +260,20 @@ _SCHEMA_REJECTS = [
                                               "bracket": [-1, 1], "direction": "decreasing"}),
      r"inverse\.direction: unknown key; inverse has strategy, l, l_g, bracket, inner_tol"),
     (lambda d: d.update(constants={"mu": {"value": 1.0, "source": "declared"}}),
-     r"constants: unknown name 'mu'"),
+     r"constants\.mu: unknown key; constants has L, l, l_tilde, gamma"),
+    # Each strategy's own key, which the schema once left optional and the
+    # loader required with a message that named no path.
+    (lambda d: d.update(v=["0.3*sin(x1)"], inverse={"strategy": "picard"}),
+     r"inverse\.l: missing; inverse needs 'l'"),
+    (lambda d: d.update(v={"matrix": [[0.5]], "remainder": ["0.1*sin(x1)"]},
+                        inverse={"strategy": "semilinear"}),
+     r"inverse\.l_g: missing; inverse needs 'l_g'"),
+    (lambda d: d.update(v=["-2*x1"], inverse={"strategy": "scalar_bracket"}),
+     r"inverse\.bracket: missing; inverse needs 'bracket'"),
 ]
 
 
-@pytest.mark.parametrize("mutate,needle", [
+_ERROR_CATALOG = [
     (lambda d: d.pop("dim"), "dim"),
     (lambda d: d.update(dim=0), "at least 1"),
     (lambda d: d.pop("f"), "'f'"),
@@ -269,14 +281,18 @@ _SCHEMA_REJECTS = [
     (lambda d: d.pop("v"), "'v'"),
     (lambda d: d.pop("inverse"), "'inverse'"),
     (lambda d: d.pop("set"), "'set'"),
-    (lambda d: d.update(kind="lcp"), "unknown problem kind"),
+    (lambda d: d.update(kind="lcp"), "kind: unknown kind 'lcp'"),
     (lambda d: d.update(v=["0.5*x1"]), "pure matrix form"),
     (lambda d: d.update(inverse={"strategy": "picard"}), "'l'"),
+    (lambda d: d.update(v=["0.3*sin(x1)"], inverse={"strategy": "picard", "l": 1.0}),
+     r"inverse\.l: expected a number below 1, got 1\.0"),
+    (lambda d: d.update(v=["0.3*sin(x1)"], inverse={"strategy": "picard", "l": -0.1}),
+     r"inverse\.l: expected a number of at least 0, got -0\.1"),
     (lambda d: d.update(inverse={"strategy": "warp"}), "unknown strategy"),
     (lambda d: d.update(set={"type": "ball"}), "unknown type"),
     (lambda d: d.update(set={"type": "box", "lower": [0, 0], "upper": [1, 1]}),
      "dimension"),
-    (lambda d: d.update(constants={"beta": 1.0}), "unknown name"),
+    (lambda d: d.update(constants={"beta": 1.0}), r"constants\.beta: unknown key"),
     (lambda d: d.update(set={"type": "box", "upper": [1]}), r"set\.lower"),
     (lambda d: d.update(set={"type": "box", "lower": [0]}), r"set\.upper"),
     (lambda d: d.update(set={"type": "box"}), r"set\.lower"),
@@ -290,7 +306,7 @@ _SCHEMA_REJECTS = [
     (lambda d: d.update(constants={"L": {"source": "declared"}}),
      r"constants\.L\.value"),
     (lambda d: d.update(meta="ex"), "meta: expected a JSON object"),
-    (lambda d: d.update(dim=None), "dim must be an integer"),
+    (lambda d: d.update(dim=None), "dim: expected an integer, got None"),
     (lambda d: d.update(inverse={"strategy": "scalar_bracket", "bracket": [0, None]}),
      r"inverse\.bracket"),
     (lambda d: d.update(v=["0.3*sin(x1)"], inverse={"strategy": "picard", "l": None}),
@@ -306,62 +322,64 @@ _SCHEMA_REJECTS = [
     (lambda d: d.update(set={"type": "box", "lower": [0], "upper": [1, 2]}),
      r"set\.upper: expected dimension 1, got 2"),
     (lambda d: d.update(set={"type": "box", "lower": [float("nan")], "upper": [1]}),
-     r"set\.lower: vector entries must be finite"),
+     r"set\.lower\[0\]: expected a finite number, got nan"),
     (lambda d: d.update(set={"type": "box", "lower": [0], "upper": [float("inf")]}),
-     r"set\.upper: vector entries must be finite"),
+     r"set\.upper\[0\]: expected a finite number, got inf"),
     (lambda d: d.update(constants={"l": {"value": -1.0}}),
-     r"constants\.l\.value: expected a finite positive number"),
+     r"constants\.l\.value: expected a number above 0, got -1\.0"),
     (lambda d: d.update(constants={"L": 0.0}),
-     r"constants\.L: expected a finite positive number"),
+     r"constants\.L: expected a number above 0, got 0\.0"),
     (lambda d: d.update(constants={"l": {"value": 1.0, "source": "guessed"}}),
      r"constants\.l\.source: unknown source 'guessed'"),
     (lambda d: d.update(inverse={"strategy": "linear_exact", "inner_tol": float("nan")}),
-     r"inverse\.inner_tol: expected a finite positive number"),
+     r"inverse\.inner_tol: expected a finite number, got nan"),
     (lambda d: d.update(inverse={"strategy": "linear_exact", "inner_tol": -1e-12}),
-     r"inverse\.inner_tol: expected a finite positive number"),
+     r"inverse\.inner_tol: expected a number above 0, got -1e-12"),
     (lambda d: d.update(inverse={"strategy": "linear_exact", "max_inner": 0}),
-     r"inverse\.max_inner: expected a finite positive number"),
+     r"inverse\.max_inner: expected an integer of at least 1, got 0"),
     (lambda d: d.update(inverse={"strategy": "linear_exact", "max_inner": float("inf")}),
-     r"inverse\.max_inner: expected a number"),
+     r"inverse\.max_inner: expected an integer, got inf"),
     (lambda d: d.update(inverse={"strategy": "linear_exact", "max_inner": 2.7}),
      r"inverse\.max_inner: expected an integer, got 2\.7"),
     (lambda d: d.update(inverse={"strategy": "linear_exact", "max_inner": "3"}),
      r"inverse\.max_inner: expected an integer"),
     (lambda d: d.update(v={"matrix": [[0.5]], "remainder": ["0.1*sin(x1)"]},
                         inverse={"strategy": "semilinear", "l_g": -1.0}),
-     r"inverse\.l_g: expected a finite positive number"),
+     r"inverse\.l_g: expected a number above 0, got -1\.0"),
     (lambda d: d.update(v={"matrix": [[0.5]], "remainder": ["0.1*sin(x1)"]},
                         inverse={"strategy": "semilinear", "l_g": 0}),
-     r"inverse\.l_g: expected a finite positive number"),
-    (lambda d: d.update(f={"matrix": 5}), r"f\.matrix: expected a 1x1 matrix"),
+     r"inverse\.l_g: expected a number above 0, got 0"),
+    (lambda d: d.update(f={"matrix": 5}), r"f\.matrix: expected an array, got 5"),
     (lambda d: d.update(f={"matrix": [[1.0, 2.0]]}), r"f\.matrix: expected a 1x1 matrix"),
     (lambda d: d.update(f={"matrix": [[1.0], [2.0, 3.0]]}), r"f\.matrix"),
     (lambda d: d.update(f={"matrix": [["one"]]}), r"f\.matrix"),
     (lambda d: d.update(v={"matrix": [[0.5, 0.0], [0.0, 0.5]]}),
      r"v\.matrix: expected a 1x1 matrix"),
-    (lambda d: d.update(v={"matrix": [[float("nan")]]}), r"v\.matrix: .* finite numbers"),
+    (lambda d: d.update(v={"matrix": [[float("nan")]]}),
+     r"v\.matrix\[0\]\[0\]: expected a finite number, got nan"),
     (lambda d: d.update(kind="zero", w={"matrix": [[1.0, 0.0]]}),
      r"w\.matrix: expected a 1x1 matrix"),
     (lambda d: d.update(kind="zero", w={"matrix": 2.0}), r"w\.matrix"),
     (lambda d: d.update(f=["-x1", "-x1"]), r"f: expected an expression list of length 1"),
     (lambda d: d.update(v={"matrix": [[0.5]], "remainder": []}),
-     r"v\.remainder: expected an expression list of length 1"),
+     r"v\.remainder: expected at least 1 entries, got 0"),
     (lambda d: d.update(inverse={"strategy": "linear_exact", "max_inner": True}),
-     r"inverse\.max_inner: expected a number, got True"),
+     r"inverse\.max_inner: expected an integer, got True"),
     (lambda d: d.update(inverse={"strategy": "linear_exact", "inner_tol": True}),
      r"inverse\.inner_tol: expected a number, got True"),
-    (lambda d: d.update(constants={"L": True}), r"constants\.L: expected a number, got True"),
+    (lambda d: d.update(constants={"L": True}),
+     r"constants\.L: expected a number or a \{value, source\} object, got True"),
     (lambda d: d.update(constants={"gamma": {"value": False}}),
      r"constants\.gamma\.value: expected a number, got False"),
-    (lambda d: d.update(dim=2.7), r"dim must be an integer of at least 1, got 2\.7"),
-    (lambda d: d.update(dim=True), r"dim must be an integer of at least 1, got True"),
-    (lambda d: d.update(dim="1"), r"dim must be an integer of at least 1, got '1'"),
+    (lambda d: d.update(dim=2.7), r"dim: expected an integer, got 2\.7"),
+    (lambda d: d.update(dim=True), r"dim: expected an integer, got True"),
+    (lambda d: d.update(dim="1"), r"dim: expected an integer, got '1'"),
     (lambda d: d.update(v=["-2*x1"], inverse={"strategy": "scalar_bracket",
                                               "bracket": [0, float("inf")]}),
-     r"inverse\.bracket: expected finite a < b .* got \[0, inf\]"),
+     r"inverse\.bracket\[1\]: expected a finite number, got inf"),
     (lambda d: d.update(v=["-2*x1"], inverse={"strategy": "scalar_bracket",
                                               "bracket": [float("nan"), 1]}),
-     r"inverse\.bracket: expected finite a < b .* got \[nan, 1\]"),
+     r"inverse\.bracket\[0\]: expected a finite number, got nan"),
     (lambda d: d.update(v=["-2*x1"], inverse={"strategy": "scalar_bracket",
                                               "bracket": [1, 0]}),
      r"inverse\.bracket: expected finite a < b .* got \[1, 0\]"),
@@ -374,7 +392,10 @@ _SCHEMA_REJECTS = [
     (lambda d: d.update(v=["-2*x1"], inverse={"strategy": "scalar_bracket",
                                               "bracket": [1e308, 1.5e308]}),
      r"inverse\.bracket: expected finite a < b .* got \[1e\+308, 1\.5e\+308\]"),
-] + _SCHEMA_REJECTS)
+] + _SCHEMA_REJECTS
+
+
+@pytest.mark.parametrize("mutate,needle", _ERROR_CATALOG)
 def test_problem_from_dict_error_catalog(mutate, needle):
     doc = _minimal_doc()
     mutate(doc)
@@ -492,6 +513,41 @@ def test_changed_documents_the_schema_rejects_raise_config_error(name):
             continue
         loaded.append((path, change))
     assert loaded == []
+
+
+def _reference_validator():
+    """jsonschema's Draft 2020-12 validator of the packaged schema, with the
+    loader's numbers: finite ones only (json parses NaN and Infinity), and
+    neither JSON true nor false."""
+    jsonschema = pytest.importorskip("jsonschema")
+    base = jsonschema.Draft202012Validator
+    checker = base.TYPE_CHECKER.redefine_many({
+        kind: lambda checker, value, kind=kind:
+            base.TYPE_CHECKER.is_type(value, kind) and math.isfinite(value)
+        for kind in ("number", "integer")})
+    return jsonschema.validators.extend(base, type_checker=checker)(
+        json.loads(SCHEMA_PATH.read_text(encoding="utf-8")))
+
+
+def _loader_accepts(doc):
+    try:
+        problems._validate(doc)
+    except ConfigError:
+        return False
+    return True
+
+
+def test_loader_validator_agrees_with_jsonschema():
+    """The same verdict on every one-path change of every builtin's dump and
+    on every document of the error catalog."""
+    reference = _reference_validator()
+    docs = [doc for name in sorted(BUILTINS)
+            for _, _, doc in _mutants(problem_to_dict(get_builtin(name)))]
+    for mutate, _ in _ERROR_CATALOG:
+        docs.append(_minimal_doc())
+        mutate(docs[-1])
+    disagree = [doc for doc in docs if reference.is_valid(doc) != _loader_accepts(doc)]
+    assert disagree == []
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
