@@ -30,7 +30,6 @@ from .inverse import (
     ScalarBracket,
     Semilinear,
     invert,
-    lipschitz_of_inverse,
 )
 from .model import (
     Box,
@@ -66,7 +65,6 @@ from .solvers import (
     alg1_step,
     auto_step,
     catching_up_step,
-    fit_decay_rate,
     fit_linear_rate,
     loglinear_fit,
     rate_bounds,

@@ -14,8 +14,9 @@ from point values by rounding, so every pair whose exact ratio could be the
 extremum (or whose test could go either way) is computed by point, as it
 would be in a loop over all pairs. The results are the point loop's, bit
 for bit; a batch that hits a zero divisor or a non-finite value sends the
-estimator to that loop, which raises the point error. The last draw, and
-each field's batch values on it, are kept for the next screen of its rows.
+estimator to that loop, which raises the point error. A plan keeps its draw
+in each dimension, and each field's batch values on it, for the next screen
+of its rows.
 """
 
 from __future__ import annotations
@@ -42,14 +43,13 @@ _CHUNK = 1024
 # relative amount, or after this many steps from each start.
 _POWER_TOL = 1e-10
 _POWER_MAX_ITER = 100_000
-# sample_pairs' last draw, (key or None, X, Y, kept), replaced whole. kept maps a
-# chunk start to {id(field): (field, values)}, at most _KEPT fields, held so no id is reused.
+# A plan's draw in one dimension is (X, Y, kept); kept maps a chunk start to
+# {id(field): (field, values)}, at most _KEPT fields, held so no id is reused.
 _KEPT = 4
-_last = (None, None, None, None)
 
 
 class _Pairs(list):
-    """sample_pairs' rows; ``draw`` is their draw's _last and the rows as drawn."""
+    """sample_pairs' rows; ``draw`` is their draw, (X, Y, kept), and the rows as drawn."""
 
 
 def _norm(u):
@@ -68,7 +68,9 @@ class SamplingPlan:
     Pairs are drawn in the box [lo, hi]^n: roughly half with both points
     uniform (captures global behaviour), half with the second point a small
     offset of the first (captures local slopes). Pairs closer than
-    ``min_separation`` are rejected.
+    ``min_separation`` are rejected. The plan keeps its draws, which are
+    not part of its value: it compares, hashes, prints and pickles by its
+    five fields.
     """
 
     seed: int
@@ -90,33 +92,32 @@ class SamplingPlan:
             raise ValueError("need finite lo, hi and hi - lo")
         if not self.lo < self.hi:
             raise ValueError("need lo < hi")
+        # A Generator is refused: its state moves with each draw.
         seeds = self.seed if isinstance(self.seed, (list, tuple)) else [self.seed]
-        if not isinstance(self.seed, (np.random.SeedSequence, np.random.Generator)) and not all(
+        if not isinstance(self.seed, np.random.SeedSequence) and not all(
                 not isinstance(s, bool) and hasattr(s, "__index__") and s >= 0 for s in seeds):
-            raise ValueError(f"seed {self.seed!r}: need ints >= 0, a SeedSequence or a Generator")
+            raise ValueError(f"seed {self.seed!r}: need ints >= 0 or a SeedSequence")
         ms = self.min_separation
         if isinstance(ms, bool) or not isinstance(ms, numbers.Real) or not 0 <= ms < math.inf:
             raise ValueError(f"min_separation must be a finite real >= 0, got {ms!r}")
+        object.__setattr__(self, "_draws", {})  # dim -> sample_pairs' (X, Y, kept)
+
+    def __reduce__(self):
+        return type(self), (self.seed, self.count, self.lo, self.hi, self.min_separation)
 
 
 def sample_pairs(plan, dim):
     """The plan's point pairs in dimension ``dim``, a fresh list of read-only
     ``(x, y)`` arrays.
 
-    The last draw is kept: asking again for the same ``(plan, dim)``, as
-    ``auto_step`` does for gamma and L, draws once (``float.hex`` keys tell
-    -0.0 from 0.0, which draw other bits). A seed other than an int (a list,
-    a SeedSequence, a Generator) or a bound not an int or float draws afresh.
+    The plan draws once per dimension and keeps the draw: asking it again,
+    as ``auto_step`` does for gamma and L, returns the same pairs undrawn.
     """
-    global _last
-    bounds, key, last = (plan.lo, plan.hi, plan.min_separation), None, _last
-    if type(plan.seed) is int and all(type(b) in (int, float) for b in bounds):
-        key = (plan.seed, type(dim), dim, plan.count,
-               *(b.hex() if type(b) is float else b for b in bounds))
-    if key is None or key != last[0]:
-        last = _last = (key, *_draw(plan, dim), {})
-    pairs = _Pairs(zip(last[1], last[2]))
-    pairs.draw = last, tuple(pairs)
+    draw = plan._draws.get(dim)
+    if draw is None:
+        draw = plan._draws[dim] = (*_draw(plan, dim), {})
+    pairs = _Pairs(zip(draw[0], draw[1]))
+    pairs.draw = draw, tuple(pairs)
     return pairs
 
 
@@ -213,7 +214,7 @@ def _screen(fields, pairs, bounds):
     """``bounds(X, Y, values)`` over ``pairs`` on batches of at most _CHUNK
     pairs (bounding a screen's memory), joined; None if a batch is unusable
     (see _batched). Pairs not one draw's rows, in order, are stacked afresh."""
-    (_, X, Y, kept), rows = getattr(pairs, "draw", ((None,) * 4, ()))
+    (X, Y, kept), rows = getattr(pairs, "draw", ((None,) * 3, ()))
     if len(pairs) != len(rows) or not all(map(operator.is_, pairs, rows)):
         P = np.array(pairs).reshape(len(pairs), 2, -1)
         X, Y, kept = P[:, 0], P[:, 1], {}
@@ -294,22 +295,13 @@ def pair_modulus_linear(A1, A2):
     return float(np.linalg.eigvalsh(S)[0])
 
 
-def _field_pairs(field, plan, dim):
-    """The plan's pairs in dimension ``dim``, by default the field's."""
-    if dim is None:
-        dim = getattr(field, "dim", None)
-        if dim is None:
-            raise ValueError("pass dim= for plain-callable fields")
-    return sample_pairs(plan, dim)
-
-
-def sample_pair_modulus(f, w, plan, dim=None):
+def sample_pair_modulus(f, w, plan):
     """Sampled pair modulus: min over pairs of <df, dw> / |dx|^2.
 
     Upper bound on the true infimum (every sampled ratio is at least it),
     deterministic given the plan's seed.
     """
-    pairs = _field_pairs(f, plan, dim)
+    pairs = sample_pairs(plan, f.dim)
     best = np.inf
     for x, y in _candidates((f, w), pairs, _modulus_bounds):
         num = float(np.dot(np.asarray(f(x)) - np.asarray(f(y)),
@@ -331,12 +323,12 @@ def _modulus_bounds(X, Y, values):
     return -q - err, -q + err
 
 
-def sample_lipschitz(f, plan, dim=None):
+def sample_lipschitz(f, plan):
     """Sampled Lipschitz constant: max over pairs of |df| / |dx|.
 
     Lower bound on the true constant, deterministic given the seed.
     """
-    pairs = _field_pairs(f, plan, dim)
+    pairs = sample_pairs(plan, f.dim)
     best = 0.0
     for x, y in _candidates((f,), pairs, _lipschitz_bounds):
         ratio = float(np.linalg.norm(np.asarray(f(x)) - np.asarray(f(y)))
@@ -365,14 +357,14 @@ class PseudoReport:
         return self.violations == 0
 
 
-def check_pseudo_pair(f, w, plan, dim=None, slack=1e-12):
+def check_pseudo_pair(f, w, plan, slack=1e-12):
     """Sampled pseudo-monotonicity check for the pair (f, w).
 
     For each ordered pair (a, b): if <f(a), w(b)-w(a)> >= -slack then
     <f(b), w(b)-w(a)> >= -slack must hold too. Zero violations is evidence,
     not proof. Up to ten witness pairs are kept for inspection.
     """
-    pairs = _field_pairs(f, plan, dim)
+    pairs = sample_pairs(plan, f.dim)
     flags = _screen((f, w), pairs, lambda X, Y, values: _pseudo_flags(values, slack))
     # Per pair, its two violation flags if the batch decides them, else None.
     known = [None] * len(pairs) if flags is None else [

@@ -289,7 +289,10 @@ def main(argv=None):
     try:
         parser = build_parser(os.environ.get("QVI_SEED", "0"))
         args = parser.parse_args(argv)
-        return args.func(args)
+        # A run that overflows says so by its status or error line, not by
+        # NumPy warnings on stderr.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

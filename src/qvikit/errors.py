@@ -34,7 +34,7 @@ class NoConvergence(QvikitError):
         self.achieved = achieved
 
 
-class SingularLinearPart(QvikitError):
+class SingularLinearPart(ConfigError):
     """A linear part that must be invertible is numerically singular."""
 
 

@@ -12,7 +12,10 @@ the shapes of v that actually occur:
 
 Every invert call verifies |x - v(x) - y| <= inner_tol a posteriori, which
 turns the well-definedness of the inverse from a hypothesis into a runtime
-contract.
+contract. Each strategy's ``lipschitz()`` bounds the Lipschitz constant of
+the inverse: exactly for LinearExact, by 1/(1-l) and |(I-A)^{-1}|/(1 -
+|(I-A)^{-1}| L_g) for the contractions, and by a seeded sampled estimate (a
+lower bound) for ScalarBracket.
 
 PicardContraction tests its stopping rule a chunk of iterates at a time: one
 NumPy pass screens every step, and only the steps that may stop the loop get
@@ -474,14 +477,3 @@ def invert(spec, y, inner_log=None):
     reach that raises NoConvergence with the achieved residual.
     """
     return spec.invert(y, inner_log=inner_log)
-
-
-def lipschitz_of_inverse(spec):
-    """Lipschitz constant of (Id - v)^{-1} for the strategy at hand.
-
-    Exact for LinearExact (largest singular value of (I-V)^{-1}), the
-    standard bounds 1/(1-l) and |(I-A)^{-1}|/(1 - |(I-A)^{-1}| L_g) for the
-    contraction strategies, and a seeded sampled estimate (a lower bound)
-    for ScalarBracket.
-    """
-    return spec.lipschitz()

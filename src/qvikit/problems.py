@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SingularLinearPart
 from .expr import print_expr
 from .inverse import (
     LinearExact,
@@ -296,14 +296,22 @@ def _inverse_from_json(spec, v, dim):
     if strategy == "linear_exact":
         if v.matrix is None or v.remainder is not None:
             raise ConfigError("inverse.strategy: linear_exact needs v in pure matrix form")
-        return LinearExact(v.matrix, **kwargs)
+        try:
+            return LinearExact(v.matrix, **kwargs)
+        except SingularLinearPart as exc:
+            raise SingularLinearPart(f"v.matrix: {exc}") from exc
     if strategy == "picard":
         return PicardContraction(v, float(spec["l"]), **kwargs)
     if strategy == "semilinear":
         if v.matrix is None or v.remainder is None:
             raise ConfigError("inverse.strategy: semilinear needs v in {matrix, remainder} form")
         g = VectorField(dim, remainder=v.remainder)
-        return Semilinear(v.matrix, g, float(spec["l_g"]), **kwargs)
+        try:
+            return Semilinear(v.matrix, g, float(spec["l_g"]), **kwargs)
+        except SingularLinearPart as exc:
+            raise SingularLinearPart(f"v.matrix: {exc}") from exc
+        except ConfigError as exc:  # the contraction factor |(I-A)^{-1}| l_g
+            raise ConfigError(f"inverse.l_g: {exc}") from exc
     if dim != 1:  # scalar_bracket, the schema's last strategy
         raise ConfigError("inverse.strategy: scalar_bracket only applies in dimension 1")
     a, b = map(float, spec["bracket"])
@@ -359,8 +367,11 @@ def problem_from_dict(doc):
     dim, name = int(doc["dim"]), doc.get("meta", {}).get("name", "unnamed")
     f = _field_from_json(doc["f"], dim, "f")
     if doc.get("kind") == "zero":
-        return ZeroProblem(name, dim, f,
-                           ZeroMap.from_matrix(_matrix(doc["w"]["matrix"], dim, "w.matrix")))
+        try:
+            w = ZeroMap.from_matrix(_matrix(doc["w"]["matrix"], dim, "w.matrix"))
+        except SingularLinearPart as exc:
+            raise SingularLinearPart(f"w.matrix: {exc}") from exc
+        return ZeroProblem(name, dim, f, w)
     v = _field_from_json(doc["v"], dim, "v")
     return QviProblem(name, dim, f, v, _inverse_from_json(doc["inverse"], v, dim),
                       _set_from_json(doc["set"], dim),

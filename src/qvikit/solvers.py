@@ -407,11 +407,3 @@ def fit_linear_rate(residuals):
     """Per-iteration contraction factor in (0, 1] fitted from a residual run."""
     slope, _, _ = loglinear_fit(residuals)
     return min(float(np.exp(slope)), 1.0)
-
-
-def fit_decay_rate(residuals, h):
-    """Continuous-time decay exponent: minus the fitted slope divided by h."""
-    if not h > 0:
-        raise ValueError("h must be positive")
-    slope, _, _ = loglinear_fit(residuals)
-    return -slope / h

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import math
+import pickle
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -220,6 +221,7 @@ def test_sampling_plan_count_must_be_an_integer(count):
 @pytest.mark.parametrize("field,value", [
     ("seed", 2.5), ("seed", -1), ("seed", True), ("seed", np.True_), ("seed", "3"),
     ("seed", None), ("seed", [1, -2]), ("seed", [1, 2.0]), ("seed", (True,)),
+    ("seed", np.random.default_rng(5)),
     ("min_separation", None), ("min_separation", math.nan), ("min_separation", -1.0),
     ("min_separation", math.inf), ("min_separation", True), ("min_separation", "1e-6"),
     ("min_separation", 1j)])
@@ -245,7 +247,7 @@ def test_sampling_plan_takes_real_bounds(lo, hi):
 
 
 @pytest.mark.parametrize("seed", [np.int64(3), np.uint8(3), 2**70, [1, 2], (3, np.int32(4)), [],
-                                  np.random.SeedSequence(5), np.random.default_rng(5)])
+                                  np.random.SeedSequence(5)])
 @pytest.mark.parametrize("min_separation", [0, 0.0, np.float32(1e-3), np.int64(1)])
 def test_sampling_plan_takes_every_kind_of_seed(seed, min_separation):
     plan = SamplingPlan(seed=seed, count=20, min_separation=min_separation)
@@ -338,14 +340,12 @@ def test_sampled_pairs_are_read_only():
 
 
 def _counted_draws(monkeypatch):
-    """Empties sample_pairs' memo and returns the list of the (plan, dim)
-    of every fresh draw from then on."""
+    """The list of the (plan, dim) of every fresh draw from now on."""
     draws, draw = [], analysis._draw
 
     def counted(plan, dim):
         draws.append((plan, dim))
         return draw(plan, dim)
-    monkeypatch.setattr(analysis, "_last", (None, None, None, None))
     monkeypatch.setattr(analysis, "_draw", counted)
     return draws
 
@@ -361,11 +361,13 @@ def test_a_sampled_step_draws_once(monkeypatch, name, step, calls):
         return sample_pairs(plan, dim)
     monkeypatch.setattr(analysis, "sample_pairs", logged)
     draws = _counted_draws(monkeypatch)
-    h = step(problem, SamplingPlan(seed=11, count=500))
+    plan = SamplingPlan(seed=11, count=500)
+    h = step(problem, plan)
     assert (len(asked), len(draws)) == (calls, 1)
-    # A numpy integer seed bypasses the memo and draws the same bits anew.
+    # The plan keeps its draw; an equal plan draws the same bits anew.
+    assert step(problem, plan) == h and len(draws) == 1
     assert step(problem, SamplingPlan(seed=np.int64(11), count=500)) == h
-    assert len(draws) == 1 + calls
+    assert len(draws) == 2
 
 
 def _chunk_sizes(plan, dim):
@@ -423,43 +425,61 @@ def test_screens_of_pairs_other_than_the_draws_rows_give_the_point_bits(monkeypa
         [a.tobytes() + b.tobytes() for a, b in point.witnesses]
 
 
-def test_the_memo_gives_each_key_its_reference_pairs(monkeypatch):
+def test_a_plan_draws_once_per_dimension(monkeypatch):
     draws = _counted_draws(monkeypatch)
-    a, b = SamplingPlan(seed=21, count=300), SamplingPlan(seed=22, count=300)
-    keys = [(a, 2), (a, 3), (b, 2), (a, 2)]
-    for plan, dim in keys:
+    a, b = SamplingPlan(seed=21, count=300), SamplingPlan(seed=[22], count=300)
+    for plan, dim in [(a, 2), (a, 3), (b, 2), (a, 2), (b, 3), (a, 3)]:
         want = _pairs_or_error(reference_pairs, plan, dim)
         for _ in range(2):
             assert _pairs_or_error(sample_pairs, plan, dim) == want
-    assert draws == keys
+    assert draws == [(a, 2), (a, 3), (b, 2), (b, 3)]
 
 
-def test_plans_that_draw_other_bits_are_drawn_afresh(monkeypatch):
+def test_each_plan_draws_its_own_bits(monkeypatch):
     draws = _counted_draws(monkeypatch)
+    # Equal but distinct plans draw separately, with the same bits.
+    twins = [SamplingPlan(seed=seed, count=300) for seed in (3, 3, np.int64(3))]
+    got = [_pairs_or_error(sample_pairs, plan, 2) for plan in twins]
+    assert got == [_pairs_or_error(reference_pairs, twins[0], 2)] * 3
+    assert draws == [(plan, 2) for plan in twins]
     # Equal plans whose signed zeros draw different bits.
     plus, minus = (SamplingPlan(seed=3, count=4000, lo=lo, hi=1.0) for lo in (0.0, -0.0))
     assert plus == minus
-    got = [_pairs_or_error(sample_pairs, plan, 2) for plan in (plus, minus, plus)]
-    assert got[0] != got[1] and got[2] == got[0]
-    assert got[:2] == [_pairs_or_error(reference_pairs, plan, 2) for plan in (plus, minus)]
-    assert len(draws) == 3
-    # A Generator moves on with each draw; a list seed is never kept either.
-    generator, twin = (SamplingPlan(seed=np.random.default_rng(5), count=300)
-                       for _ in range(2))
-    got = [_pairs_or_error(sample_pairs, generator, 2) for _ in range(2)]
-    fresh = [_pairs_or_error(lambda plan, dim: zip(*analysis._draw(plan, dim)), twin, 2)
-             for _ in range(2)]
-    assert got[0] != got[1] and got == fresh
-    listed = SamplingPlan(seed=[1, 2], count=300)
-    assert _pairs_or_error(sample_pairs, listed, 2) == _pairs_or_error(sample_pairs, listed, 2)
-    assert len(draws) == 9
+    got = [_pairs_or_error(sample_pairs, plan, 2) for plan in (plus, minus)]
+    assert got[0] != got[1]
+    assert got == [_pairs_or_error(reference_pairs, plan, 2) for plan in (plus, minus)]
     # float32 bounds draw other bits than the floats they equal.
     single = SamplingPlan(seed=1, count=300, lo=np.float32(0.1), hi=np.float32(0.7))
     double = SamplingPlan(seed=1, count=300, lo=float(single.lo), hi=float(single.hi))
     got = [_pairs_or_error(sample_pairs, plan, 2) for plan in (double, single)]
     assert got[0] != got[1]
     assert got == [_pairs_or_error(reference_pairs, plan, 2) for plan in (double, single)]
-    assert len(draws) == 11
+    # A Generator moves on with each draw, so no plan takes one.
+    with pytest.raises(ValueError, match=r"seed Generator\(PCG64\)"):
+        SamplingPlan(seed=np.random.default_rng(5))
+
+
+class _BatchedFuncField(FuncField):
+    """A FuncField with a batch form, so the screens keep its values."""
+
+    def evaluate_batch(self, X):
+        return np.column_stack([self(x) for x in X.T]), np.zeros(X.shape[1])
+
+
+def test_a_plan_is_its_five_fields():
+    plan, twin = SamplingPlan(seed=5, count=300), SamplingPlan(seed=5, count=300)
+    f = _BatchedFuncField(2, lambda x: 2.0 * x)
+    assert sample_lipschitz(f, plan) == 2.0
+    assert all(id(f) in fields for fields in sample_pairs(plan, 2).draw[0][2].values())
+    with pytest.raises((AttributeError, pickle.PicklingError)):
+        pickle.dumps(f)
+    # The draws and the values kept on them are not part of the plan's value.
+    assert (plan, hash(plan), repr(plan)) == (twin, hash(twin), repr(twin))
+    assert repr(plan) == ("SamplingPlan(seed=5, count=300, lo=-10.0, hi=10.0, "
+                          "min_separation=1e-06)")
+    copy = pickle.loads(pickle.dumps(plan))
+    assert copy == plan and copy._draws == {}
+    assert _pairs_or_error(sample_pairs, copy, 2) == _pairs_or_error(sample_pairs, plan, 2)
 
 
 def test_a_returned_list_is_the_callers_own(monkeypatch):

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
 import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qvikit.cli import main
 from qvikit.problems import dump_problem, get_builtin, load_problem, problem_to_dict
@@ -168,6 +175,19 @@ def test_sweep_reports_decay_rate(capsys):
     assert float(match.group(2)) >= 0.9
 
 
+def test_sweep_decay_rate_is_per_unit_time(tmp_path, capsys):
+    # f = 2 x with v = 0 steps x <- 0.8 x at h 0.1: the speeds shrink by 0.8
+    # a step, a decay rate of -log(0.8) / 0.1 per unit time.
+    doc = {"kind": "qvi", "dim": 1, "f": ["2*x1"], "v": {"matrix": [[0.0]]},
+           "inverse": {"strategy": "linear_exact"}, "set": {"type": "whole_space"}}
+    path = tmp_path / "decay.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "sweep", str(path), "--x0", "1", "--h", "0.1", "--T", "4")
+    assert code == 0
+    alpha = float(re.search(r"alpha_hat=([^ ]+)", out).group(1))
+    assert alpha == pytest.approx(-np.log(0.8) / 0.1, abs=1e-9)
+
+
 def test_analyze_spectral_displacement_constant(capsys):
     code, out, _ = run(capsys, "analyze", "builtin:example1", "--estimate", "l")
     assert code == 0
@@ -307,6 +327,8 @@ def test_singular_scaffold_reports_cleanly(tmp_path, capsys):
     (["solve", "builtin:example1"], "--x0"),
     (["sweep", "builtin:example4", "--x0", EX4_X0, "--h", "1", "--T", "5"],
      "qvi problem"),
+    (["sweep", "builtin:example1", "--x0", "6,2", "--h", "0", "--T", "1"],
+     "--h must be positive, got 0.0"),
     (["zero", "builtin:example1", "--x0", "1,1"], "zero problem"),
     (["analyze", "builtin:example4", "--estimate", "L"], "qvi problem"),
     (["solve", "missing.json", "--x0", "1"], "missing.json"),
@@ -408,3 +430,82 @@ def test_long_sums_solve_and_dump_or_exit_1(tmp_path, capsys):
     code, out, err = run(capsys, "solve", write(1000, "too-long.json"), *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: ParseError: expression tree is deeper than 256 levels")
+
+
+# Expression forms for the fuzzed fields, over variables i and j and a constant c.
+_FORMS = ["{c}*x{i}", "{c}", "sin(x{i})", "{c}*cos(x{j}) - x{i}", "x{i}^3", "1/x{i}",
+          "sqrt(x{i})", "abs(x{i}) + min(x{i}, x{j})", "max(x{i}, {c})*x{j}"]
+_ENTRIES = [-2.0, -0.7, 0.0, 0.3, 0.5, 1.0, 2.5]
+
+
+@st.composite
+def _cli_runs(draw):
+    """A 1-3-D problem document and the argv after its path: every field
+    form, inverse strategy and set kind, each command, with bounded work."""
+    dim = draw(st.integers(1, 3))
+
+    def pick(values):
+        return draw(st.sampled_from(values))
+
+    def matrix():
+        return [[pick(_ENTRIES) for _ in range(dim)] for _ in range(dim)]
+
+    def exprs():
+        return [pick(_FORMS).format(c=pick(_ENTRIES), i=draw(st.integers(1, dim)),
+                                    j=draw(st.integers(1, dim))) for _ in range(dim)]
+
+    def field(form=None):
+        form = form or pick(["exprs", "matrix", "split"])
+        return (exprs() if form == "exprs" else {"matrix": matrix()} if form == "matrix"
+                else {"matrix": matrix(), "remainder": exprs()})
+
+    x0 = "--x0=" + ",".join(str(pick(_ENTRIES)) for _ in range(dim))
+    if draw(st.integers(0, 5)) == 0:
+        doc = {"kind": "zero", "dim": dim, "f": field(), "w": {"matrix": matrix()}}
+        return doc, ["solve", "--algorithm", "alg3", x0, "--max-iter", "30"]
+    strategy = pick(["linear_exact", "picard", "semilinear", "scalar_bracket"])
+    inverse = {"strategy": strategy, "max_inner": draw(st.integers(1, 200))}
+    form = {"linear_exact": "matrix", "semilinear": "split"}.get(strategy)
+    if strategy == "picard":
+        inverse["l"] = pick([0.0, 0.3, 0.9])
+    elif strategy == "semilinear":
+        inverse["l_g"] = pick([0.05, 0.5, 3.0])
+    elif strategy == "scalar_bracket":
+        inverse["bracket"] = pick([[-10.0, 10.0], [0.0, 1.0], [-1e3, 5.0]])
+    kind = pick(["whole_space", "orthant", "box"])
+    cset = {"type": kind}
+    if kind == "box":
+        cset.update(lower=[-1.0 - pick(_ENTRIES) ** 2] * dim, upper=[pick(_ENTRIES) ** 2] * dim)
+    doc = {"dim": dim, "f": field(), "v": field(form), "inverse": inverse, "set": cset}
+    command = pick(["alg1", "tseng", "catchup", "sweep", "analyze"])
+    if command == "sweep":
+        return doc, ["sweep", x0, "--h", str(pick([0.05, 0.5])), "--T", "1"]
+    if command == "analyze":
+        return doc, ["analyze", "--estimate", pick(["L", "l", "gamma", "pseudo"]),
+                     "--samples", "50"]
+    h = pick(["auto", "0.1", "1"])
+    return doc, ["solve", "--algorithm", command, x0, "--h", h, "--max-iter", "30"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_cli_runs())
+# A semilinear inverse whose iterates overflow printed a NumPy warning over
+# its error line.
+@example(({"dim": 1, "f": {"matrix": [[-0.7]]}, "v": {"matrix": [[0.0]], "remainder": ["x1^3"]},
+           "inverse": {"strategy": "semilinear", "l_g": 0.05},
+           "set": {"type": "box", "lower": [-2.0], "upper": [0.0]}},
+          ["sweep", "--x0=-0.7", "--h", "0.5", "--T", "1"]))
+def test_fuzzed_problem_files_exit_with_a_code_or_one_error_line(run_spec):
+    doc, argv = run_spec
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "problem.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        # A warning would print a line of its own on stderr: here it raises.
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([argv[0], str(path), *argv[1:]])
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -34,7 +34,6 @@ from qvikit.inverse import (
     _norm,
     _verify,
     invert,
-    lipschitz_of_inverse,
 )
 from qvikit.model import FuncField, QviProblem, VectorField, WholeSpace
 from qvikit.solvers import SolverConfig, solve_alg1, sweep_trajectory
@@ -62,16 +61,16 @@ def test_linear_exact_multiply_back(ex2):
 
 
 def test_picard_lipschitz_closed_form():
-    assert lipschitz_of_inverse(_sine_picard(0.5)) == 2.0
+    assert _sine_picard(0.5).lipschitz() == 2.0
 
 
 def test_linear_exact_identity_lipschitz():
-    assert lipschitz_of_inverse(LinearExact(np.zeros((3, 3)))) == 1.0
+    assert LinearExact(np.zeros((3, 3))).lipschitz() == 1.0
 
 
 def test_linear_exact_lipschitz_matches_svd(ex2):
     want = 1.0 / np.linalg.svd(np.eye(3) - ex2.inverse.V, compute_uv=False).min()
-    got = lipschitz_of_inverse(ex2.inverse)
+    got = ex2.inverse.lipschitz()
     assert got == pytest.approx(want, rel=1e-8)
 
 
@@ -101,7 +100,7 @@ def test_inverse_is_lipschitz_exact_strategies(ex1, ex3):
     for spec, dim, scale in [(ex1.inverse, 2, 100.0),
                              (ex3.inverse, 3, 100.0),
                              (_sine_picard(), 1, 20.0)]:
-        bound = lipschitz_of_inverse(spec) + 1e-6
+        bound = spec.lipschitz() + 1e-6
         for _ in range(300):
             y1 = rng.uniform(-scale, scale, dim)
             y2 = rng.uniform(-scale, scale, dim)
@@ -116,7 +115,7 @@ def test_inverse_is_lipschitz_sampled_bracket(r5):
     # checked: mean-value averaging keeps far ratios strictly below the
     # near-pair supremum the estimate approaches.
     spec = r5.inverse
-    bound = lipschitz_of_inverse(spec) + 1e-6
+    bound = spec.lipschitz() + 1e-6
     rng = np.random.default_rng(11)
     checked = 0
     for _ in range(500):

@@ -99,7 +99,6 @@ def test_builtin_dump_holds_only_declared_constants(name):
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_building_a_builtin_draws_no_sample(name, monkeypatch):
     draws, draw = [], analysis._draw
-    monkeypatch.setattr(analysis, "_last", (None, None, None, None))
     monkeypatch.setattr(analysis, "_draw",
                         lambda *args: draws.append(args) or draw(*args))
     get_builtin(name)
@@ -392,6 +391,17 @@ _ERROR_CATALOG = [
     (lambda d: d.update(v=["-2*x1"], inverse={"strategy": "scalar_bracket",
                                               "bracket": [1e308, 1.5e308]}),
      r"inverse\.bracket: expected finite a < b .* got \[1e\+308, 1\.5e\+308\]"),
+    # Rejections by the strategy or map built, which name their JSON path.
+    (lambda d: d.update(v={"matrix": [[0.5]], "remainder": ["0.1*sin(x1)"]},
+                        inverse={"strategy": "semilinear", "l_g": 5.0}),
+     r"^inverse\.l_g: semilinear contraction factor 10\.000 is not < 1$"),
+    (lambda d: d.update(v={"matrix": [[1.0]]}),
+     r"^v\.matrix: I - V is numerically singular$"),
+    (lambda d: d.update(v={"matrix": [[1.0]], "remainder": ["0.1*sin(x1)"]},
+                        inverse={"strategy": "semilinear", "l_g": 0.1}),
+     r"^v\.matrix: I - A is numerically singular$"),
+    (lambda d: d.update(kind="zero", w={"matrix": [[0.0]]}),
+     r"^w\.matrix: w matrix is numerically singular$"),
 ] + _SCHEMA_REJECTS
 
 

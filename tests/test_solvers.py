@@ -6,7 +6,7 @@ from numpy.linalg import norm
 
 from qvikit import analysis, inverse
 from qvikit.errors import ConfigError, DiagnosticsError, SingularLinearPart
-from qvikit.inverse import LinearExact, lipschitz_of_inverse
+from qvikit.inverse import LinearExact
 from qvikit.model import (
     Box,
     Constant,
@@ -25,7 +25,6 @@ from qvikit.solvers import (
     alg1_step,
     auto_step,
     catching_up_step,
-    fit_decay_rate,
     fit_linear_rate,
     loglinear_fit,
     rate_bounds,
@@ -354,7 +353,6 @@ def test_sweep_decay_rate_scalar(r5):
     slope, r2, _ = loglinear_fit(speeds)
     assert slope < 0.0
     assert r2 >= 0.9
-    assert fit_decay_rate(speeds, 0.01) > 0.0
 
 
 def test_sweep_decay_rate_example1(ex1):
@@ -391,14 +389,6 @@ def test_loglinear_fit_needs_five_points():
         loglinear_fit([1.0, 0.5, 0.25])
     with pytest.raises(DiagnosticsError):
         loglinear_fit(np.full(10, 1e-20))
-
-
-def test_fit_decay_rate_continuous_time():
-    h = 0.1
-    values = np.exp(-2.0 * h * np.arange(40))
-    assert fit_decay_rate(values, h) == pytest.approx(2.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        fit_decay_rate(values, 0.0)
 
 
 def test_fit_linear_rate_capped_at_one():
@@ -564,22 +554,18 @@ def test_pure_linear_f_takes_spectral_constants(monkeypatch):
 
 def test_a_second_auto_step_reuses_the_kept_values_of_w(monkeypatch):
     # gamma screens the pair (f, Id - v): one Id - v per problem, so a second
-    # auto_step on the plan evaluates no batch of it and keeps nothing more.
+    # auto_step on the plan evaluates no batch of f or of it and keeps nothing more.
     problem, batches = get_builtin("example1"), []
-    batch = IdMinus.evaluate_batch
-
-    def counted(field, X):
-        batches.append(field)
-        return batch(field, X)
-    monkeypatch.setattr(IdMinus, "evaluate_batch", counted)
-    monkeypatch.setattr(analysis, "_last", (None, None, None, None))
+    for cls in (IdMinus, VectorField):
+        monkeypatch.setattr(cls, "evaluate_batch", lambda field, X, batch=cls.evaluate_batch:
+                            batches.append(field) or batch(field, X))
     plan = SamplingPlan(seed=21, count=2500)
     h = auto_step(problem, plan)
-    kept = analysis._last[3]
+    kept = plan._draws[problem.dim][2]
     sizes = {start: len(fields) for start, fields in kept.items()}
-    assert batches and all(w is problem.w for w in batches)
+    assert set(map(id, batches)) == {id(problem.f), id(problem.w), id(problem.v)}
     assert all(id(problem.w) in fields for fields in kept.values())
     del batches[:]
     assert auto_step(problem, plan) == h
-    assert analysis._last[3] is kept and batches == []
+    assert plan._draws[problem.dim][2] is kept and batches == []
     assert {start: len(fields) for start, fields in kept.items()} == sizes
