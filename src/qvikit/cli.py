@@ -237,6 +237,16 @@ def _add_problem_args(sub):
 _X0_HELP = "comma-separated start point; write --x0=-1,2 when the first entry is negative"
 
 
+def _add_run_args(sub, h, tol):
+    """The start, step, stopping and output flags of solve and zero."""
+    sub.add_argument("--x0", required=True, help=_X0_HELP)
+    sub.add_argument("--h", default=h, help="step size, or 'auto'")
+    sub.add_argument("--tol", type=float, default=tol)
+    sub.add_argument("--max-iter", type=int, default=10_000)
+    sub.add_argument("--out", default=None, help="CSV trace path")
+    sub.add_argument("--summary", default=None, help="summary JSON path")
+
+
 def build_parser(default_seed):
     parser = _Parser(prog="qvikit", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
@@ -245,12 +255,7 @@ def build_parser(default_seed):
     _add_problem_args(solve)
     solve.add_argument("--algorithm", default="alg1",
                        choices=["alg1", "tseng", "catchup", "alg3"])
-    solve.add_argument("--x0", required=True, help=_X0_HELP)
-    solve.add_argument("--h", default="auto", help="step size, or 'auto'")
-    solve.add_argument("--tol", type=float, default=1e-8)
-    solve.add_argument("--max-iter", type=int, default=10_000)
-    solve.add_argument("--out", default=None, help="CSV trace path")
-    solve.add_argument("--summary", default=None, help="summary JSON path")
+    _add_run_args(solve, h="auto", tol=1e-8)
     solve.add_argument("--seed", type=_seed, default=default_seed)
     solve.add_argument("--literal", action="store_true",
                        help="with tseng: use the uncorrected update (comparison only)")
@@ -274,12 +279,7 @@ def build_parser(default_seed):
 
     zero = subs.add_parser("zero", help="run the derivative-free zero finder")
     _add_problem_args(zero)
-    zero.add_argument("--x0", required=True, help=_X0_HELP)
-    zero.add_argument("--h", default="1")
-    zero.add_argument("--tol", type=float, default=1e-10)
-    zero.add_argument("--max-iter", type=int, default=10_000)
-    zero.add_argument("--out", default=None, help="CSV trace path")
-    zero.add_argument("--summary", default=None, help="summary JSON path")
+    _add_run_args(zero, h="1", tol=1e-10)
     zero.set_defaults(func=cmd_solve, algorithm="alg3", literal=False)
 
     return parser

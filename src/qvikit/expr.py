@@ -16,8 +16,9 @@ positive integer literals. Variables are named x1..x<dim>. The function
 catalog is fixed: sin, cos, abs, sqrt (one argument), min, max (two).
 
 Trees evaluate through generated Python functions (field_function), cached
-by value; the generated source holds no text from the expression, only
-made-up names, integers, operators and catalog names.
+by value and kept on each evaluated root as a cached property; the generated
+source holds no text from the expression, only made-up names, integers,
+operators and catalog names.
 """
 
 from __future__ import annotations
@@ -47,7 +48,15 @@ _MAX_HEIGHT = 256
 
 class _Node:
     """Base of the tree nodes. A root evaluated once keeps its generated
-    functions as private attributes (see eval_expr); pickling leaves them out."""
+    functions as cached properties (see eval_expr); pickling leaves them out."""
+
+    @functools.cached_property
+    def _point_function(self):
+        return field_function((self,), "point")
+
+    @functools.cached_property
+    def _batch_function(self):
+        return field_function((self,), "batch")
 
     def __getstate__(self):
         return {k: v for k, v in vars(self).items() if not k.endswith("_function")}
@@ -365,16 +374,6 @@ def field_function(asts, backend):
     return namespace["fn"]
 
 
-def _kept(ast, backend):
-    """The function of the one tree ``ast``, kept on its (frozen) root node."""
-    attr = f"_{backend}_function"
-    fn = getattr(ast, attr, None)
-    if fn is None:
-        fn = field_function((ast,), backend)
-        object.__setattr__(ast, attr, fn)
-    return fn
-
-
 def eval_expr(ast, x):
     """Evaluate ``ast`` as IEEE doubles at the point ``x`` (indexable,
     0-based), or at each column of a 2-D array ``x`` of shape (n, N).
@@ -386,17 +385,12 @@ def eval_expr(ast, x):
     values agree with the point values to rounding.
     """
     if not (isinstance(x, np.ndarray) and x.ndim == 2):
-        try:
-            point = ast._point_function
-        except AttributeError:
-            point = _kept(ast, "point")
-        return point(x)[0]
+        return ast._point_function(x)[0]
     X = np.asarray(x, float)
     if not np.isfinite(X).all():
         raise EvalError("non-finite entry in the batch of points")
-    batch = _kept(ast, "batch")
     with np.errstate(all="ignore"):
-        (out,) = batch(X)
+        (out,) = ast._batch_function(X)
     if np.ndim(out) == 0:  # no variable in the tree
         return np.full(X.shape[1], out)
     return out if out.base is None else out.copy()  # a bare variable: a row of X

@@ -52,6 +52,7 @@ from .errors import (
     NoConvergence,
     SingularLinearPart,
 )
+from .model import VectorField
 
 
 def _flapack():
@@ -156,15 +157,12 @@ def _point(y, dim):
 def _unchecked(fn):
     """Evaluator of a displacement for inner loops.
 
-    A model field's ``evaluate`` skips the point checks that ``fn(x)`` makes;
+    A VectorField's ``evaluate`` skips the point checks that ``fn(x)`` makes;
     for a field with no remainder that is its matrix's ``dot``, returned
     itself. Any other callable is called as is, its result made a float array.
     """
-    if getattr(fn, "remainder", 0) is None:
-        return fn.matrix.dot
-    evaluate = getattr(fn, "evaluate", None)
-    if evaluate is not None:
-        return evaluate
+    if isinstance(fn, VectorField):
+        return fn.matrix.dot if fn.remainder is None else fn.evaluate
     return lambda x: np.asarray(fn(x), float)
 
 
@@ -276,8 +274,6 @@ class PicardContraction:
     _steps = _FIRST_CHUNK  # steps of the last invert that stopped
 
     def __post_init__(self):
-        from .model import VectorField  # model imports this module
-
         if not 0.0 <= self.l < 1.0:
             raise ConfigError(f"declared contraction l={self.l} must be < 1")
         self._v = _unchecked(self.v_map)

@@ -6,7 +6,8 @@ it into a fixed-set variational inequality in y = x - v(x):
 
     0 in T(y*) + N_C(y*),  T = f o (Id - v)^{-1},  x* = (Id - v)^{-1}(y*).
 
-Types here are immutable values; all operations are pure.
+Types here are immutable values; all operations are pure. Nothing here
+imports qvikit.inverse: a problem's own ``inverse`` strategy inverts.
 """
 
 from __future__ import annotations
@@ -19,18 +20,15 @@ import numpy as np
 from . import expr as edsl
 from .errors import EvalError
 from .analysis import _norm
-from .inverse import invert
 
 
-def as_vector(values, dim=None):
-    """Coerce to a finite 1-D float array, optionally checking the length."""
+def as_vector(values):
+    """Coerce to a finite 1-D float array."""
     x = np.atleast_1d(np.asarray(values, float))
     if x.ndim != 1:
         raise ValueError(f"expected a vector, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("vector entries must be finite")
-    if dim is not None and x.size != dim:
-        raise ValueError(f"expected dimension {dim}, got {x.size}")
     return x
 
 
@@ -83,8 +81,8 @@ class VectorField:
     """Map R^n -> R^n evaluated as matrix @ x + remainder(x).
 
     Either part may be absent, not both; the remainder is n expression ASTs,
-    which a point evaluation computes with one generated function that the
-    field keeps (pickling leaves it out). The matrix, a read-only copy, makes
+    which a point evaluation computes with one generated function kept as a
+    cached property (pickling drops it). The matrix, a read-only copy, makes
     spectral analysis possible; fields without one fall back to sampling.
     """
 
@@ -134,6 +132,11 @@ class VectorField:
     def __reduce__(self):
         return type(self), (self.dim, self.matrix, self.remainder)
 
+    @cached_property
+    def _function(self):
+        """The generated point function of the remainder's trees."""
+        return edsl.field_function(tuple(self.remainder), "point")
+
     def evaluate(self, x):
         """The field at a float vector ``x`` of length ``dim``, unchecked.
 
@@ -142,12 +145,8 @@ class VectorField:
         """
         if self.remainder is None:
             return self.matrix.dot(x)
-        fn = self.__dict__.get("_function")
-        if fn is None:
-            fn = edsl.field_function(tuple(self.remainder), "point")
-            object.__setattr__(self, "_function", fn)
         try:
-            rest = np.array(fn(x.tolist()))
+            rest = np.array(self._function(x.tolist()))
         except EvalError:
             rest = None
         if rest is None:
@@ -283,7 +282,7 @@ def project_moving(problem, base, z):
 def to_vi(problem):
     """Fixed-set variational-inequality form: the map T = f o (Id-v)^{-1} and C."""
     T = FuncField(problem.dim,
-                  lambda y: problem.f(invert(problem.inverse, y)))
+                  lambda y: problem.f(problem.inverse.invert(y)))
     return T, problem.set
 
 

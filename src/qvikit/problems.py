@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, SingularLinearPart
-from .expr import print_expr
+from .expr import parse, print_expr
 from .inverse import (
     LinearExact,
     PicardContraction,
@@ -53,6 +53,12 @@ _SHARED_F_MATRIX = [[5.0, 7.0, 2.0], [4.0, 3.0, -3.0], [8.0, 1.0, 2.0]]
 _SHARED_V_MATRIX = [[-9.0, -14.0, -4.0], [-8.0, -5.0, 6.0], [-16.0, -2.0, -3.0]]
 
 
+def _example3_f():
+    """The f of example 3, which example 4 shares."""
+    return VectorField.from_matrix(
+        _SHARED_F_MATRIX, ["0.8*sin(x2)^2", "0.7*sin(x3)", "0.8*cos(x1+x3)^3"])
+
+
 def example1():
     f = VectorField.from_matrix([[3.0, 1.0], [1.0, 4.0]],
                                 ["cos(x2)^3", "sin(x1)"])
@@ -72,10 +78,6 @@ def example2():
 
 
 def example3():
-    f = VectorField.from_matrix(
-        _SHARED_F_MATRIX,
-        ["0.8*sin(x2)^2", "0.7*sin(x3)", "0.8*cos(x1+x3)^3"],
-    )
     v = VectorField.from_matrix(
         _SHARED_V_MATRIX,
         ["0.6*cos(x2)^2", "0.5*sin(x1)", "0.7*sin(x3)^2"],
@@ -83,16 +85,12 @@ def example3():
     g = VectorField(3, remainder=v.remainder)
     # Componentwise slope bounds 0.6, 0.5, 0.7 give |g'| <= sqrt(1.10).
     inv = Semilinear(v.matrix, g, l_g=1.05)
-    return QviProblem("example3", 3, f, v, inv,
+    return QviProblem("example3", 3, _example3_f(), v, inv,
                       Box([-400.0] * 3, [500.0] * 3))
 
 
 def example4():
-    f = VectorField.from_matrix(
-        _SHARED_F_MATRIX,
-        ["0.8*sin(x2)^2", "0.7*sin(x3)", "0.8*cos(x1+x3)^3"],
-    )
-    return ZeroProblem("example4", 3, f, ZeroMap.from_matrix(_SHARED_F_MATRIX))
+    return ZeroProblem("example4", 3, _example3_f(), ZeroMap.from_matrix(_SHARED_F_MATRIX))
 
 
 def remark5():
@@ -216,6 +214,16 @@ def _validate(value, schema=_SCHEMA, path=""):
             _validate(value, then, path)
 
 
+def _at(path, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ConfigError it raises, of the same type
+    and ``offset``, names the JSON ``path`` at fault."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def _field_to_json(field):
     """A bare expression list for a remainder alone, else {matrix[, remainder]}."""
     if field.matrix is None:
@@ -234,21 +242,21 @@ def _matrix(rows, dim, what):
 
 
 def _expressions(texts, dim, what):
-    """``texts`` if it holds ``dim`` expressions; else a ConfigError."""
+    """The trees of ``texts`` if it holds ``dim`` expressions; else a
+    ConfigError, for a parse error one naming the expression's path."""
     if len(texts) != dim:
         raise ConfigError(f"{what}: expected an expression list of length {dim}")
-    return texts
+    return tuple(_at(f"{what}[{i}]", parse, text, dim) for i, text in enumerate(texts))
 
 
 def _field_from_json(spec, dim, what):
     if spec == "zero":
         return VectorField.zero(dim)
     if isinstance(spec, list):
-        return VectorField.from_exprs(_expressions(spec, dim, what), dim)
+        return VectorField(dim, remainder=_expressions(spec, dim, what))
     remainder = spec.get("remainder")
-    return VectorField.from_matrix(
-        _matrix(spec["matrix"], dim, f"{what}.matrix"),
-        remainder and _expressions(remainder, dim, f"{what}.remainder"))
+    return VectorField(dim, _matrix(spec["matrix"], dim, f"{what}.matrix"),
+                       remainder and _expressions(remainder, dim, f"{what}.remainder"))
 
 
 def _set_to_json(cset):
@@ -296,10 +304,7 @@ def _inverse_from_json(spec, v, dim):
     if strategy == "linear_exact":
         if v.matrix is None or v.remainder is not None:
             raise ConfigError("inverse.strategy: linear_exact needs v in pure matrix form")
-        try:
-            return LinearExact(v.matrix, **kwargs)
-        except SingularLinearPart as exc:
-            raise SingularLinearPart(f"v.matrix: {exc}") from exc
+        return _at("v.matrix", LinearExact, v.matrix, **kwargs)
     if strategy == "picard":
         return PicardContraction(v, float(spec["l"]), **kwargs)
     if strategy == "semilinear":
@@ -308,10 +313,10 @@ def _inverse_from_json(spec, v, dim):
         g = VectorField(dim, remainder=v.remainder)
         try:
             return Semilinear(v.matrix, g, float(spec["l_g"]), **kwargs)
-        except SingularLinearPart as exc:
-            raise SingularLinearPart(f"v.matrix: {exc}") from exc
-        except ConfigError as exc:  # the contraction factor |(I-A)^{-1}| l_g
-            raise ConfigError(f"inverse.l_g: {exc}") from exc
+        except ConfigError as exc:  # a singular I - A, else the contraction factor
+            at = "v.matrix" if isinstance(exc, SingularLinearPart) else "inverse.l_g"
+            exc.args = (f"{at}: {exc}",)
+            raise
     if dim != 1:  # scalar_bracket, the schema's last strategy
         raise ConfigError("inverse.strategy: scalar_bracket only applies in dimension 1")
     a, b = map(float, spec["bracket"])
@@ -339,24 +344,13 @@ def _constants_from_json(spec):
 
 def problem_to_dict(problem):
     """Serialize a problem to the JSON document structure."""
-    if isinstance(problem, ZeroProblem):
-        return {
-            "meta": {"name": problem.name},
-            "kind": "zero",
-            "dim": problem.dim,
-            "f": _field_to_json(problem.f),
-            "w": {"matrix": [[float(v) for v in row] for row in problem.w.matrix]},
-        }
-    return {
-        "meta": {"name": problem.name},
-        "kind": "qvi",
-        "dim": problem.dim,
-        "f": _field_to_json(problem.f),
-        "v": _field_to_json(problem.v),
-        "inverse": _inverse_to_json(problem.inverse),
-        "set": _set_to_json(problem.set),
-        "constants": _constants_to_json(problem.constants),
-    }
+    zero = isinstance(problem, ZeroProblem)
+    doc = {"meta": {"name": problem.name}, "kind": "zero" if zero else "qvi",
+           "dim": problem.dim, "f": _field_to_json(problem.f)}
+    if zero:
+        return {**doc, "w": {"matrix": [[float(v) for v in row] for row in problem.w.matrix]}}
+    return {**doc, "v": _field_to_json(problem.v), "inverse": _inverse_to_json(problem.inverse),
+            "set": _set_to_json(problem.set), "constants": _constants_to_json(problem.constants)}
 
 
 def problem_from_dict(doc):
@@ -367,10 +361,7 @@ def problem_from_dict(doc):
     dim, name = int(doc["dim"]), doc.get("meta", {}).get("name", "unnamed")
     f = _field_from_json(doc["f"], dim, "f")
     if doc.get("kind") == "zero":
-        try:
-            w = ZeroMap.from_matrix(_matrix(doc["w"]["matrix"], dim, "w.matrix"))
-        except SingularLinearPart as exc:
-            raise SingularLinearPart(f"w.matrix: {exc}") from exc
+        w = _at("w.matrix", ZeroMap.from_matrix, _matrix(doc["w"]["matrix"], dim, "w.matrix"))
         return ZeroProblem(name, dim, f, w)
     v = _field_from_json(doc["v"], dim, "v")
     return QviProblem(name, dim, f, v, _inverse_from_json(doc["inverse"], v, dim),

@@ -36,6 +36,7 @@ import numpy as np
 from .analysis import (
     SamplingPlan,
     _norm,
+    composition_modulus_bound,
     operator_norm,
     pair_modulus_linear,
     sample_lipschitz,
@@ -218,10 +219,10 @@ def rate_bounds(gamma, L, l, l_tilde):
     rho = sqrt(1 - gamma^2/(L^2 (1+l)^2)) belongs to h = gamma/L^2;
     kappa = sqrt(1 - alpha^2/(L^2 l_tilde^2)), alpha = gamma/(1+l)^2,
     belongs to h = alpha/(L^2 l_tilde^2). rho <= kappa whenever
-    l_tilde (1+l)^2 >= 1.
+    l_tilde (1+l)^2 >= 1. A gamma <= 0 or an l < 0 raises ValueError.
     """
+    alpha = composition_modulus_bound(gamma, l)
     q_rho = gamma**2 / (L**2 * (1.0 + l) ** 2)
-    alpha = gamma / (1.0 + l) ** 2
     q_kappa = alpha**2 / (L**2 * l_tilde**2)
     if not 0 < q_rho <= 1 or not 0 < q_kappa <= 1:
         raise ValueError("constants are inconsistent with a linear rate")

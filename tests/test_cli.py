@@ -429,7 +429,8 @@ def test_long_sums_solve_and_dump_or_exit_1(tmp_path, capsys):
 
     code, out, err = run(capsys, "solve", write(1000, "too-long.json"), *argv)
     assert (code, out) == (1, "")
-    assert err.startswith("error: ParseError: expression tree is deeper than 256 levels")
+    assert err.startswith(
+        "error: ParseError: f.remainder[0]: expression tree is deeper than 256 levels")
 
 
 # Expression forms for the fuzzed fields, over variables i and j and a constant c.

@@ -447,8 +447,10 @@ def test_compiled_tree_pickles_and_compares_as_before():
 
     ast = parse("-x1 + (1/3)*sin(x1)", 1)
     eval_expr(ast, [0.5])
+    eval_expr(ast, np.array([[0.5, 1.5]]))
     again = pickle.loads(pickle.dumps(ast))
     assert again == ast and hash(again) == hash(ast)
+    assert not any(name.endswith("_function") for name in vars(again))
     assert eval_expr(again, [0.5]) == eval_expr(ast, [0.5])
 
 

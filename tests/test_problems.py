@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qvikit.errors import ConfigError
+from qvikit.errors import ConfigError, ParseError, SingularLinearPart
 from qvikit.inverse import LinearExact, PicardContraction, ScalarBracket, Semilinear
 from qvikit.model import Box, NonnegativeOrthant, QviProblem, VectorField, WholeSpace
 from qvikit.problems import (
@@ -402,6 +402,15 @@ _ERROR_CATALOG = [
      r"^v\.matrix: I - A is numerically singular$"),
     (lambda d: d.update(kind="zero", w={"matrix": [[0.0]]}),
      r"^w\.matrix: w matrix is numerically singular$"),
+    # Parse errors name the expression's path.
+    (lambda d: d.update(f=["cos(x1"]),
+     r"^f\[0\]: expected '\)', found None \(at offset 6\)$"),
+    (lambda d: d.update(dim=2, f={"matrix": [[1.0, 0.0], [0.0, 1.0]], "remainder": ["0", "x3"]},
+                        v="zero", set={"type": "whole_space"}),
+     r"^f\.remainder\[1\]: variable 'x3' out of range for dimension 2 \(at offset 0\)$"),
+    (lambda d: d.update(v={"matrix": [[0.5]], "remainder": ["sin(x1"]},
+                        inverse={"strategy": "semilinear", "l_g": 0.1}),
+     r"^v\.remainder\[0\]: expected '\)', found None \(at offset 6\)$"),
 ] + _SCHEMA_REJECTS
 
 
@@ -411,6 +420,16 @@ def test_problem_from_dict_error_catalog(mutate, needle):
     mutate(doc)
     with pytest.raises(ConfigError, match=needle):
         problem_from_dict(doc)
+
+
+@pytest.mark.parametrize("key,value,error,offset", [
+    ("f", ["cos(x1"], ParseError, 6), ("v", {"matrix": [[1.0]]}, SingularLinearPart, None)])
+def test_a_load_error_keeps_its_type_and_offset(key, value, error, offset):
+    doc = _minimal_doc()
+    doc[key] = value
+    with pytest.raises(error) as info:
+        problem_from_dict(doc)
+    assert getattr(info.value, "offset", None) == offset
 
 
 @pytest.mark.parametrize("mutate,needle", _SCHEMA_REJECTS)

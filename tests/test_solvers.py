@@ -96,6 +96,16 @@ def test_rate_bounds_closed_form():
     assert rho <= kappa
 
 
+@pytest.mark.parametrize("gamma,l,needle", [
+    (-1.0, 0.0, "gamma must be positive"), (-0.5, 0.0, "gamma must be positive"),
+    (0.0, 0.0, "gamma must be positive"), (1.0, -0.5, "l must be nonnegative")])
+def test_rate_bounds_reject_a_pair_that_is_not_strongly_monotone(gamma, l, needle):
+    # A gamma <= 0 once gave a rate, (0.0, 0.0) for gamma = -1: instant
+    # convergence for a pair that is not monotone.
+    with pytest.raises(ValueError, match=needle):
+        rate_bounds(gamma, 1.0, l, 1.0)
+
+
 def test_rate_bounds_ordering(ex1):
     plan = SamplingPlan(seed=0)
     w = FuncField(2, lambda x: x - ex1.v(x))
