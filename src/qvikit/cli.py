@@ -8,11 +8,15 @@ solve --algorithm alg3 with --tol 1e-10).
 Exit codes are a contract: 0 converged, 2 declared divergence, 3 iteration
 cap, 1 usage or input errors. CSV columns are "iter,x1,...,xn,residual"
 for solves and "t,x1,...,xn,speed" for sweeps, 17 significant digits.
+
+``main(argv)`` may be called repeatedly in one process: it builds one parser
+per QVI_SEED value, and a solve records only what --out and --summary write.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -105,14 +109,14 @@ def _parse_h(text):
 
 def _write_csv(path, first, xs, last, lead, tail):
     """Rows "lead,x1,...,xn,tail" under the header "first,x1,...,xn,last",
-    each number in _fmt's format."""
-    xs = np.asarray(xs).tolist()
-    names = [f"x{i + 1}" for i in range(len(xs[0]))]
-    lines = [",".join([first, *names, last])]
-    for a, x, b in zip(np.asarray(lead).tolist(), xs, np.asarray(tail).tolist()):
-        lines.append(",".join([f"{v:.17g}" for v in (a, *x, b)]))
+    each number in _fmt's format; as many rows as the shortest column."""
+    xs = np.asarray(xs, float)
+    n = min(len(lead), len(xs), len(tail))
+    table = np.column_stack((np.asarray(lead, float)[:n], xs[:n], np.asarray(tail, float)[:n]))
+    names = "".join(f"x{i + 1}," for i in range(xs.shape[1]))
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{first},{names}{last}\n" + row * n % tuple(table.ravel().tolist()))
 
 
 def _report_summary(report):
@@ -160,7 +164,8 @@ def cmd_solve(args):
         h = tseng_auto_step(problem, plan) if args.algorithm == "tseng" \
             else auto_step(problem, plan)
     config = SolverConfig(h=h, tol=args.tol, max_iter=args.max_iter,
-                          record="full" if args.out else "residuals")
+                          record="full" if args.out else
+                          "residuals" if args.summary else "none")
     if zero:
         report = solve_zero(problem.f, problem.w, x0, config)
     elif args.algorithm == "alg1":
@@ -247,7 +252,9 @@ def _add_run_args(sub, h, tol):
     sub.add_argument("--summary", default=None, help="summary JSON path")
 
 
+@functools.lru_cache(maxsize=4)
 def build_parser(default_seed):
+    """One parser per QVI_SEED; argparse converts that --seed default on each parse."""
     parser = _Parser(prog="qvikit", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 

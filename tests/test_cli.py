@@ -11,8 +11,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qvikit.cli import main
+from qvikit import cli, solvers
+from qvikit.cli import _write_csv, main
 from qvikit.problems import dump_problem, get_builtin, load_problem, problem_to_dict
+from qvikit.solvers import (
+    SolverConfig,
+    solve_alg1,
+    solve_catchup,
+    solve_zero,
+    sweep_trajectory,
+)
 
 EX4_X0 = "10000,20000,30000"
 
@@ -116,6 +124,71 @@ def test_a_bad_qvi_seed_is_named(monkeypatch, capsys, value):
     assert run(capsys, "zero", "builtin:example4", "--x0", EX4_X0)[0] == 0
 
 
+def test_main_builds_one_parser_per_qvi_seed(monkeypatch, capsys):
+    built, init = [], cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    argv = ("analyze", "builtin:example1", "--estimate", "l")
+    for value in ("7", "7", "8", "7", "8"):
+        monkeypatch.setenv("QVI_SEED", value)
+        assert run(capsys, *argv) == (0, "l = 0.84721359549995801 (spectral)\n", "")
+    assert built.count("qvikit") == 2
+
+
+def test_qvi_seed_changes_in_one_process_act_as_in_fresh_runs(monkeypatch, capsys):
+    argv = ("solve", "builtin:example1", "--x0", "6,2", "--max-iter", "1")
+    for value in ("4", "5", "-1", None, "4"):
+        if value is None:
+            monkeypatch.delenv("QVI_SEED", raising=False)
+        else:
+            monkeypatch.setenv("QVI_SEED", value)
+        got = run(capsys, *argv)
+        if value == "-1":
+            assert got == (1, "", "error: argument --seed: need an integer >= 0 "
+                           "(default: QVI_SEED), got '-1'\n")
+        else:
+            assert got == run(capsys, *argv, "--seed", value or "0")
+            assert got[0] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("zero", "builtin:example4", "--x0", EX4_X0),
+    ("solve", "builtin:example2", "--algorithm", "catchup", "--x0", "43,22,55", "--h", "0.3"),
+])
+def test_a_solve_without_summary_fits_no_rate(argv, monkeypatch, capsys):
+    fits, fit = [], solvers.fit_linear_rate
+
+    def counted(residuals):
+        fits.append(len(residuals))
+        return fit(residuals)
+    monkeypatch.setattr(solvers, "fit_linear_rate", counted)
+    code, out, _ = run(capsys, *argv)
+    assert code in (0, 2) and out.startswith("status=")
+    assert fits == []
+
+
+@pytest.mark.parametrize("command", ["zero", "solve"])
+def test_summary_rate_is_the_residual_record_rate(command, tmp_path, capsys):
+    summary = tmp_path / "summary.json"
+    if command == "zero":
+        argv = ("zero", "builtin:example4", "--x0", EX4_X0)
+        ex4 = get_builtin("example4")
+        report = solve_zero(ex4.f, ex4.w, [10000.0, 20000.0, 30000.0],
+                            SolverConfig(h=1.0, tol=1e-10, record="residuals"))
+    else:
+        argv = ("solve", "builtin:example1", "--x0", "6,2", "--h", "0.01")
+        report = solve_alg1(get_builtin("example1"), [6.0, 2.0],
+                            SolverConfig(h=0.01, record="residuals"))
+    assert run(capsys, *argv, "--summary", str(summary))[0] == 0
+    got = json.loads(summary.read_text(encoding="utf-8"))["rate_estimate"]
+    assert report.rate_estimate is not None
+    assert got.hex() == report.rate_estimate.hex()
+
+
 def test_zero_subcommand(tmp_path, capsys):
     csv = tmp_path / "zero.csv"
     summary = tmp_path / "zero.json"
@@ -186,6 +259,55 @@ def test_sweep_decay_rate_is_per_unit_time(tmp_path, capsys):
     assert code == 0
     alpha = float(re.search(r"alpha_hat=([^ ]+)", out).group(1))
     assert alpha == pytest.approx(-np.log(0.8) / 0.1, abs=1e-9)
+
+
+def _csv_row_by_row(first, xs, last, lead, tail):
+    """The CSV text of the writer's row-by-row form, one f-string per value."""
+    xs = np.asarray(xs).tolist()
+    names = [f"x{i + 1}" for i in range(len(xs[0]))]
+    lines = [",".join([first, *names, last])]
+    for a, x, b in zip(np.asarray(lead).tolist(), xs, np.asarray(tail).tolist()):
+        lines.append(",".join([f"{v:.17g}" for v in (a, *x, b)]))
+    return "\n".join(lines) + "\n"
+
+
+def _solve_table(report):
+    return "iter", report.iterates, "residual", range(len(report.iterates)), report.residuals
+
+
+def _sweep_table():
+    sweep = sweep_trajectory(get_builtin("example1"), [6.0, 2.0], 0.01, 10.0)
+    return "t", sweep.xs, "speed", sweep.ts, np.concatenate(([0.0], sweep.speeds))
+
+
+def _diverged_table():
+    report = solve_catchup(get_builtin("example2"), [43.0, 22.0, 55.0],
+                           SolverConfig(h=0.3, record="full"))
+    assert report.diverged
+    return _solve_table(report)
+
+
+_ODD = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324, 1.7976931348623157e308,
+        0.1, 2.0 / 3.0, -1e16, 123456789012345678.0]
+CSV_TABLES = {
+    "solve": lambda: _solve_table(solve_alg1(get_builtin("example1"), [6.0, 2.0],
+                                             SolverConfig(h=0.01, record="full"))),
+    "sweep": _sweep_table,
+    "catchup-diverged": _diverged_table,
+    "one-dim": lambda: _solve_table(solve_alg1(get_builtin("remark5"), [0.5],
+                                               SolverConfig(h=0.5, record="full"))),
+    "nan-inf-zero": lambda: ("t", [[v, -v] for v in _ODD], "speed", _ODD[::-1], _ODD),
+    "short-tail": lambda: ("iter", [[1.0, 2.0]] * 5, "residual", range(5),
+                           [0.5, -0.0, np.nan]),
+}
+
+
+@pytest.mark.parametrize("case", CSV_TABLES)
+def test_csv_writer_matches_row_by_row_formatting(case, tmp_path):
+    table = CSV_TABLES[case]()
+    path = tmp_path / "trace.csv"
+    _write_csv(path, *table)
+    assert path.read_bytes() == _csv_row_by_row(*table).encode()
 
 
 def test_analyze_spectral_displacement_constant(capsys):
