@@ -10,7 +10,8 @@ cap, 1 usage or input errors. CSV columns are "iter,x1,...,xn,residual"
 for solves and "t,x1,...,xn,speed" for sweeps, 17 significant digits.
 
 ``main(argv)`` may be called repeatedly in one process: it builds one parser
-per QVI_SEED value, and a solve records only what --out and --summary write.
+per QVI_SEED value. A solve without --out or --summary records nothing and
+fits no rate; with --out alone it still fits one that nothing prints.
 """
 
 from __future__ import annotations

@@ -387,7 +387,6 @@ class ScalarBracket:
     bracket: tuple
     inner_tol: float = 1e-12
     max_inner: int = 100_000
-    _plan = None  # the last lipschitz plan, kept with its draw and batch values
 
     def __post_init__(self):
         a, b = self.bracket
@@ -440,12 +439,10 @@ class ScalarBracket:
         """Sampled Lipschitz constant of the inverse, a lower bound: the
         largest |x1 - x2| / |w(x1) - w(x2)|, w = Id - v, over a plan's pairs
         in the bracket. A batch of v screens the pairs, as the analysis
-        estimators do. A repeat of the last call reuses its plan's draw."""
+        estimators do."""
         a, b = float(self.bracket[0]), float(self.bracket[1])
         plan = SamplingPlan(seed=seed, count=count, lo=a, hi=b)
-        if plan != self._plan:
-            self._plan = plan
-        pairs = sample_pairs(self._plan, 1)
+        pairs = sample_pairs(plan, 1)
         best = 0.0
         for x1, x2 in _candidates((self.v_map,), pairs, _inverse_ratio_bounds):
             dw = self._w(float(x1[0])) - self._w(float(x2[0]))

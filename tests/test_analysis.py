@@ -30,7 +30,7 @@ from qvikit import analysis
 from qvikit.errors import EvalError, SamplingError
 from qvikit.inverse import ScalarBracket
 from qvikit.model import FuncField, IdMinus, VectorField, to_vi
-from qvikit.problems import get_builtin, problem_to_dict
+from qvikit.problems import get_builtin
 from qvikit.solvers import auto_step, resolve_constant, tseng_auto_step
 
 PLAN0 = SamplingPlan(seed=0)
@@ -368,32 +368,6 @@ def test_a_sampled_step_draws_once(monkeypatch, name, step, calls):
     assert step(problem, plan) == h and len(draws) == 1
     assert step(problem, SamplingPlan(seed=np.int64(11), count=500)) == h
     assert len(draws) == 2
-
-
-def test_a_scalar_bracket_reuses_its_last_draw(monkeypatch):
-    # remark5's l_tilde: a repeat reuses the last plan's draw and batch
-    # values, another plan draws anew, and the values are bit for bit those
-    # of a fresh spec. The kept plan is not part of the problem's dump.
-    problem, batches = get_builtin("remark5"), []
-    batch = VectorField.evaluate_batch
-
-    def counted(field, X):
-        batches.append(X.shape[1])
-        return batch(field, X)
-    monkeypatch.setattr(VectorField, "evaluate_batch", counted)
-    draws = _counted_draws(monkeypatch)
-    doc = problem_to_dict(problem)
-    first = [resolve_constant(problem, "l_tilde") for _ in range(2)]
-    assert first == [(float.fromhex("0x1.7ffcb904063c4p+0"), "sampled")] * 2
-    assert len(draws) == 1 and len(batches) == 2 * 10  # X and Y of ten chunks
-    bracket = problem.inverse
-    other = [bracket.lipschitz(seed=5, count=500) for _ in range(2)]
-    assert len(draws) == 2 and other[0].hex() == other[1].hex()
-    fresh = ScalarBracket(bracket.v_map, bracket.bracket)
-    assert fresh.lipschitz(seed=5, count=500).hex() == other[0].hex()
-    assert bracket.lipschitz().hex() == fresh.lipschitz().hex() == first[0][0].hex()
-    assert len(draws) == 5  # the one slot held seed 5, so seed 0 drew again
-    assert problem_to_dict(problem) == doc
 
 
 def _chunk_sizes(plan, dim):
