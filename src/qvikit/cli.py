@@ -10,8 +10,8 @@ cap, 1 usage or input errors. CSV columns are "iter,x1,...,xn,residual"
 for solves and "t,x1,...,xn,speed" for sweeps, 17 significant digits.
 
 ``main(argv)`` may be called repeatedly in one process: it builds one parser
-per QVI_SEED value. A solve without --out or --summary records nothing and
-fits no rate; with --out alone it still fits one that nothing prints.
+per QVI_SEED value. A solve keeps its iterates for --out and fits its rate
+only for --summary.
 """
 
 from __future__ import annotations
@@ -165,8 +165,7 @@ def cmd_solve(args):
         h = tseng_auto_step(problem, plan) if args.algorithm == "tseng" \
             else auto_step(problem, plan)
     config = SolverConfig(h=h, tol=args.tol, max_iter=args.max_iter,
-                          record="full" if args.out else
-                          "residuals" if args.summary else "none")
+                          keep_iterates=bool(args.out))
     if zero:
         report = solve_zero(problem.f, problem.w, x0, config)
     elif args.algorithm == "alg1":

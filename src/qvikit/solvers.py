@@ -18,7 +18,7 @@ merely monotone pairs, and a derivative-free zero finder
 
 covers root problems for strongly monotone pairs (f, w). All solves stop on
 the natural residual (or |f| for the zero finder), report instead of raise
-on non-convergence, and run in one engine with one divergence guard; the
+on non-convergence, and run in one engine that keeps each residual once; the
 sweep is that engine run for a fixed number of steps with no residual.
 
 The constants behind the automatic step sizes come from resolve_constant,
@@ -28,7 +28,6 @@ in one order: stored on the problem, else spectral, else sampled.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +63,7 @@ class SolverConfig:
     h: float | None = None  # None means the auto step rule
     tol: float = 1e-8
     max_iter: int = 10_000
-    record: str = "none"  # none | residuals | full
+    keep_iterates: bool = False
 
     def __post_init__(self):
         if self.h is not None and not self.h > 0:
@@ -73,8 +72,6 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.record not in ("none", "residuals", "full"):
-            raise ValueError(f"unknown record mode {self.record!r}")
 
 
 @dataclass
@@ -86,9 +83,16 @@ class SolveReport:
     h_used: float
     residual_final: float
     displacement_final: float
-    residuals: list | None = None
+    residuals: list
     iterates: list | None = None
-    rate_estimate: float | None = None
+
+    @property
+    def rate_estimate(self):
+        """Rate fitted to the residuals when read; None if fewer than five fit."""
+        try:
+            return fit_linear_rate(self.residuals)
+        except DiagnosticsError:
+            return None
 
 
 def _run(state0, probe, config, h, x_of=lambda state: state):
@@ -96,27 +100,24 @@ def _run(state0, probe, config, h, x_of=lambda state: state):
 
     ``probe(state)`` returns the stopping residual at ``state`` (None for a
     run with no residual, which goes on to ``config.max_iter``) and a thunk
-    that takes the next step from the evaluations the residual made.
+    that takes the next step from the evaluations the residual made. A run
+    diverges on a residual that is not finite or over 10x the one 100 steps back.
     """
     state = state0
-    record = config.record != "none"
-    residuals = [] if record else None
-    iterates = [x_of(state).copy()] if config.record == "full" else None
-    window = deque(maxlen=101)
+    residuals = []
+    iterates = [x_of(state).copy()] if config.keep_iterates else None
     converged = diverged = False
     x_before = None  # the iterate the last step started from
     n = 0
     r, advance = probe(state)
     while True:
         if r is not None:
-            if record:
-                residuals.append(r)
+            residuals.append(r)
             if r <= config.tol:
                 converged = True
                 break
-            window.append(r)
-            if not math.isfinite(r) or (len(window) == window.maxlen
-                                        and window[-1] > 10.0 * window[0]):
+            if not math.isfinite(r) or (len(residuals) > 100
+                                        and r > 10.0 * residuals[-101]):
                 diverged = True
                 break
         x = x_of(state)
@@ -139,12 +140,6 @@ def _run(state0, probe, config, h, x_of=lambda state: state):
 
     x_final = x_of(state).copy()
     displacement = np.inf if x_before is None else _norm(x_final - x_before)
-    rate = None
-    if residuals is not None and len(residuals) >= 5:
-        try:
-            rate = fit_linear_rate(residuals)
-        except DiagnosticsError:
-            rate = None
     return SolveReport(
         x_final=x_final,
         converged=converged,
@@ -155,7 +150,6 @@ def _run(state0, probe, config, h, x_of=lambda state: state):
         displacement_final=float(displacement),
         residuals=residuals,
         iterates=iterates,
-        rate_estimate=rate,
     )
 
 
@@ -369,7 +363,9 @@ def sweep_trajectory(problem, x0, h, t_end):
         raise ValueError("h must be positive")
     if t_end < h:
         raise ValueError("t_end must be at least h")
-    config = SolverConfig(h=h, max_iter=int(round(t_end / h)), record="full")
+    if not math.isfinite(t_end / h):
+        raise ValueError(f"t_end / h must be finite, got t_end={t_end} and h={h}")
+    config = SolverConfig(h=h, max_iter=int(round(t_end / h)), keep_iterates=True)
     report = _run(np.asarray(x0, float),
                   lambda x: (None, lambda: alg1_step(problem, x, h)), config, h)
     xs = np.asarray(report.iterates)

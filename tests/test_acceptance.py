@@ -169,7 +169,7 @@ def test_criterion_08_rate_domination(ex1, ex1_solution):
     rho, _ = rate_bounds(gamma, L, l, lt)
     h = gamma / L**2
     report = solve_alg1(ex1, np.array([6.0, 2.0]),
-                        SolverConfig(h=h, record="full"))
+                        SolverConfig(h=h, keep_iterates=True))
     ystar = ex1_solution - ex1.v(ex1_solution)
     errs = np.array([norm(x - ex1.v(x) - ystar) for x in report.iterates])
     bound = lt * (1.0 + l) * errs[0] * rho ** np.arange(len(errs))
@@ -186,7 +186,7 @@ def test_criterion_09_zero_finder_contraction(ex4, ex4_solution):
     g = VectorField(3, remainder=ex4.f.remainder)
     alpha = a_inv * sample_lipschitz(g, SamplingPlan(seed=0))
     report = solve_zero(ex4.f, ex4.w, np.array([1e4, 2e4, 3e4]),
-                        SolverConfig(h=1.0, tol=1e-10, record="full"))
+                        SolverConfig(h=1.0, tol=1e-10, keep_iterates=True))
     errs = [norm(x - ex4_solution) for x in report.iterates]
     ratios = [cur / prev for prev, cur in zip(errs, errs[1:]) if prev > 1e-13]
     worst = max(ratios)

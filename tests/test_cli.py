@@ -3,6 +3,7 @@ import io
 import json
 import re
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from qvikit import cli, solvers
 from qvikit.cli import _write_csv, main
+from qvikit.model import natural_residual
 from qvikit.problems import dump_problem, get_builtin, load_problem, problem_to_dict
 from qvikit.solvers import (
     SolverConfig,
@@ -158,17 +160,36 @@ def test_qvi_seed_changes_in_one_process_act_as_in_fresh_runs(monkeypatch, capsy
 @pytest.mark.parametrize("argv", [
     ("zero", "builtin:example4", "--x0", EX4_X0),
     ("solve", "builtin:example2", "--algorithm", "catchup", "--x0", "43,22,55", "--h", "0.3"),
+    ("solve", "builtin:example1", "--x0", "6,2", "--h", "0.01", "--out"),
 ])
-def test_a_solve_without_summary_fits_no_rate(argv, monkeypatch, capsys):
+def test_a_solve_without_summary_fits_no_rate(argv, tmp_path, monkeypatch, capsys):
     fits, fit = [], solvers.fit_linear_rate
 
     def counted(residuals):
         fits.append(len(residuals))
         return fit(residuals)
     monkeypatch.setattr(solvers, "fit_linear_rate", counted)
+    if "--out" in argv:
+        argv += (str(tmp_path / "trace.csv"),)
     code, out, _ = run(capsys, *argv)
     assert code in (0, 2) and out.startswith("status=")
     assert fits == []
+    if "--out" in argv:
+        assert len((tmp_path / "trace.csv").read_text().splitlines()) == 689
+
+
+@pytest.mark.parametrize("outputs", [(), ("--summary",), ("--out",), ("--out", "--summary")])
+def test_a_solve_keeps_its_iterates_only_for_out(outputs, tmp_path, monkeypatch, capsys):
+    reports, finish = [], cli._finish_solve
+
+    def kept(args, report):
+        reports.append(report)
+        return finish(args, report)
+    monkeypatch.setattr(cli, "_finish_solve", kept)
+    paths = [arg for flag in outputs for arg in (flag, str(tmp_path / flag[2:]))]
+    argv = ("solve", "builtin:example2", "--x0", "43,22,55", "--h", "0.3", *paths)
+    assert run(capsys, *argv)[0] == 0
+    assert (reports[0].iterates is not None) == ("--out" in outputs)
 
 
 @pytest.mark.parametrize("command", ["zero", "solve"])
@@ -178,11 +199,11 @@ def test_summary_rate_is_the_residual_record_rate(command, tmp_path, capsys):
         argv = ("zero", "builtin:example4", "--x0", EX4_X0)
         ex4 = get_builtin("example4")
         report = solve_zero(ex4.f, ex4.w, [10000.0, 20000.0, 30000.0],
-                            SolverConfig(h=1.0, tol=1e-10, record="residuals"))
+                            SolverConfig(h=1.0, tol=1e-10))
     else:
         argv = ("solve", "builtin:example1", "--x0", "6,2", "--h", "0.01")
         report = solve_alg1(get_builtin("example1"), [6.0, 2.0],
-                            SolverConfig(h=0.01, record="residuals"))
+                            SolverConfig(h=0.01))
     assert run(capsys, *argv, "--summary", str(summary))[0] == 0
     got = json.loads(summary.read_text(encoding="utf-8"))["rate_estimate"]
     assert report.rate_estimate is not None
@@ -282,7 +303,7 @@ def _sweep_table():
 
 def _diverged_table():
     report = solve_catchup(get_builtin("example2"), [43.0, 22.0, 55.0],
-                           SolverConfig(h=0.3, record="full"))
+                           SolverConfig(h=0.3, keep_iterates=True))
     assert report.diverged
     return _solve_table(report)
 
@@ -291,11 +312,11 @@ _ODD = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324, 1.7976931348623157e3
         0.1, 2.0 / 3.0, -1e16, 123456789012345678.0]
 CSV_TABLES = {
     "solve": lambda: _solve_table(solve_alg1(get_builtin("example1"), [6.0, 2.0],
-                                             SolverConfig(h=0.01, record="full"))),
+                                             SolverConfig(h=0.01, keep_iterates=True))),
     "sweep": _sweep_table,
     "catchup-diverged": _diverged_table,
     "one-dim": lambda: _solve_table(solve_alg1(get_builtin("remark5"), [0.5],
-                                               SolverConfig(h=0.5, record="full"))),
+                                               SolverConfig(h=0.5, keep_iterates=True))),
     "nan-inf-zero": lambda: ("t", [[v, -v] for v in _ODD], "speed", _ODD[::-1], _ODD),
     "short-tail": lambda: ("iter", [[1.0, 2.0]] * 5, "residual", range(5),
                            [0.5, -0.0, np.nan]),
@@ -434,6 +455,16 @@ def test_singular_scaffold_reports_cleanly(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("t_end,h", [("inf", "0.01"), ("1", "1e-320"), ("nan", "0.01"),
+                                     ("inf", "inf")])
+def test_a_sweep_without_a_finite_step_count_exits_1(t_end, h, capsys):
+    code, out, err = run(capsys, "sweep", "builtin:example1", "--x0", "6,2",
+                         "--h", h, "--T", t_end)
+    assert (code, out) == (1, "")
+    assert err == f"error: t_end / h must be finite, got t_end={float(t_end)} " \
+        f"and h={float(h)}\n"
+
+
 @pytest.mark.parametrize("argv,needle", [
     (["solve", "--x0", "1,1"], "a problem is required"),
     (["solve", "builtin:nope", "--x0", "1"], "unknown builtin"),
@@ -559,6 +590,8 @@ def test_long_sums_solve_and_dump_or_exit_1(tmp_path, capsys):
 _FORMS = ["{c}*x{i}", "{c}", "sin(x{i})", "{c}*cos(x{j}) - x{i}", "x{i}^3", "1/x{i}",
           "sqrt(x{i})", "abs(x{i}) + min(x{i}, x{j})", "max(x{i}, {c})*x{j}"]
 _ENTRIES = [-2.0, -0.7, 0.0, 0.3, 0.5, 1.0, 2.5]
+# Output names in a fuzzed argv, written into the run's temporary directory.
+_CSV, _SUMMARY = "trace.csv", "summary.json"
 
 
 @st.composite
@@ -582,10 +615,15 @@ def _cli_runs(draw):
         return (exprs() if form == "exprs" else {"matrix": matrix()} if form == "matrix"
                 else {"matrix": matrix(), "remainder": exprs()})
 
+    def outputs():
+        """Either output of a solve, both or neither."""
+        return [arg for flag, name in (("--out", _CSV), ("--summary", _SUMMARY))
+                if draw(st.booleans()) for arg in (flag, name)]
+
     x0 = "--x0=" + ",".join(str(pick(_ENTRIES)) for _ in range(dim))
     if draw(st.integers(0, 5)) == 0:
         doc = {"kind": "zero", "dim": dim, "f": field(), "w": {"matrix": matrix()}}
-        return doc, ["solve", "--algorithm", "alg3", x0, "--max-iter", "30"]
+        return doc, ["solve", "--algorithm", "alg3", x0, "--max-iter", "30", *outputs()]
     strategy = pick(["linear_exact", "picard", "semilinear", "scalar_bracket"])
     inverse = {"strategy": strategy, "max_inner": draw(st.integers(1, 200))}
     form = {"linear_exact": "matrix", "semilinear": "split"}.get(strategy)
@@ -607,7 +645,7 @@ def _cli_runs(draw):
         return doc, ["analyze", "--estimate", pick(["L", "l", "gamma", "pseudo"]),
                      "--samples", "50"]
     h = pick(["auto", "0.1", "1"])
-    return doc, ["solve", "--algorithm", command, x0, "--h", h, "--max-iter", "30"]
+    return doc, ["solve", "--algorithm", command, x0, "--h", h, "--max-iter", "30", *outputs()]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -618,17 +656,64 @@ def _cli_runs(draw):
            "inverse": {"strategy": "semilinear", "l_g": 0.05},
            "set": {"type": "box", "lower": [-2.0], "upper": [0.0]}},
           ["sweep", "--x0=-0.7", "--h", "0.5", "--T", "1"]))
+# Converged solves with both outputs, so the recomputed residuals are checked.
+@example(({"dim": 1, "f": {"matrix": [[2.0]]}, "v": {"matrix": [[0.3]]},
+           "inverse": {"strategy": "linear_exact"},
+           "set": {"type": "box", "lower": [-1.0], "upper": [0.5]}},
+          ["solve", "--algorithm", "alg1", "--x0=2.5", "--h", "0.3", "--max-iter", "30",
+           "--out", _CSV, "--summary", _SUMMARY]))
+@example(({"dim": 1, "f": {"matrix": [[1.0]]}, "v": {"matrix": [[0.0]]},
+           "inverse": {"strategy": "linear_exact"}, "set": {"type": "orthant"}},
+          ["solve", "--algorithm", "tseng", "--x0=2.5", "--h", "0.5", "--max-iter", "100",
+           "--out", _CSV]))
+@example(({"kind": "zero", "dim": 1, "f": ["x1 + 0.1*sin(x1)"], "w": {"matrix": [[1.5]]}},
+          ["solve", "--algorithm", "alg3", "--x0=2.5", "--max-iter", "30",
+           "--out", _CSV, "--summary", _SUMMARY]))
 def test_fuzzed_problem_files_exit_with_a_code_or_one_error_line(run_spec):
     doc, argv = run_spec
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "problem.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [str(Path(tmp) / arg) if arg in (_CSV, _SUMMARY) else arg for arg in argv]
         out, err = io.StringIO(), io.StringIO()
         # A warning would print a line of its own on stderr: here it raises.
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings():
             warnings.simplefilter("error")
+            start = time.perf_counter()
             code = main([argv[0], str(path), *argv[1:]])
-    assert code in (0, 1, 2, 3)
-    if code == 1:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            # A fuzzed run does bounded work (at most 30 iterations, 200 inner
+            # steps or 50 samples); about 1,900 such runs each took under 5 s.
+            assert time.perf_counter() - start < 5.0
+        assert code in (0, 1, 2, 3)
+        if code == 1:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        elif argv[0] == "solve":
+            _check_solve_outputs(load_problem(path), argv, out.getvalue(), Path(tmp))
+
+
+def _check_solve_outputs(problem, argv, stdout, tmp):
+    """The status line, --summary and --out of one run say the same, and a
+    converged x_final meets the tolerance when its residual is recomputed."""
+    status, iterations, h_used, x_final = re.fullmatch(
+        r"status=(\S+) iterations=(\d+) h_used=(\S+) residual=\S+ x_final=\[(.*)\]\n",
+        stdout).groups()
+    iterations, h_used = int(iterations), float(h_used)
+    x_final = [float(v) for v in x_final.split(", ")]
+    if "--summary" in argv:
+        doc = json.loads((tmp / _SUMMARY).read_text(encoding="utf-8"))
+        assert ("converged" if doc["converged"] else "diverged" if doc["diverged"]
+                else "max-iter") == status
+        assert doc["iterations"] == iterations
+        assert doc["h_used"].hex() == h_used.hex()
+        assert [v.hex() for v in doc["x_final"]] == [v.hex() for v in x_final]
+    if "--out" in argv:
+        rows = (tmp / _CSV).read_text(encoding="utf-8").splitlines()
+        assert len(rows) == iterations + 2
+        assert [float(v).hex() for v in rows[-1].split(",")[1:-1]] == \
+            [v.hex() for v in x_final]
+    if status == "converged":
+        x = np.array(x_final)
+        residual = (np.linalg.norm(problem.f(x)) if "alg3" in argv
+                    else natural_residual(problem, x, h_used))
+        assert residual <= 1e-8

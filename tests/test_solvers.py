@@ -1,10 +1,14 @@
 import json
+import math
+import re
+from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.linalg import norm
 
-from qvikit import analysis, inverse
+from qvikit import analysis, inverse, solvers
 from qvikit.errors import ConfigError, DiagnosticsError, SingularLinearPart
 from qvikit.inverse import LinearExact
 from qvikit.model import (
@@ -188,7 +192,7 @@ def test_solve_hits_iteration_cap(ex1):
 
 
 def test_solve_report_recording(ex2):
-    config = SolverConfig(h=0.3, record="full")
+    config = SolverConfig(h=0.3, keep_iterates=True)
     report = solve_alg1(ex2, np.array([43.0, 22.0, 55.0]), config)
     assert len(report.residuals) == report.iterations + 1
     assert len(report.iterates) == report.iterations + 1
@@ -196,6 +200,67 @@ def test_solve_report_recording(ex2):
     assert report.residuals[-1] == report.residual_final
     assert 0.0 < report.rate_estimate < 1.0
     assert report.converged and report.residual_final <= config.tol
+
+
+def test_a_solve_keeps_every_residual_and_no_iterate_by_default(ex2):
+    report = solve_alg1(ex2, np.array([43.0, 22.0, 55.0]), SolverConfig(h=0.3))
+    kept = solve_alg1(ex2, np.array([43.0, 22.0, 55.0]),
+                      SolverConfig(h=0.3, keep_iterates=True))
+    assert report.iterates is None
+    assert report.residuals == kept.residuals
+    assert len(report.residuals) == report.iterations + 1
+    assert report.rate_estimate.hex() == fit_linear_rate(report.residuals).hex()
+
+
+def reference_stop(residuals, tol, max_iter):
+    """The engine's residual tests as they ran on a 101-slot window, for a
+    run whose iterates stay bounded: (converged, diverged, iterations)."""
+    window = deque(maxlen=101)
+    for n, r in enumerate(residuals):
+        if r <= tol:
+            return True, False, n
+        window.append(r)
+        if not math.isfinite(r) or (len(window) == window.maxlen
+                                    and window[-1] > 10.0 * window[0]):
+            return False, True, n
+        if n >= max_iter:
+            return False, False, n
+    raise AssertionError("the scripted residuals ran out")
+
+
+_TENFOLD = 10.0 * 0.3
+_DECAY = [0.9 ** k for k in range(150)]
+STOP_CASES = {
+    "tenfold": ([0.3] * 100 + [_TENFOLD, 0.2, 0.0], (True, False, 102)),
+    "one-ulp-above": ([0.3] * 100 + [math.nextafter(_TENFOLD, math.inf), 0.0],
+                      (False, True, 100)),
+    "cap-before-an-inf": ([0.3] * 99 + [math.inf], (False, False, 98)),
+    "later-tenfold": (_DECAY + [10.0 * _DECAY[50], 0.0], (True, False, 151)),
+    "later-one-ulp-above": (_DECAY + [math.nextafter(10.0 * _DECAY[50], math.inf)],
+                            (False, True, 150)),
+    "nan": ([0.3, math.nan], (False, True, 1)),
+}
+
+
+@pytest.mark.parametrize("case", STOP_CASES)
+def test_the_divergence_test_reads_the_residual_history_as_the_window_did(case):
+    residuals, expected = STOP_CASES[case]
+    max_iter = 98 if case == "cap-before-an-inf" else 10_000
+
+    def probe(x):
+        return residuals[int(x[0])], lambda: x + 1.0
+    report = solvers._run(np.zeros(1), probe,
+                          SolverConfig(h=1.0, tol=1e-12, max_iter=max_iter), 1.0)
+    got = (report.converged, report.diverged, report.iterations)
+    assert got == reference_stop(residuals, 1e-12, max_iter) == expected
+    assert report.residuals == residuals[:report.iterations + 1]
+
+
+def test_the_readme_library_block_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_catching_up_step_agrees_without_displacement():
@@ -293,7 +358,7 @@ def test_zero_solver_contraction_ratios(ex4, ex4_solution):
     alpha = a_inv * lg_hat
     assert alpha < 1.0
     report = solve_zero(ex4.f, ex4.w, np.array([1e4, 2e4, 3e4]),
-                        SolverConfig(h=1.0, tol=1e-10, record="full"))
+                        SolverConfig(h=1.0, tol=1e-10, keep_iterates=True))
     errs = [norm(x - ex4_solution) for x in report.iterates]
     for prev, cur in zip(errs, errs[1:]):
         if prev > 1e-13:
@@ -308,7 +373,7 @@ def test_zero_map_rejects_singular_matrix():
 def test_y_space_domination_and_monotonicity(ex1, ex1_solution):
     h = auto_step(ex1)
     report = solve_alg1(ex1, np.array([6.0, 2.0]),
-                        SolverConfig(h=h, record="full"))
+                        SolverConfig(h=h, keep_iterates=True))
     assert report.converged
     plan = SamplingPlan(seed=0)
     w = FuncField(2, lambda x: x - ex1.v(x))
@@ -413,8 +478,6 @@ def test_solver_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(record="sometimes")
 
 
 def test_natural_residual_consistent_with_reports(ex2):
