@@ -18,7 +18,8 @@ catalog is fixed: sin, cos, abs, sqrt (one argument), min, max (two).
 Trees evaluate through generated Python functions (field_function), cached
 by value and kept on each evaluated root as a cached property; the generated
 source holds no text from the expression, only made-up names, integers,
-operators and catalog names.
+operators and catalog names. Point code multiplies a small power out inline
+(x^3 as t * t * t), which gives _ipow's bits: its first product is 1.0 * t.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ FUNCTIONS = {"sin": 1, "cos": 1, "abs": 1, "sqrt": 1, "min": 2, "max": 2}
 
 # Guard against absurd folded exponent chains like 9^9^9.
 _MAX_EXPONENT = 1_000_000
+_INLINE_POWER = 4  # point code writes x^k as a product up to this k, then _ipow
 # Parentheses, unary minus, call arguments and exponent chains nest at most
 # this deep together, which keeps the recursive descent (up to eight Python
 # frames a level) far below the interpreter's recursion limit.
@@ -339,7 +341,9 @@ def _emit(asts, backend):
         if isinstance(ast, Unary):
             return store(f"-{emit(ast.child)}")
         if isinstance(ast, Binary) and ast.op == "^":
-            return store(f"ipow({emit(ast.left)}, {int(ast.right.value)})",
+            base, k = emit(ast.left), int(ast.right.value)
+            inline = backend == "point" and k <= _INLINE_POWER
+            return store(" * ".join([base] * k) if inline else f"ipow({base}, {k})",
                          "non-finite value from '^'")
         if isinstance(ast, Binary) and ast.op in ("+", "-", "*", "/"):
             left, right = emit(ast.left), emit(ast.right)

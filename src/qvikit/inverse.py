@@ -17,13 +17,14 @@ the inverse: exactly for LinearExact, by 1/(1-l) and |(I-A)^{-1}|/(1 -
 |(I-A)^{-1}| L_g) for the contractions, and by a seeded sampled estimate (a
 lower bound) for ScalarBracket.
 
-PicardContraction tests its stopping rule a chunk of iterates at a time: one
-NumPy pass screens every step, and only the steps that may stop the loop get
-the exact test, so it stops on the iterate a step-by-step loop stops on. Its
-first chunk is as long as the previous invert's loop on the same spec, so in a
-solve one chunk and one screen mostly suffice; a field's iterate that repeats
-the iterate one or two steps back bit for bit (an overflow to inf, or to inf and
--inf in turn) ends the loop at once.
+PicardContraction and Semilinear screen their steps: only a step that may stop
+the loop gets the exact test, so each stops on the iterate a step-by-step loop
+stops on. Picard screens a chunk of iterates in one NumPy pass. Its first chunk
+is as long as the previous invert's loop on the same spec, so in a solve one
+chunk and one screen mostly suffice; a field's iterate that repeats the iterate
+one or two steps back bit for bit (an overflow to inf, or to inf and -inf in
+turn) ends the loop at once. Semilinear screens each step with ``math.dist`` on
+the floats its remainder reads, and with ``inner_log`` tests every step.
 """
 
 from __future__ import annotations
@@ -343,6 +344,9 @@ class Semilinear:
         self.A = np.asarray(self.A, float)
         self._lu = _LU(np.eye(self.A.shape[0]) - self.A, "I - A")
         self._g = _unchecked(self.g)
+        # g at the list of a point's floats: a remainder-only field's own.
+        pure = isinstance(self.g, VectorField) and self.g.matrix is None
+        self._g_list = self.g._rest if pure else self._g_at_list
         self.inv_norm = self._lu.inverse_norm()
         self.contraction = self.inv_norm * self.l_g
         if self.contraction >= 1.0:
@@ -350,28 +354,36 @@ class Semilinear:
                 f"semilinear contraction factor {self.contraction:.3f} is not < 1"
             )
 
+    def _g_at_list(self, xl):
+        return self._g(np.array(xl))
+
     def v(self, x):
         return self.A.dot(x) + self._g(x)
 
     def invert(self, y, inner_log=None):
         y = _point(y, self.A.shape[0])
-        solve, g = self._lu._solve, self._g
+        solve, g = self._lu._solve, self._g_list
         # Stop on a step small enough that the g-increment bound keeps the
         # final residual under inner_tol even when l_g > 1.
         step_tol = 0.5 * self.inner_tol / max(1.0, self.l_g)
+        # A finite step over this bound fails that test: math.dist and _norm differ
+        # by far less than 1e-6, and the floor keeps underflowing squares in.
+        bound = math.inf if inner_log is not None else max(step_tol * (1.0 + 1e-6), 1e-150)
         x = solve(y)
+        xl = x.tolist()
         for _ in range(self.max_inner):
-            b = y + g(x)
-            xn = solve(b)
-            step = _norm(xn - x)
-            if not step < math.inf:
-                # Every non-finite b lands here; the checked solve raises on it.
-                self._lu.solve(b)
-            if inner_log is not None:
-                inner_log.append(step)
-            x = xn
-            if step <= step_tol:
-                break
+            b = y + g(xl)
+            x_old, x = x, solve(b)
+            xl_old, xl = xl, x.tolist()
+            if not bound < math.dist(xl, xl_old) < math.inf:
+                step = _norm(x - x_old)
+                if not step < math.inf:
+                    # Every non-finite b lands here; the checked solve raises on it.
+                    self._lu.solve(b)
+                if inner_log is not None:
+                    inner_log.append(step)
+                if step <= step_tol:
+                    break
         return _verify(self, x, self.v(x), y)
 
     def lipschitz(self):

@@ -137,6 +137,16 @@ class VectorField:
         """The generated point function of the remainder's trees."""
         return edsl.field_function(tuple(self.remainder), "point")
 
+    def _rest(self, xl):
+        """The remainder's values, a tuple, at the list ``xl`` of a point's floats."""
+        try:
+            return self._function(xl)
+        except EvalError:
+            pass
+        # Tree by tree, the same error again, named by its component and,
+        # outside the handler, chained as if raised first.
+        return self._eval_asts(self.remainder, xl, np.empty(self.dim))
+
     def evaluate(self, x):
         """The field at a float vector ``x`` of length ``dim``, unchecked.
 
@@ -145,14 +155,7 @@ class VectorField:
         """
         if self.remainder is None:
             return self.matrix.dot(x)
-        try:
-            rest = np.array(self._function(x.tolist()))
-        except EvalError:
-            rest = None
-        if rest is None:
-            # Tree by tree, the same error again, named by its component and,
-            # outside the handler, chained as if raised first.
-            rest = self._eval_asts(self.remainder, x, np.empty(self.dim))
+        rest = np.array(self._rest(x.tolist()))
         # A remainder alone is returned as is, not as 0 + rest: signed zeros
         # keep their bits.
         return rest if self.matrix is None else self.matrix.dot(x) + rest

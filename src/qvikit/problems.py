@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .analysis import operator_norm
 from .errors import ConfigError, SingularLinearPart
 from .expr import parse, print_expr
 from .inverse import (
@@ -306,6 +307,10 @@ def _inverse_from_json(spec, v, dim):
             raise ConfigError("inverse.strategy: linear_exact needs v in pure matrix form")
         return _at("v.matrix", LinearExact, v.matrix, **kwargs)
     if strategy == "picard":
+        # operator_norm rises to the norm, within rounding: a refusal is never false.
+        norm = 0.0 if v.remainder is not None else operator_norm(v.matrix)
+        if float(spec["l"]) < norm * (1.0 - 1e-9):
+            raise ConfigError(f"inverse.l: {spec['l']!r} is below v's operator norm {norm!r}")
         return PicardContraction(v, float(spec["l"]), **kwargs)
     if strategy == "semilinear":
         if v.matrix is None or v.remainder is None:

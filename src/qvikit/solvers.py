@@ -228,8 +228,8 @@ def alg1_step(problem, x, h):
     if not h > 0:
         raise ValueError("h must be positive")
     x = np.asarray(x, float)
-    _, _, p = _natural_residual_parts(problem, x, problem.f(x), h)
-    return invert(problem.inverse, p)
+    fx = problem.f(x)  # before v: f's error comes first
+    return invert(problem.inverse, project(problem.set, x - problem.v(x) - h * fx))
 
 
 def catching_up_step(problem, x, h):
@@ -243,8 +243,8 @@ def catching_up_step(problem, x, h):
 def solve_alg1(problem, x0, config=SolverConfig()):
     """Iterate the modified projection step until the natural residual drops.
 
-    Each iterate evaluates f, v and the projection once: the step inverts
-    the p = proj_C(y - h f(x)) that the residual |y - p| was measured with.
+    Each iterate evaluates f and the projection once, v also in the inverse's
+    check: the step inverts the p = proj_C(y - h f(x)) the residual |y - p| used.
     """
     h = config.h if config.h is not None else auto_step(problem)
     spec = problem.inverse

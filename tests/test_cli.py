@@ -412,7 +412,7 @@ def test_tseng_literal_flag_runs(capsys):
 def test_tseng_auto_step_on_a_constant_field_exits_1(tmp_path, capsys):
     # A constant f has a sampled L of 0, so 0.9 / (L l_tilde) has no value.
     doc = {"dim": 1, "f": ["5.79"], "v": {"matrix": [[0.643]]},
-           "inverse": {"strategy": "picard", "l": 0.15}, "set": {"type": "whole_space"}}
+           "inverse": {"strategy": "picard", "l": 0.7}, "set": {"type": "whole_space"}}
     path = tmp_path / "constant.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run(capsys, "solve", str(path), "--algorithm", "tseng", "--x0", "0.5")

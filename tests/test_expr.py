@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qvikit.errors import EvalError, ParseError
 from qvikit.expr import (
     _CACHE_SIZE,
+    _INLINE_POWER,
     FUNCTIONS,
     Binary,
     Call,
@@ -18,6 +19,7 @@ from qvikit.expr import (
     Unary,
     Var,
     _emit,
+    _ipow,
     eval_expr,
     field_function,
     parse,
@@ -410,6 +412,20 @@ def test_batch_evaluation_matches_the_tree_walk_or_signals(ast, points):
 def test_compiled_errors_match_the_tree_walk(text, x):
     ast = parse(text, len(x))
     assert outcome(eval_expr, ast, x) == outcome(reference_eval, ast, x)
+
+
+@pytest.mark.parametrize("k", range(1, _INLINE_POWER + 2))
+def test_small_powers_multiply_inline_with_the_bits_of_ipow(k):
+    ast = parse(f"x1^{k}", 1)
+    assert ("ipow(" in _emit((ast,), "point")[0]) == (k > _INLINE_POWER)
+    assert "ipow(" in _emit((ast,), "batch")[0]
+    for t in [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
+              -1e-310, 1e-160, -1e-80, 1.5, -2.0, 1e78, -1e103, 1e154, 1e308]:
+        want = outcome(reference_eval, ast, [t])
+        assert outcome(eval_expr, ast, [t]) == want
+        power = _ipow(t, k)
+        assert want == (("value", power.hex()) if math.isfinite(power)
+                        else ("error", "non-finite value from '^'"))
 
 
 def test_intermediate_inf_that_vanishes_still_raises():

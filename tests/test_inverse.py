@@ -20,6 +20,7 @@ import qvikit.inverse as inverse
 from qvikit.errors import (
     BracketingFailure,
     ConfigError,
+    EvalError,
     NoConvergence,
     SingularLinearPart,
 )
@@ -651,6 +652,73 @@ def test_semilinear_rejects_an_overflowing_right_hand_side_as_the_solve_does():
     want = _outcome(reference_semilinear, spec, point, True)
     assert want == (("ValueError", "array must not contain infs or NaNs"), [])
     assert _outcome(Semilinear.invert, spec, point, True) == want
+
+
+def test_semilinear_screen_leaves_few_exact_norms(ex3, monkeypatch):
+    # The point the README solve of example3 (h 0.3) inverts first.
+    x = np.array([5.0, 4.0, 2.0])
+    y = x - ex3.v(x)
+    y = np.clip(y - 0.3 * ex3.f(x), ex3.set.lower, ex3.set.upper)
+    log = []
+    want = invert(ex3.inverse, y, inner_log=log)
+    calls = []
+
+    def counting_norm(u):
+        calls.append(1)
+        return _norm(u)
+
+    monkeypatch.setattr(inverse, "_norm", counting_norm)
+    assert invert(ex3.inverse, y).tobytes() == want.tobytes()
+    assert len(log) > 5
+    assert len(calls) <= 2  # the exact test at the stop, then _verify
+
+
+@pytest.mark.parametrize("kind", ["callable", "expression"])
+@pytest.mark.parametrize("tol", [1e-3, 1e-12, 1e-160, 1e-162])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_semilinear_step_at_the_tolerance_stops_as_the_reference_does(dim, tol, kind):
+    # From y = 0 with A = 0 and g(x) = c + x/2, the steps are |c|, |c|/2, ...
+    # toward 2c: the loop stops after one step exactly when _norm(c) <=
+    # step_tol, and returns c then, else 1.5c or later.
+    rng = np.random.default_rng(dim)
+    step_tol = 0.5 * tol
+    stops = set()
+    for _ in range(100):
+        u = rng.standard_normal(dim)
+        # Within a few ulps of step_tol, or well above it.
+        spread = rng.choice([2.0 ** -52, 1e-3, 0.3])
+        c = u * (step_tol / _norm(u)) * (1.0 + rng.integers(-3, 4) * spread)
+        texts = [f"{float(ci)!r} + 0.5*x{i + 1}" for i, ci in enumerate(c)]
+        g = (VectorField.from_exprs(texts, dim) if kind == "expression"
+             else lambda x, c=c: c + 0.5 * x)
+        spec = Semilinear(np.zeros((dim, dim)), g, 0.5, inner_tol=tol)
+        want = _outcome(reference_semilinear, spec, np.zeros(dim), True)
+        assert _outcome(Semilinear.invert, spec, np.zeros(dim), True) == want
+        assert _outcome(Semilinear.invert, spec, np.zeros(dim), False)[0] == want[0]
+        stops.add(min(len(want[1]), 2))
+    # At 1e-162 every square underflows to 0: each first step stops.
+    assert stops == ({1} if tol == 1e-162 else {1, 2})
+
+
+@pytest.mark.parametrize("traced", [True, False])
+def test_semilinear_error_mid_loop_is_the_references(traced):
+    # x1 runs 1, 1.5, 1.75, 1.875, 1.9375: the sqrt of component 2 fails there.
+    g = VectorField.from_exprs(["0.5*x1 + 1", "0.5*x2 + 0*sqrt(1.9 - x1)"], 2)
+    spec = Semilinear(np.zeros((2, 2)), g, 0.6)
+    chains = []
+    for fn in (reference_semilinear, Semilinear.invert):
+        with pytest.raises(EvalError) as info:
+            fn(spec, np.zeros(2), [] if traced else None)
+        exc, chain = info.value, []
+        while exc is not None:  # each error, what it was raised from and in
+            chain.append((repr(exc), repr(exc.__cause__), exc.__context__ is exc.__cause__))
+            exc = exc.__context__
+        chains.append(chain)
+    assert chains[0] == chains[1]
+    assert chains[0][:2] == [
+        ("EvalError('component 2: sqrt: math domain error')",
+         "EvalError('sqrt: math domain error')", True),
+        ("EvalError('sqrt: math domain error')", "ValueError('math domain error')", True)]
 
 
 def test_linear_exact_refinement_that_overflows_raises_as_before():

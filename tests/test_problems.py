@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from qvikit.problems import (
     problem_to_dict,
 )
 from qvikit import analysis, problems
+from qvikit.cli import main
 from qvikit.solvers import SolverConfig, resolve_constant, solve_alg1, solve_zero
 
 SCHEMA_PATH = Path(problems.__file__).with_name("problem.schema.json")
@@ -443,10 +445,37 @@ def test_schema_rejects_the_documents_the_loader_now_rejects(mutate, needle):
         jsonschema.validate(doc, schema)
 
 
+def test_a_picard_l_below_the_norm_of_a_matrix_v_is_refused(tmp_path, capsys):
+    # x <- y + 3x does not contract: the solve read it as a divergence.
+    doc = _minimal_doc()
+    doc.update(v={"matrix": [[3.0]]}, inverse={"strategy": "picard", "l": 0.5},
+               set={"type": "whole_space"})
+    message = "inverse.l: 0.5 is below v's operator norm 3.0"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        problem_from_dict(doc)
+    path = tmp_path / "false-picard.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["solve", str(path), "--x0", "1", "--h", "0.5"]) == 1
+    assert capsys.readouterr() == ("", f"error: ConfigError: {message}\n")
+    # The norm as an SVD gives it loads, though power iteration may read an
+    # ulp above it; so does any l over a v with a remainder.
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 3) * 100:
+        M = rng.standard_normal((n, n))
+        M *= 0.9 / np.linalg.norm(M, 2)
+        doc = {"dim": n, "f": {"matrix": np.eye(n).tolist()}, "v": {"matrix": M.tolist()},
+               "inverse": {"strategy": "picard", "l": float(np.linalg.norm(M, 2))},
+               "set": {"type": "whole_space"}}
+        assert isinstance(problem_from_dict(doc).inverse, PicardContraction)
+    doc["v"]["remainder"], doc["inverse"]["l"] = ["0"] * 3, 0.1
+    assert problem_from_dict(doc).inverse.l == 0.1
+
+
 def test_schema_and_loader_accept_a_picard_contraction_of_zero():
     # PicardContraction takes 0 <= l < 1, and the schema agrees.
     jsonschema = pytest.importorskip("jsonschema")
     doc = _minimal_doc()
+    doc["v"] = "zero"
     doc["inverse"] = {"strategy": "picard", "l": 0}
     jsonschema.validate(doc, json.loads(SCHEMA_PATH.read_text(encoding="utf-8")))
     assert problem_from_dict(doc).inverse.l == 0.0
