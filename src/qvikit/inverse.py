@@ -12,19 +12,20 @@ the shapes of v that actually occur:
 
 Every invert call verifies |x - v(x) - y| <= inner_tol a posteriori, which
 turns the well-definedness of the inverse from a hypothesis into a runtime
-contract. Each strategy's ``lipschitz()`` bounds the Lipschitz constant of
-the inverse: exactly for LinearExact, by 1/(1-l) and |(I-A)^{-1}|/(1 -
-|(I-A)^{-1}| L_g) for the contractions, and by a seeded sampled estimate (a
-lower bound) for ScalarBracket.
+contract; the check records ``spec.checked = (x, x - v(x))``, which a solver
+steps on from where ``inverts_v`` holds. Each strategy's ``lipschitz()`` bounds
+the Lipschitz constant of the inverse: exactly for LinearExact, by 1/(1-l) and
+|(I-A)^{-1}|/(1 - |(I-A)^{-1}| L_g) for the contractions, and by a seeded
+sampled estimate (a lower bound) for ScalarBracket.
 
-PicardContraction and Semilinear screen their steps: only a step that may stop
-the loop gets the exact test, so each stops on the iterate a step-by-step loop
-stops on. Picard screens a chunk of iterates in one NumPy pass. Its first chunk
-is as long as the previous invert's loop on the same spec, so in a solve one
-chunk and one screen mostly suffice; a field's iterate that repeats the iterate
-one or two steps back bit for bit (an overflow to inf, or to inf and -inf in
-turn) ends the loop at once. Semilinear screens each step with ``math.dist`` on
-the floats its remainder reads, and with ``inner_log`` tests every step.
+PicardContraction tests a chunk of iterates in one stacked matmul, which takes
+each step norm with ``_norm``'s ``ddot``. Its first chunk is as long as the
+previous invert's loop on the same spec, so in a solve one chunk mostly
+suffices; a field's iterate that repeats the iterate one or two steps back bit
+for bit (an overflow to inf, or to inf and -inf in turn) ends the loop at once.
+Semilinear sums each ``y + g(x)`` on the floats a remainder-only ``g`` reads,
+hands that list to LAPACK, screens each step with ``math.dist`` (with
+``inner_log`` it tests every step) and checks with ``g`` at those floats.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -85,9 +87,9 @@ dgetrf, dgetrs = _LAPACK.dgetrf, _LAPACK.dgetrs
 
 
 def _all_finite(a):
-    """``np.isfinite(a).all()`` for an array of any shape, empty included, at
-    a third of its cost on the short vectors of the inner loops."""
-    return all(np.isfinite(a).ravel().tolist())
+    """``np.isfinite(a).all()`` for any shape, at half its cost: only a sum that
+    is not finite (from a non-finite entry, or by overflow) goes on to it."""
+    return math.isfinite(sum(a.ravel().tolist())) or bool(np.isfinite(a).all())
 
 
 class _LU:
@@ -121,7 +123,7 @@ class _LU:
         """``solve`` without its finiteness check, for a caller that checked
         ``b`` itself. L and U are finite, so a non-finite b gives a
         non-finite result, never a finite one; a nonzero info still raises."""
-        x, info = dgetrs(self.lu, self.piv, b, trans=trans)
+        x, info = dgetrs(self.lu, self.piv, b, trans)  # positional: f2py parses faster
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
         return x
@@ -168,13 +170,29 @@ def _unchecked(fn):
 
 
 def _verify(spec, x, vx, y):
-    res = _norm(x - vx - y)
+    w = x - vx
+    res = _norm(w - y)
     if not res <= spec.inner_tol:
         raise NoConvergence(
             f"inverse residual {res:.3e} exceeds inner_tol {spec.inner_tol:.1e}",
             res,
         )
+    spec.checked = (x, w)
     return x
+
+
+def inverts_v(spec, v):
+    """Whether ``spec``'s check evaluates the field ``v`` bit for bit (a matrix
+    of ``v.matrix``'s bytes and layout), so its record holds ``x - v(x)``."""
+    if isinstance(spec, PicardContraction):
+        return spec.v_map is v
+    semi = (isinstance(spec, Semilinear) and isinstance(spec.g, VectorField)
+            and spec.g.matrix is None)
+    if not (semi or isinstance(spec, LinearExact)):
+        return False
+    M, rest = (spec.A, spec.g.remainder) if semi else (spec.V, None)
+    return (isinstance(v, VectorField) and v.matrix is not None and v.remainder == rest
+            and M.strides == v.matrix.strides and M.tobytes() == v.matrix.tobytes())
 
 
 @dataclass(eq=False)
@@ -214,27 +232,21 @@ _FIRST_CHUNK, _MAX_CHUNK = 8, 512
 
 def _first_stop(xs, tol, inner_log):
     """The index in ``xs`` of the first iterate whose step from the one before
-    passes ``_norm(step) <= tol``, or None; and the steps' screened squares.
+    passes ``_norm(step) <= tol``, or None; and the steps' squared norms.
 
-    Only a step whose screened square is not above the bound, NaN included,
-    gets the exact test: the square and ``dot`` differ by far less than the
-    margin 1e-6, and the floor 1e-300 keeps an underflowing square a
-    candidate. With ``inner_log``, every step up to the stop is logged.
+    A stacked matmul of the steps runs, row by row, the ``ddot`` of
+    ``_norm``'s ``u.dot(u)``, so every norm is ``_norm``'s, bit for bit. With
+    ``inner_log``, every step up to the stop is logged.
     """
     # The iterates are contiguous float arrays of one shape: joining their
     # bytes stacks them at a fraction of np.array's cost.
     X = np.frombuffer(b"".join(xs)).reshape(len(xs), -1)
     D = X[1:] - X[:-1]
-    squares = np.einsum("ij,ij->i", D, D)
-    bound = max(tol * tol * (1.0 + 1e-6), 1e-300)
-    stop = None
-    for i in np.flatnonzero(~(squares > bound)).tolist():
-        if _norm(xs[i + 1] - xs[i]) <= tol:
-            stop = i + 1
-            break
+    squares = np.matmul(D[:, None, :], D[:, :, None]).ravel()
+    norms = np.sqrt(squares)
+    stop = next((i + 1 for i in np.flatnonzero(norms <= tol).tolist()), None)
     if inner_log is not None:
-        inner_log.extend(_norm(xs[i + 1] - xs[i])
-                         for i in range(len(xs) - 1 if stop is None else stop))
+        inner_log.extend(norms[:stop].tolist())
     return stop, squares
 
 
@@ -344,9 +356,10 @@ class Semilinear:
         self.A = np.asarray(self.A, float)
         self._lu = _LU(np.eye(self.A.shape[0]) - self.A, "I - A")
         self._g = _unchecked(self.g)
-        # g at the list of a point's floats: a remainder-only field's own.
-        pure = isinstance(self.g, VectorField) and self.g.matrix is None
-        self._g_list = self.g._rest if pure else self._g_at_list
+        # g on a point's floats if a remainder-only field of A's size, else on arrays.
+        pure = (isinstance(self.g, VectorField) and self.g.matrix is None
+                and self.g.dim == self.A.shape[0])
+        self._rest = self.g._rest if pure else None
         self.inv_norm = self._lu.inverse_norm()
         self.contraction = self.inv_norm * self.l_g
         if self.contraction >= 1.0:
@@ -354,37 +367,37 @@ class Semilinear:
                 f"semilinear contraction factor {self.contraction:.3f} is not < 1"
             )
 
-    def _g_at_list(self, xl):
-        return self._g(np.array(xl))
-
     def v(self, x):
         return self.A.dot(x) + self._g(x)
 
     def invert(self, y, inner_log=None):
         y = _point(y, self.A.shape[0])
-        solve, g = self._lu._solve, self._g_list
+        lu, rest, yl = self._lu, self._rest, y.tolist()
         # Stop on a step small enough that the g-increment bound keeps the
         # final residual under inner_tol even when l_g > 1.
         step_tol = 0.5 * self.inner_tol / max(1.0, self.l_g)
         # A finite step over this bound fails that test: math.dist and _norm differ
         # by far less than 1e-6, and the floor keeps underflowing squares in.
         bound = math.inf if inner_log is not None else max(step_tol * (1.0 + 1e-6), 1e-150)
-        x = solve(y)
+        x = lu._solve(y)
         xl = x.tolist()
         for _ in range(self.max_inner):
-            b = y + g(xl)
-            x_old, x = x, solve(b)
+            # y + g(x) (on floats, numpy's bits), handed to dgetrs as _solve does.
+            b = list(map(operator.add, yl, rest(xl))) if rest else y + self._g(np.array(xl))
+            x_old, (x, info) = x, dgetrs(lu.lu, lu.piv, b)
+            if info != 0:
+                lu._solve(b)  # raises _solve's error
             xl_old, xl = xl, x.tolist()
             if not bound < math.dist(xl, xl_old) < math.inf:
                 step = _norm(x - x_old)
                 if not step < math.inf:
                     # Every non-finite b lands here; the checked solve raises on it.
-                    self._lu.solve(b)
+                    lu.solve(np.array(b))
                 if inner_log is not None:
                     inner_log.append(step)
                 if step <= step_tol:
                     break
-        return _verify(self, x, self.v(x), y)
+        return _verify(self, x, self.A.dot(x) + (np.array(rest(xl)) if rest else self._g(x)), y)
 
     def lipschitz(self):
         return self.inv_norm / (1.0 - self.contraction)

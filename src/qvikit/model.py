@@ -289,10 +289,11 @@ def to_vi(problem):
     return T, problem.set
 
 
-def _natural_residual_parts(problem, x, fx, h):
+def _natural_residual_parts(problem, x, fx, h, y=None):
     """``(|y - p|, y, p)`` for ``y = x - v(x)``, ``p = proj_C(y - h fx)`` and
-    ``fx = f(x)``: the natural residual and the parts solvers step from."""
-    y = x - problem.v(x)
+    ``fx = f(x)``: the natural residual and the parts solvers step from; a
+    ``y`` given is that ``x - v(x)``, computed already."""
+    y = x - problem.v(x) if y is None else y
     p = project(problem.set, y - h * fx)
     return _norm(y - p), y, p
 

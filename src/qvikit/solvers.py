@@ -42,7 +42,7 @@ from .analysis import (
     sample_pair_modulus,
 )
 from .errors import BracketingFailure, ConfigError, DiagnosticsError, NoConvergence
-from .inverse import _LU, ScalarBracket, invert
+from .inverse import _LU, ScalarBracket, invert, inverts_v
 from .model import (
     _natural_residual_parts,
     natural_residual,
@@ -56,6 +56,7 @@ GAMMA_SAFETY = 0.9
 LIP_SAFETY = 1.1
 # Iterates whose norm passes this (or is not finite) count as diverged.
 _DIVERGENCE_GUARD = 1e12
+_MAX_SWEEP_STEPS = 10**6  # a sweep keeps each iterate: about 200 MB of them
 
 
 @dataclass(frozen=True)
@@ -240,20 +241,30 @@ def catching_up_step(problem, x, h):
     return project_moving(problem, x, x - h * problem.f(x))
 
 
+def _inverted(spec, p, keep):
+    """``x = invert(spec, p)``, and the ``x - v(x)`` its check recorded if ``keep``."""
+    x = invert(spec, p)
+    return x, spec.checked[1] if keep and spec.checked[0] is x else None
+
+
 def solve_alg1(problem, x0, config=SolverConfig()):
     """Iterate the modified projection step until the natural residual drops.
 
-    Each iterate evaluates f and the projection once, v also in the inverse's
-    check: the step inverts the p = proj_C(y - h f(x)) the residual |y - p| used.
+    Each iterate evaluates f, the projection and v once, v in the inverse's
+    check: the step inverts the p = proj_C(y - h f(x)) the residual |y - p|
+    used, and the check's x - v(x) is the next y (if ``inverts_v``).
     """
     h = config.h if config.h is not None else auto_step(problem)
     spec = problem.inverse
+    keep = inverts_v(spec, problem.v)
 
-    def probe(x):
-        r, _, p = _natural_residual_parts(problem, x, problem.f(x), h)
-        return r, lambda: invert(spec, p)
+    def probe(state):
+        x, y = state
+        r, _, p = _natural_residual_parts(problem, x, problem.f(x), h, y)
+        return r, lambda: _inverted(spec, p, keep)
 
-    return _run(np.asarray(x0, float), probe, config, h)
+    return _run((np.asarray(x0, float), None), probe, config, h,
+                x_of=lambda state: state[0])
 
 
 def solve_catchup(problem, x0, config=SolverConfig()):
@@ -289,11 +300,12 @@ def solve_tseng(problem, x0, config=SolverConfig(), literal=False):
     """
     h = config.h if config.h is not None else tseng_auto_step(problem)
     f, spec, cset = problem.f, problem.inverse, problem.set
+    keep = inverts_v(spec, problem.v)
 
     def probe(state):
-        x, y = state
+        x, w, y = state  # w: the x - v(x) of x's check, or None
         fx = f(x)  # equals T(y) since x = (Id-v)^{-1}(y)
-        r, y_of_x, _ = _natural_residual_parts(problem, x, fx, h)
+        r, y_of_x, _ = _natural_residual_parts(problem, x, fx, h, w)
         if y is None:  # the start: y0 = x0 - v(x0)
             y = y_of_x
 
@@ -304,11 +316,11 @@ def solve_tseng(problem, x0, config=SolverConfig(), literal=False):
                 yn = y + h * (fx - f(z))
             else:
                 yn = ybar - h * (f(z) - fx)
-            return invert(spec, yn), yn
+            return *_inverted(spec, yn, keep), yn
 
         return r, advance
 
-    return _run((np.asarray(x0, float), None), probe, config, h,
+    return _run((np.asarray(x0, float), None, None), probe, config, h,
                 x_of=lambda state: state[0])
 
 
@@ -355,9 +367,9 @@ class SweepResult:
 def sweep_trajectory(problem, x0, h, t_end):
     """Time-stamped trajectory of the discretized sweeping dynamics.
 
-    States are reported at t_k = k h and generated by the modified
-    projection step, the discretization that is convergent for every
-    bundled problem (the baseline moved-set step needs contractive v).
+    States are reported at t_k = k h, for at most 10^6 steps, and generated by
+    the modified projection step, the discretization that is convergent for
+    every bundled problem (the baseline moved-set step needs contractive v).
     """
     if not h > 0:
         raise ValueError("h must be positive")
@@ -365,7 +377,11 @@ def sweep_trajectory(problem, x0, h, t_end):
         raise ValueError("t_end must be at least h")
     if not math.isfinite(t_end / h):
         raise ValueError(f"t_end / h must be finite, got t_end={t_end} and h={h}")
-    config = SolverConfig(h=h, max_iter=int(round(t_end / h)), keep_iterates=True)
+    steps = round(t_end / h)
+    if steps > _MAX_SWEEP_STEPS:
+        raise ValueError(f"a sweep of {steps} steps (t_end / h) exceeds the cap of "
+                         f"{_MAX_SWEEP_STEPS} steps")
+    config = SolverConfig(h=h, max_iter=steps, keep_iterates=True)
     report = _run(np.asarray(x0, float),
                   lambda x: (None, lambda: alg1_step(problem, x, h)), config, h)
     xs = np.asarray(report.iterates)

@@ -465,6 +465,14 @@ def test_a_sweep_without_a_finite_step_count_exits_1(t_end, h, capsys):
         f"and h={float(h)}\n"
 
 
+def test_a_sweep_over_the_step_cap_exits_1(capsys):
+    code, out, err = run(capsys, "sweep", "builtin:example1", "--x0", "6,2",
+                         "--h", "0.01", "--T", "1e5")
+    assert (code, out) == (1, "")
+    assert err == "error: a sweep of 10000000 steps (t_end / h) exceeds the cap " \
+        "of 1000000 steps\n"
+
+
 @pytest.mark.parametrize("argv,needle", [
     (["solve", "--x0", "1,1"], "a problem is required"),
     (["solve", "builtin:nope", "--x0", "1"], "unknown builtin"),

@@ -1,4 +1,5 @@
 import importlib.machinery
+import math
 import os
 import subprocess
 import sys
@@ -202,6 +203,23 @@ def test_lu_solve_helper_rejects_non_finite_rhs():
     np.array([[1.0, 2.0], [np.inf, 0.0]]), np.array([[np.nan]]).T,
 ], ids=lambda a: f"{a.shape}-{a.tolist()}")
 def test_all_finite_gives_numpys_verdict_without_warnings(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _all_finite(a) is bool(np.isfinite(a).all())
+
+
+# Entries that stress a sum screen or a squared norm: non-finite values,
+# signed zeros, subnormals and magnitudes whose sums or squares overflow.
+_SPECIALS = [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -2.5e-310, 1e-160,
+             1e154, -1e154, 1.7e308, -1.7e308]
+_ENTRY = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(_SPECIALS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.sampled_from([(0,), (1,), (3,), (8,), (0, 3), (2, 3), (3, 1), (2, 2, 2)]),
+       entries=st.lists(_ENTRY, min_size=8, max_size=8))
+def test_all_finite_by_its_sum_is_numpys_verdict(shape, entries):
+    a = np.array(entries[:math.prod(shape)]).reshape(shape)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _all_finite(a) is bool(np.isfinite(a).all())
@@ -484,6 +502,31 @@ def test_picard_screen_leaves_few_exact_norms(monkeypatch):
     assert len(calls) <= 5  # the exact test at the stop, then _verify
 
 
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       special=st.sampled_from([0.0, 0.05, 0.3]),
+       tol=st.sampled_from([-1.0, 0.0, 1e-160, 1e-12, 1.0, 1e200]))
+def test_stacked_step_norms_are_the_norm_helpers_row_by_row(dim, seed, special, tol):
+    # _first_stop takes every step norm from one stacked matmul: each row
+    # must be _norm's bits, or a NumPy release that breaks it fails here.
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        X = rng.standard_normal((60, dim)) * 10.0 ** rng.integers(-320, 309, (60, 1))
+        mask = rng.random(X.shape) < special
+        X[mask] = rng.choice(_SPECIALS, mask.sum())
+        xs = list(X)
+        norms = [_norm(b - a) for a, b in zip(xs, xs[1:])]
+        log = []
+        stop, squares = inverse._first_stop(xs, tol, log)
+        D = np.array(xs[1:]) - np.array(xs[:-1])
+        stacked = np.sqrt(np.matmul(D[:, None, :], D[:, :, None])).ravel()
+    assert [float.hex(n) for n in stacked.tolist()] == list(map(float.hex, norms))
+    want = next((i + 1 for i, n in enumerate(norms) if n <= tol), None)
+    assert stop == want
+    assert list(map(float.hex, log)) == list(map(float.hex, norms[:want]))
+    assert squares.shape == (59,)
+
+
 @pytest.mark.parametrize("tol", [1e-3, 1e-12, 1e-160, 1e-162])
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_picard_step_at_the_tolerance_stops_as_the_reference_does(dim, tol):
@@ -643,6 +686,18 @@ def test_semilinear_invert_matches_the_reference_loop(dim, kind, entries, scale,
     want = _outcome(reference_semilinear, spec, point, True)
     assert _outcome(Semilinear.invert, spec, point, True) == want
     assert _outcome(Semilinear.invert, spec, point, False)[0] == want[0]
+
+
+@pytest.mark.parametrize("g", [
+    lambda x: 0.01, lambda x: np.array([0.01]), lambda x: np.zeros(2), lambda x: np.zeros(4),
+    VectorField.from_exprs(["0.1*sin(x1)"], 1), VectorField.from_exprs(["x1", "x2"], 2),
+], ids=["scalar", "one", "two", "four", "field-of-dim-1", "field-of-dim-2"])
+def test_semilinear_with_a_remainder_of_another_size_broadcasts_as_numpy_does(g):
+    # Only a remainder-only field of A's size is summed on floats; any other
+    # g keeps numpy's broadcasting, and its results and errors.
+    spec = Semilinear(np.diag([2.0, 3.0, 4.0]), g, 0.1)
+    want = _outcome(reference_semilinear, spec, np.array([1.0, 2.0, 3.0]), True)
+    assert _outcome(Semilinear.invert, spec, np.array([1.0, 2.0, 3.0]), True) == want
 
 
 def test_semilinear_rejects_an_overflowing_right_hand_side_as_the_solve_does():

@@ -10,7 +10,7 @@ from numpy.linalg import norm
 
 from qvikit import analysis, inverse, solvers
 from qvikit.errors import ConfigError, DiagnosticsError, SingularLinearPart
-from qvikit.inverse import LinearExact
+from qvikit.inverse import LinearExact, Semilinear
 from qvikit.model import (
     Box,
     Constant,
@@ -420,6 +420,22 @@ def test_sweep_constant_for_zero_field():
     assert np.all(result.speeds == 0.0)
 
 
+def test_a_sweep_over_the_step_cap_is_refused_before_it_runs(ex1, monkeypatch):
+    class Ran(Exception):
+        pass
+
+    def run(state0, probe, config, h):  # records the step count, runs nothing
+        raise Ran(config.max_iter)
+    monkeypatch.setattr(solvers, "_run", run)
+    with pytest.raises(ValueError) as info:
+        sweep_trajectory(ex1, [6.0, 2.0], 1.0, 10**6 + 1)
+    assert str(info.value) == ("a sweep of 1000001 steps (t_end / h) exceeds the cap "
+                               "of 1000000 steps")
+    with pytest.raises(Ran) as ran:  # at the cap, the sweep would run
+        sweep_trajectory(ex1, [6.0, 2.0], 1.0, 10**6)
+    assert ran.value.args == (10**6,)
+
+
 def test_sweep_decay_rate_scalar(r5):
     # From 0.5 the very first step lands on the solution, leaving nothing to
     # fit; a start further out decays gradually enough for a rate estimate.
@@ -588,6 +604,94 @@ def test_tseng_evaluates_v_once_per_iterate(ex1):
     assert report.converged
     assert problem.v.calls == report.iterations + 1
     assert problem.f.calls == 2 * report.iterations + 1
+
+
+def _v_evaluations(target, run, monkeypatch):
+    """``run()``'s report, the calls of the field ``target`` and the checks of
+    an inverse, each of which evaluates v at the x it returns."""
+    calls, checks = [], []
+    call, verify = VectorField.__call__, inverse._verify
+    monkeypatch.setattr(VectorField, "__call__", lambda field, x: (
+        calls.append(1) if field is target else None) or call(field, x))
+    monkeypatch.setattr(inverse, "_verify", lambda *args: checks.append(1) or verify(*args))
+    report = run()
+    monkeypatch.undo()
+    return report, len(calls), len(checks)
+
+
+def _bits(report):
+    return (report.iterations, report.x_final.tobytes(),
+            [float.hex(r) for r in report.residuals])
+
+
+@pytest.mark.parametrize("case", ["alg1.example1", "alg1.example1-picard", "alg1.example3",
+                                  "tseng.example1", "tseng.example1-picard",
+                                  "tseng.example3"])
+def test_solves_evaluate_v_once_per_accepted_iterate(case, ex1, ex3, monkeypatch):
+    # The problem's v is called once, at x0; each later x - v(x) is the one
+    # the check of the inverse that returned x computed, with the same bits.
+    name, builtin = case.split(".")
+    problem, x0, h = {"example1": (ex1, [6.0, 2.0], 0.01),
+                      "example1-picard": (_picard_example1(ex1), [6.0, 2.0], 0.01),
+                      "example3": (ex3, [5.0, 4.0, 2.0], 0.3)}[builtin]
+    solve = {"alg1": solve_alg1, "tseng": solve_tseng}[name]
+    assert inverse.inverts_v(problem.inverse, problem.v)
+    report, calls, checks = _v_evaluations(
+        problem.v, lambda: solve(problem, x0, SolverConfig(h=h)), monkeypatch)
+    assert report.converged
+    assert (calls, checks) == (1, (2 if name == "tseng" else 1) * report.iterations)
+    # A wrapped v is evaluated at every iterate, as before: the same bits.
+    assert _bits(report) == _bits(solve(_counted(problem), x0, SolverConfig(h=h)))
+    if case in BIT_PINS:
+        assert (report.iterations, tuple(map(float.hex, report.x_final.tolist()))) \
+            == BIT_PINS[case]
+
+
+# Iterations, endpoint and last residual (float.hex) of 60-step runs whose
+# inverse checks another map than the problem's v: recorded before the
+# checked x - v(x) was reused.
+GUARD_PINS = {
+    ("counting", "alg1"): (60, ("-0x1.7d10013864506p-4", "0x1.4ed4f9eb47bd4p-4",
+                                "-0x1.bfa453290ded9p-5"), "0x1.409563dcdc116p-10"),
+    ("counting", "tseng"): (60, ("-0x1.79d24b2e6f6a0p-4", "0x1.51a7d033a6e1ep-4",
+                                 "-0x1.b2a3d57023148p-5"), "0x1.8d4c975d5f31ap-8"),
+    ("other-matrix", "alg1"): (60, ("0x1.fa798dd01d77ap+4", "0x1.9e6374075dedbp+4"),
+                               "0x1.0629c57a6c22cp+4"),
+    ("other-matrix", "tseng"): (60, ("0x1.314d1683c7e60p+0", "0x1.b4c954e3e1ddap-3"),
+                                "0x1.c9608f1b998f4p-5"),
+    ("other-remainder", "alg1"): (60, ("-0x1.7b865f1069e7ep-4", "0x1.4d7e365fd3555p-4",
+                                       "-0x1.bdc810c104c9ap-5"), "0x1.03594559932e9p-9"),
+    ("other-remainder", "tseng"): (60, ("-0x1.79d248baf2bb6p-4", "0x1.51a7cc6ef2024p-4",
+                                        "-0x1.b2a3c32552dadp-5"), "0x1.8d4d1b678ebe7p-8"),
+    ("bracket", "alg1"): (21, ("-0x1.445a544a3a000p-2",), "0x1.e4a8000000000p-41"),
+    ("bracket", "tseng"): (31, ("-0x1.445a54b89e000p-2",), "0x1.e777bd0000000p-28"),
+}
+
+
+@pytest.mark.parametrize("case,name", sorted(GUARD_PINS))
+def test_a_solve_whose_inverse_checks_another_map_evaluates_v_at_every_iterate(
+        case, name, ex1, ex3, r5, monkeypatch):
+    # A wrapped v, a LinearExact of another matrix, a Semilinear of another
+    # remainder and a ScalarBracket (no check) each leave the solver
+    # evaluating the problem's v at every iterate.
+    problem, x0, h = {
+        "counting": (_counted(ex3), [5.0, 4.0, 2.0], 0.3),
+        "other-matrix": (QviProblem("other", 2, ex1.f, ex1.v,
+                                    LinearExact(0.5 * ex1.v.matrix), ex1.set),
+                         [6.0, 2.0], 0.01),
+        "other-remainder": (QviProblem("other", 3, ex3.f, ex3.v, Semilinear(
+            ex3.v.matrix, VectorField.from_exprs(
+                ["0.6*cos(x2)^2", "0.5*sin(x1)", "0.7*sin(x3)^2 + 0.001"], 3), 1.05),
+            ex3.set), [5.0, 4.0, 2.0], 0.3),
+        "bracket": (r5, [-7.0], 0.2),
+    }[case]
+    solve = {"alg1": solve_alg1, "tseng": solve_tseng}[name]
+    target = getattr(problem.v, "field", problem.v)  # what _Counting calls
+    report, calls, _ = _v_evaluations(
+        target, lambda: solve(problem, x0, SolverConfig(h=h, max_iter=60)), monkeypatch)
+    assert calls == report.iterations + 1
+    assert (report.iterations, tuple(map(float.hex, report.x_final.tolist())),
+            float.hex(report.residual_final)) == GUARD_PINS[case, name]
 
 
 @pytest.mark.parametrize("builtin,name,source", [
