@@ -10,8 +10,8 @@ cap, 1 usage or input errors. CSV columns are "iter,x1,...,xn,residual"
 for solves and "t,x1,...,xn,speed" for sweeps, 17 significant digits.
 
 ``main(argv)`` may be called repeatedly in one process: it builds one parser
-per QVI_SEED value. A solve keeps its iterates for --out and fits its rate
-only for --summary.
+per QVI_SEED value. A solve collects its iterates only for --out and fits
+its rate only for --summary.
 """
 
 from __future__ import annotations
@@ -110,14 +110,17 @@ def _parse_h(text):
 
 def _write_csv(path, first, xs, last, lead, tail):
     """Rows "lead,x1,...,xn,tail" under the header "first,x1,...,xn,last",
-    each number in _fmt's format; as many rows as the shortest column."""
-    xs = np.asarray(xs, float)
-    n = min(len(lead), len(xs), len(tail))
-    table = np.column_stack((np.asarray(lead, float)[:n], xs[:n], np.asarray(tail, float)[:n]))
+    each number in _fmt's format; one % formats a block of rows."""
+    xs, lead, tail = (np.asarray(a, float) for a in (xs, lead, tail))
+    block = 4096  # rows per %: the text and floats of one % stay small
     names = "".join(f"x{i + 1}," for i in range(xs.shape[1]))
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    row = ",".join(["%.17g"] * (xs.shape[1] + 2)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{first},{names}{last}\n" + row * n % tuple(table.ravel().tolist()))
+        fh.write(f"{first},{names}{last}\n")
+        for i in range(0, len(xs), block):
+            j = i + block
+            table = np.column_stack((lead[i:j], xs[i:j], tail[i:j]))
+            fh.write(row * len(table) % tuple(table.ravel().tolist()))
 
 
 def _report_summary(report):
@@ -133,10 +136,10 @@ def _report_summary(report):
     }
 
 
-def _finish_solve(args, report):
+def _finish_solve(args, report, iterates):
     if args.out:
-        _write_csv(args.out, "iter", report.iterates, "residual",
-                   range(len(report.iterates)), report.residuals)
+        _write_csv(args.out, "iter", iterates, "residual", range(len(iterates)),
+                   report.residuals)
     if args.summary:
         with open(args.summary, "w", encoding="utf-8") as fh:
             json.dump(_report_summary(report), fh, indent=2)
@@ -164,17 +167,18 @@ def cmd_solve(args):
         plan = SamplingPlan(seed=args.seed)
         h = tseng_auto_step(problem, plan) if args.algorithm == "tseng" \
             else auto_step(problem, plan)
-    config = SolverConfig(h=h, tol=args.tol, max_iter=args.max_iter,
-                          keep_iterates=bool(args.out))
+    config = SolverConfig(h=h, tol=args.tol, max_iter=args.max_iter)
+    iterates = [] if args.out else None
+    on_step = None if iterates is None else iterates.append
     if zero:
-        report = solve_zero(problem.f, problem.w, x0, config)
+        report = solve_zero(problem.f, problem.w, x0, config, on_step=on_step)
     elif args.algorithm == "alg1":
-        report = solve_alg1(problem, x0, config)
+        report = solve_alg1(problem, x0, config, on_step=on_step)
     elif args.algorithm == "catchup":
-        report = solve_catchup(problem, x0, config)
+        report = solve_catchup(problem, x0, config, on_step=on_step)
     else:
-        report = solve_tseng(problem, x0, config, literal=args.literal)
-    return _finish_solve(args, report)
+        report = solve_tseng(problem, x0, config, literal=args.literal, on_step=on_step)
+    return _finish_solve(args, report, iterates)
 
 
 def cmd_sweep(args):

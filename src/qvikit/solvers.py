@@ -56,7 +56,7 @@ GAMMA_SAFETY = 0.9
 LIP_SAFETY = 1.1
 # Iterates whose norm passes this (or is not finite) count as diverged.
 _DIVERGENCE_GUARD = 1e12
-_MAX_SWEEP_STEPS = 10**6  # a sweep keeps each iterate: about 200 MB of them
+_MAX_SWEEP_STEPS = 10**6  # a sweep peaks at about 40 B a step in 2-D: 40 MB
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,12 @@ class SolverConfig:
     h: float | None = None  # None means the auto step rule
     tol: float = 1e-8
     max_iter: int = 10_000
-    keep_iterates: bool = False
 
     def __post_init__(self):
-        if self.h is not None and not self.h > 0:
-            raise ValueError("h must be positive")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if self.h is not None and not 0 < self.h < math.inf:
+            raise ValueError(f"h must be positive and finite, got {self.h}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -85,7 +84,6 @@ class SolveReport:
     residual_final: float
     displacement_final: float
     residuals: list
-    iterates: list | None = None
 
     @property
     def rate_estimate(self):
@@ -96,22 +94,25 @@ class SolveReport:
             return None
 
 
-def _run(state0, probe, config, h, x_of=lambda state: state):
+def _run(state0, probe, config, h, x_of=lambda state: state, on_step=None):
     """The one iteration engine: stop on residual, cap, or divergence.
 
     ``probe(state)`` returns the stopping residual at ``state`` (None for a
     run with no residual, which goes on to ``config.max_iter``) and a thunk
     that takes the next step from the evaluations the residual made. A run
     diverges on a residual that is not finite or over 10x the one 100 steps back.
+    ``on_step(x)`` sees each iterate itself, not a copy: x0 first, the final last.
     """
     state = state0
     residuals = []
-    iterates = [x_of(state).copy()] if config.keep_iterates else None
     converged = diverged = False
     x_before = None  # the iterate the last step started from
     n = 0
     r, advance = probe(state)
-    while True:
+    while True:  # once per iterate
+        x = x_of(state)
+        if on_step is not None:
+            on_step(x)
         if r is not None:
             residuals.append(r)
             if r <= config.tol:
@@ -121,7 +122,6 @@ def _run(state0, probe, config, h, x_of=lambda state: state):
                                         and r > 10.0 * residuals[-101]):
                 diverged = True
                 break
-        x = x_of(state)
         if not _norm(x) <= _DIVERGENCE_GUARD:  # NaN or inf norms too
             diverged = True
             break
@@ -135,8 +135,6 @@ def _run(state0, probe, config, h, x_of=lambda state: state):
             break
         x_before, state = x, new_state
         n += 1
-        if iterates is not None:
-            iterates.append(x_of(state).copy())
         r, advance = probe(state)
 
     x_final = x_of(state).copy()
@@ -150,7 +148,6 @@ def _run(state0, probe, config, h, x_of=lambda state: state):
         residual_final=math.nan if r is None else float(r),
         displacement_final=float(displacement),
         residuals=residuals,
-        iterates=iterates,
     )
 
 
@@ -247,7 +244,7 @@ def _inverted(spec, p, keep):
     return x, spec.checked[1] if keep and spec.checked[0] is x else None
 
 
-def solve_alg1(problem, x0, config=SolverConfig()):
+def solve_alg1(problem, x0, config=SolverConfig(), *, on_step=None):
     """Iterate the modified projection step until the natural residual drops.
 
     Each iterate evaluates f, the projection and v once, v in the inverse's
@@ -264,17 +261,17 @@ def solve_alg1(problem, x0, config=SolverConfig()):
         return r, lambda: _inverted(spec, p, keep)
 
     return _run((np.asarray(x0, float), None), probe, config, h,
-                x_of=lambda state: state[0])
+                x_of=lambda state: state[0], on_step=on_step)
 
 
-def solve_catchup(problem, x0, config=SolverConfig()):
+def solve_catchup(problem, x0, config=SolverConfig(), *, on_step=None):
     """Iterate the baseline moved-set projection step (may diverge; reported)."""
     h = config.h if config.h is not None else auto_step(problem)
 
     def probe(x):
         return natural_residual(problem, x, h), lambda: catching_up_step(problem, x, h)
 
-    return _run(np.asarray(x0, float), probe, config, h)
+    return _run(np.asarray(x0, float), probe, config, h, on_step=on_step)
 
 
 def tseng_auto_step(problem, plan=None):
@@ -290,7 +287,7 @@ def tseng_auto_step(problem, plan=None):
     return 0.9 / (L * l_tilde)
 
 
-def solve_tseng(problem, x0, config=SolverConfig(), literal=False):
+def solve_tseng(problem, x0, config=SolverConfig(), literal=False, *, on_step=None):
     """Forward-backward-forward solve in y-space for (pseudo) monotone pairs.
 
     Standard update: ybar = proj_C(y - h T(y)); y+ = ybar - h (T(ybar) - T(y)).
@@ -321,7 +318,7 @@ def solve_tseng(problem, x0, config=SolverConfig(), literal=False):
         return r, advance
 
     return _run((np.asarray(x0, float), None, None), probe, config, h,
-                x_of=lambda state: state[0])
+                x_of=lambda state: state[0], on_step=on_step)
 
 
 @dataclass(eq=False)
@@ -344,11 +341,12 @@ def zero_step(f, w, x, h):
     return x - h * w.solve(f(x))
 
 
-def solve_zero(f, w, x0, config=SolverConfig()):
+def solve_zero(f, w, x0, config=SolverConfig(), *, on_step=None):
     """Drive |f(x_n)| below tol with the w-scaffold iteration; h is 1 by default."""
     h = config.h if config.h is not None else 1.0
     return _run(np.asarray(x0, float),
-                lambda x: (_norm(f(x)), lambda: zero_step(f, w, x, h)), config, h)
+                lambda x: (_norm(f(x)), lambda: zero_step(f, w, x, h)), config, h,
+                on_step=on_step)
 
 
 @dataclass(frozen=True)
@@ -381,10 +379,12 @@ def sweep_trajectory(problem, x0, h, t_end):
     if steps > _MAX_SWEEP_STEPS:
         raise ValueError(f"a sweep of {steps} steps (t_end / h) exceeds the cap of "
                          f"{_MAX_SWEEP_STEPS} steps")
-    config = SolverConfig(h=h, max_iter=steps, keep_iterates=True)
-    report = _run(np.asarray(x0, float),
-                  lambda x: (None, lambda: alg1_step(problem, x, h)), config, h)
-    xs = np.asarray(report.iterates)
+    xs = np.empty((steps + 1, *np.shape(x0)))
+    rows = iter(xs)  # one row per state, x0's first
+    report = _run(np.asarray(x0, float), lambda x: (None, lambda: alg1_step(problem, x, h)),
+                  SolverConfig(h=h, max_iter=steps), h,
+                  on_step=lambda x: np.copyto(next(rows), x))
+    xs = xs[:report.iterations + 1]
     return SweepResult(ts=h * np.arange(len(xs)), xs=xs, diverged=report.diverged)
 
 

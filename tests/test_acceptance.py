@@ -168,10 +168,11 @@ def test_criterion_08_rate_domination(ex1, ex1_solution):
     lt, _ = resolve_constant(ex1, "l_tilde")
     rho, _ = rate_bounds(gamma, L, l, lt)
     h = gamma / L**2
-    report = solve_alg1(ex1, np.array([6.0, 2.0]),
-                        SolverConfig(h=h, keep_iterates=True))
+    iterates = []
+    report = solve_alg1(ex1, np.array([6.0, 2.0]), SolverConfig(h=h),
+                        on_step=iterates.append)
     ystar = ex1_solution - ex1.v(ex1_solution)
-    errs = np.array([norm(x - ex1.v(x) - ystar) for x in report.iterates])
+    errs = np.array([norm(x - ex1.v(x) - ystar) for x in iterates])
     bound = lt * (1.0 + l) * errs[0] * rho ** np.arange(len(errs))
     dominated = bool(np.all(errs <= bound * (1.0 + 1e-6)))
     monotone = bool(np.all(errs[1:] <= errs[:-1]))
@@ -185,9 +186,10 @@ def test_criterion_09_zero_finder_contraction(ex4, ex4_solution):
     a_inv = operator_norm(np.linalg.inv(ex4.w.matrix))
     g = VectorField(3, remainder=ex4.f.remainder)
     alpha = a_inv * sample_lipschitz(g, SamplingPlan(seed=0))
-    report = solve_zero(ex4.f, ex4.w, np.array([1e4, 2e4, 3e4]),
-                        SolverConfig(h=1.0, tol=1e-10, keep_iterates=True))
-    errs = [norm(x - ex4_solution) for x in report.iterates]
+    iterates = []
+    solve_zero(ex4.f, ex4.w, np.array([1e4, 2e4, 3e4]),
+               SolverConfig(h=1.0, tol=1e-10), on_step=iterates.append)
+    errs = [norm(x - ex4_solution) for x in iterates]
     ratios = [cur / prev for prev, cur in zip(errs, errs[1:]) if prev > 1e-13]
     worst = max(ratios)
     ok = alpha < 1.0 and worst <= 1.0 - 1.0 * (1.0 - alpha) + 1e-9

@@ -180,16 +180,16 @@ def test_a_solve_without_summary_fits_no_rate(argv, tmp_path, monkeypatch, capsy
 
 @pytest.mark.parametrize("outputs", [(), ("--summary",), ("--out",), ("--out", "--summary")])
 def test_a_solve_keeps_its_iterates_only_for_out(outputs, tmp_path, monkeypatch, capsys):
-    reports, finish = [], cli._finish_solve
+    kept, finish = [], cli._finish_solve
 
-    def kept(args, report):
-        reports.append(report)
-        return finish(args, report)
-    monkeypatch.setattr(cli, "_finish_solve", kept)
+    def finished(args, report, iterates):
+        kept.append(iterates)
+        return finish(args, report, iterates)
+    monkeypatch.setattr(cli, "_finish_solve", finished)
     paths = [arg for flag in outputs for arg in (flag, str(tmp_path / flag[2:]))]
     argv = ("solve", "builtin:example2", "--x0", "43,22,55", "--h", "0.3", *paths)
     assert run(capsys, *argv)[0] == 0
-    assert (reports[0].iterates is not None) == ("--out" in outputs)
+    assert (kept[0] is not None) == ("--out" in outputs)
 
 
 @pytest.mark.parametrize("command", ["zero", "solve"])
@@ -292,8 +292,10 @@ def _csv_row_by_row(first, xs, last, lead, tail):
     return "\n".join(lines) + "\n"
 
 
-def _solve_table(report):
-    return "iter", report.iterates, "residual", range(len(report.iterates)), report.residuals
+def _solve_table(solve, problem, x0, config):
+    iterates = []
+    report = solve(get_builtin(problem), x0, config, on_step=iterates.append)
+    return report, ("iter", iterates, "residual", range(len(iterates)), report.residuals)
 
 
 def _sweep_table():
@@ -302,24 +304,25 @@ def _sweep_table():
 
 
 def _diverged_table():
-    report = solve_catchup(get_builtin("example2"), [43.0, 22.0, 55.0],
-                           SolverConfig(h=0.3, keep_iterates=True))
+    report, table = _solve_table(solve_catchup, "example2", [43.0, 22.0, 55.0],
+                                 SolverConfig(h=0.3))
     assert report.diverged
-    return _solve_table(report)
+    return table
 
 
 _ODD = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324, 1.7976931348623157e308,
         0.1, 2.0 / 3.0, -1e16, 123456789012345678.0]
 CSV_TABLES = {
-    "solve": lambda: _solve_table(solve_alg1(get_builtin("example1"), [6.0, 2.0],
-                                             SolverConfig(h=0.01, keep_iterates=True))),
+    "solve": lambda: _solve_table(solve_alg1, "example1", [6.0, 2.0],
+                                  SolverConfig(h=0.01))[1],
     "sweep": _sweep_table,
     "catchup-diverged": _diverged_table,
-    "one-dim": lambda: _solve_table(solve_alg1(get_builtin("remark5"), [0.5],
-                                               SolverConfig(h=0.5, keep_iterates=True))),
+    "one-dim": lambda: _solve_table(solve_alg1, "remark5", [0.5], SolverConfig(h=0.5))[1],
     "nan-inf-zero": lambda: ("t", [[v, -v] for v in _ODD], "speed", _ODD[::-1], _ODD),
-    "short-tail": lambda: ("iter", [[1.0, 2.0]] * 5, "residual", range(5),
-                           [0.5, -0.0, np.nan]),
+    "one-row": lambda: ("iter", [[1.0, -0.0]], "residual", range(1), [np.nan]),
+    # Rows past one % block, whose last block is short.
+    "blocks": lambda: ("t", np.random.default_rng(3).normal(size=(9000, 3)), "speed",
+                       np.arange(9000) * 0.01, np.random.default_rng(4).exponential(size=9000)),
 }
 
 
@@ -480,6 +483,10 @@ def test_a_sweep_over_the_step_cap_exits_1(capsys):
     (["solve", "builtin:example1", "--x0", "a,b"], "comma list"),
     (["solve", "builtin:example1", "--x0", "1,1", "--h", "0"], "positive"),
     (["solve", "builtin:example1", "--x0", "1,1", "--h", "fast"], "auto"),
+    (["solve", "builtin:example1", "--x0", "6,2", "--h", "inf"],
+     "h must be positive and finite, got inf"),
+    (["solve", "builtin:example1", "--x0", "6,2", "--h", "0.01", "--tol", "inf"],
+     "tol must be positive and finite, got inf"),
     (["solve", "builtin:example1", "--algorithm", "alg3", "--x0", "1,1"],
      "zero problem"),
     (["solve", "builtin:example4", "--x0", EX4_X0], "alg3"),

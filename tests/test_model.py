@@ -39,11 +39,14 @@ def test_project_box_clamps():
 
 
 def test_project_box_matches_clip_bit_for_bit():
-    box = Box([0.0, -0.0, -1.0, -1.0, 0.0, -2.0], [1.0, 1.0, 0.0, -0.0, 0.0, 2.0])
+    # The last two coordinates have bounds (-0.0, 0.0) and (0.0, -0.0): there
+    # only the lower-then-upper order gives np.clip's signed zeros.
+    box = Box([0.0, -0.0, -1.0, -1.0, 0.0, -2.0, -0.0, 0.0],
+              [1.0, 1.0, 0.0, -0.0, 0.0, 2.0, 0.0, -0.0])
     rng = np.random.default_rng(4)
-    points = [np.array([-0.0, 0.0, 0.0, -0.0, -0.0, 0.0]),
-              np.array([np.nan, np.inf, -np.inf, 5.0, -5.0, 1.5])]
-    points += [rng.uniform(-3.0, 3.0, 6) for _ in range(100)]
+    points = [np.array([-0.0, 0.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0]),
+              np.array([np.nan, np.inf, -np.inf, 5.0, -5.0, 1.5, 5.0, -5.0])]
+    points += [rng.uniform(-3.0, 3.0, 8) for _ in range(100)]
     for z in points:
         got = project(box, z)
         assert got.tobytes() == np.clip(z, box.lower, box.upper).tobytes()

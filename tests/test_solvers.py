@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -192,11 +194,12 @@ def test_solve_hits_iteration_cap(ex1):
 
 
 def test_solve_report_recording(ex2):
-    config = SolverConfig(h=0.3, keep_iterates=True)
-    report = solve_alg1(ex2, np.array([43.0, 22.0, 55.0]), config)
+    config, iterates = SolverConfig(h=0.3), []
+    report = solve_alg1(ex2, np.array([43.0, 22.0, 55.0]), config,
+                        on_step=iterates.append)
     assert len(report.residuals) == report.iterations + 1
-    assert len(report.iterates) == report.iterations + 1
-    assert np.array_equal(report.iterates[-1], report.x_final)
+    assert len(iterates) == report.iterations + 1
+    assert np.array_equal(iterates[-1], report.x_final)
     assert report.residuals[-1] == report.residual_final
     assert 0.0 < report.rate_estimate < 1.0
     assert report.converged and report.residual_final <= config.tol
@@ -204,9 +207,9 @@ def test_solve_report_recording(ex2):
 
 def test_a_solve_keeps_every_residual_and_no_iterate_by_default(ex2):
     report = solve_alg1(ex2, np.array([43.0, 22.0, 55.0]), SolverConfig(h=0.3))
-    kept = solve_alg1(ex2, np.array([43.0, 22.0, 55.0]),
-                      SolverConfig(h=0.3, keep_iterates=True))
-    assert report.iterates is None
+    kept = solve_alg1(ex2, np.array([43.0, 22.0, 55.0]), SolverConfig(h=0.3),
+                      on_step=[].append)
+    assert not hasattr(report, "iterates")
     assert report.residuals == kept.residuals
     assert len(report.residuals) == report.iterations + 1
     assert report.rate_estimate.hex() == fit_linear_rate(report.residuals).hex()
@@ -357,9 +360,10 @@ def test_zero_solver_contraction_ratios(ex4, ex4_solution):
     lg_hat = sample_lipschitz(g, SamplingPlan(seed=0))
     alpha = a_inv * lg_hat
     assert alpha < 1.0
-    report = solve_zero(ex4.f, ex4.w, np.array([1e4, 2e4, 3e4]),
-                        SolverConfig(h=1.0, tol=1e-10, keep_iterates=True))
-    errs = [norm(x - ex4_solution) for x in report.iterates]
+    iterates = []
+    solve_zero(ex4.f, ex4.w, np.array([1e4, 2e4, 3e4]),
+               SolverConfig(h=1.0, tol=1e-10), on_step=iterates.append)
+    errs = [norm(x - ex4_solution) for x in iterates]
     for prev, cur in zip(errs, errs[1:]):
         if prev > 1e-13:
             assert cur / prev <= 1.0 - 1.0 * (1.0 - alpha) + 1e-9
@@ -371,9 +375,9 @@ def test_zero_map_rejects_singular_matrix():
 
 
 def test_y_space_domination_and_monotonicity(ex1, ex1_solution):
-    h = auto_step(ex1)
-    report = solve_alg1(ex1, np.array([6.0, 2.0]),
-                        SolverConfig(h=h, keep_iterates=True))
+    h, iterates = auto_step(ex1), []
+    report = solve_alg1(ex1, np.array([6.0, 2.0]), SolverConfig(h=h),
+                        on_step=iterates.append)
     assert report.converged
     plan = SamplingPlan(seed=0)
     w = FuncField(2, lambda x: x - ex1.v(x))
@@ -383,7 +387,7 @@ def test_y_space_domination_and_monotonicity(ex1, ex1_solution):
     lt, _ = resolve_constant(ex1, "l_tilde")
     rho, _ = rate_bounds(gamma, L, l, lt)
     ystar = ex1_solution - ex1.v(ex1_solution)
-    errs = np.array([norm(x - ex1.v(x) - ystar) for x in report.iterates])
+    errs = np.array([norm(x - ex1.v(x) - ystar) for x in iterates])
     bound = lt * (1.0 + l) * errs[0] * rho ** np.arange(len(errs))
     assert np.all(errs <= bound * (1.0 + 1e-6))
     assert np.all(errs[1:] <= errs[:-1] * (1.0 + 1e-15))
@@ -424,7 +428,7 @@ def test_a_sweep_over_the_step_cap_is_refused_before_it_runs(ex1, monkeypatch):
     class Ran(Exception):
         pass
 
-    def run(state0, probe, config, h):  # records the step count, runs nothing
+    def run(state0, probe, config, h, on_step):  # records the step count, runs nothing
         raise Ran(config.max_iter)
     monkeypatch.setattr(solvers, "_run", run)
     with pytest.raises(ValueError) as info:
@@ -434,6 +438,81 @@ def test_a_sweep_over_the_step_cap_is_refused_before_it_runs(ex1, monkeypatch):
     with pytest.raises(Ran) as ran:  # at the cap, the sweep would run
         sweep_trajectory(ex1, [6.0, 2.0], 1.0, 10**6)
     assert ran.value.args == (10**6,)
+
+
+def test_a_sweep_keeps_its_states_in_one_float_array(ex1):
+    sweep_trajectory(ex1, [6.0, 2.0], 0.01, 1.0)  # one-time caches fill here, not below
+    tracemalloc.start()
+    try:
+        result = sweep_trajectory(ex1, (6.0, 2.0), 0.01, 100.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.xs.shape == (10_001, 2) and not result.diverged
+    assert peak / 10_000 <= 64  # bytes per step; the states alone take 16
+
+
+def test_a_sweep_steps_by_alg1_step_row_by_row(ex1):
+    result = sweep_trajectory(ex1, [6.0, 2.0], 0.01, 0.5)
+    x = np.array([6.0, 2.0])
+    for row in result.xs:
+        assert row.tobytes() == x.tobytes()
+        x = alg1_step(ex1, x, 0.01)
+    assert result.ts.tobytes() == (0.01 * np.arange(51)).tobytes()
+
+
+def test_a_diverged_sweep_keeps_the_states_it_reached():
+    p = _zero_v_problem(VectorField.from_matrix([[-1.0]]), WholeSpace(1))
+    result = sweep_trajectory(p, [1.0], 1.0, 100.0)  # x doubles each step
+    assert result.diverged
+    assert result.xs.shape == (41, 1)
+    assert result.xs[:, 0].tolist() == [2.0**k for k in range(41)]
+    assert len(result.ts) == 41
+
+
+def _report_bits(report):
+    return {name: value.tobytes() if isinstance(value, np.ndarray) else repr(value)
+            for name, value in vars(report).items()}
+
+
+OBSERVED_RUNS = {  # case: (run, x0)
+    "alg1.example1": (lambda p, x0, **kw: solve_alg1(p["ex1"], x0, SolverConfig(h=0.01), **kw),
+                      [6.0, 2.0]),
+    "alg1.example1-max-iter": (lambda p, x0, **kw: solve_alg1(
+        p["ex1"], x0, SolverConfig(h=0.01, max_iter=5), **kw), [6.0, 2.0]),
+    "alg1.example3": (lambda p, x0, **kw: solve_alg1(p["ex3"], x0, SolverConfig(h=0.3), **kw),
+                      [5.0, 4.0, 2.0]),
+    "alg1.remark5": (lambda p, x0, **kw: solve_alg1(p["r5"], x0, SolverConfig(h=0.5), **kw),
+                     [0.5]),
+    "catchup.example2-diverged": (lambda p, x0, **kw: solve_catchup(
+        p["ex2"], x0, SolverConfig(h=0.3), **kw), [43.0, 22.0, 55.0]),
+    "tseng.example1": (lambda p, x0, **kw: solve_tseng(p["ex1"], x0, SolverConfig(h=0.01), **kw),
+                       [6.0, 2.0]),
+    "tseng.example1-literal": (lambda p, x0, **kw: solve_tseng(
+        p["ex1"], x0, SolverConfig(h=0.01), literal=True, **kw), [6.0, 2.0]),
+    "zero.example4": (lambda p, x0, **kw: solve_zero(
+        p["ex4"].f, p["ex4"].w, x0, SolverConfig(h=1.0, tol=1e-10), **kw), [1e4, 2e4, 3e4]),
+}
+
+
+@pytest.mark.parametrize("case", OBSERVED_RUNS)
+def test_on_step_sees_each_iterate_once_and_changes_no_bit(case, ex1, ex2, ex3, ex4, r5):
+    problems = {"ex1": ex1, "ex2": ex2, "ex3": ex3, "ex4": ex4, "r5": r5}
+    run, x0 = OBSERVED_RUNS[case][0], np.array(OBSERVED_RUNS[case][1])
+    seen, copies = [], []
+
+    def on_step(x):
+        seen.append(x)
+        copies.append(x.copy())
+    report = run(problems, x0, on_step=on_step)
+    plain = run(problems, x0.copy())
+    assert _report_bits(report) == _report_bits(plain)
+    assert "iterates" not in vars(report)
+    assert len(seen) == report.iterations + 1
+    assert seen[0] is x0  # the iterates themselves, x0 first
+    assert seen[-1].tobytes() == report.x_final.tobytes()
+    # Nothing changes an iterate after the hook has seen it.
+    assert all(x.tobytes() == c.tobytes() for x, c in zip(seen, copies))
 
 
 def test_sweep_decay_rate_scalar(r5):
@@ -494,6 +573,11 @@ def test_solver_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+    for kwargs in ({"h": math.inf}, {"tol": math.inf}, {"h": math.nan},
+                   {"tol": math.nan}, {"h": -math.inf}):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            SolverConfig(**kwargs)
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["h", "tol", "max_iter"]
 
 
 def test_natural_residual_consistent_with_reports(ex2):
