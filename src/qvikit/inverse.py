@@ -26,6 +26,8 @@ for bit (an overflow to inf, or to inf and -inf in turn) ends the loop at once.
 Semilinear sums each ``y + g(x)`` on the floats a remainder-only ``g`` reads,
 hands that list to LAPACK, screens each step with ``math.dist`` (with
 ``inner_log`` it tests every step) and checks with ``g`` at those floats.
+LinearExact and Semilinear also take ``y`` as the list of floats the solvers
+hand them (same bits and errors); the check screens with ``math.dist`` too.
 """
 
 from __future__ import annotations
@@ -87,9 +89,10 @@ dgetrf, dgetrs = _LAPACK.dgetrf, _LAPACK.dgetrs
 
 
 def _all_finite(a):
-    """``np.isfinite(a).all()`` for any shape, at half its cost: only a sum that
-    is not finite (from a non-finite entry, or by overflow) goes on to it."""
-    return math.isfinite(sum(a.ravel().tolist())) or bool(np.isfinite(a).all())
+    """``np.isfinite(a).all()`` for an array of any shape or a list of floats, at half
+    its cost: only a sum that is not finite (a non-finite entry, or overflow) tests each."""
+    values = a if type(a) is list else a.ravel().tolist()
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 
 class _LU:
@@ -109,7 +112,7 @@ class _LU:
         self.A, self.lu, self.piv = A, lu, piv
 
     def solve(self, b, trans=0):
-        """A^{-1} b (A^{-T} b for trans=1) for a float vector b.
+        """A^{-1} b (A^{-T} b for trans=1) for a float vector b (or list of floats).
 
         The LAPACK call of scipy.linalg.lu_solve, bit for bit, without its
         wrapper's overhead. Its contract holds: a non-finite b raises
@@ -157,6 +160,14 @@ def _point(y, dim):
     return y
 
 
+def _floats(y, dim):
+    """``_point(y, dim).tolist()``: a list of ``dim`` floats with a finite sum is kept."""
+    if (type(y) is list and len(y) == dim and all(type(t) is float for t in y)
+            and math.isfinite(sum(y))):
+        return y
+    return _point(y, dim).tolist()
+
+
 def _unchecked(fn):
     """Evaluator of a displacement for inner loops.
 
@@ -170,13 +181,16 @@ def _unchecked(fn):
 
 
 def _verify(spec, x, vx, y):
+    """Check ``_norm(w - y) <= inner_tol`` for ``w = x - vx``; record ``(x, w)``. A
+    ``math.dist`` of 0 or well inside passes: the two differ by far less than 1e-6
+    where squares neither underflow nor overflow. Elsewhere ``_norm`` decides."""
     w = x - vx
-    res = _norm(w - y)
-    if not res <= spec.inner_tol:
-        raise NoConvergence(
-            f"inverse residual {res:.3e} exceeds inner_tol {spec.inner_tol:.1e}",
-            res,
-        )
+    tol = spec.inner_tol
+    d = math.dist(w.tolist(), y)
+    if not (0.0 == d <= tol or 1e-150 < d < min(tol * (1.0 - 1e-6), 1e150)):
+        res = _norm(w - y)
+        if not res <= tol:
+            raise NoConvergence(f"inverse residual {res:.3e} exceeds inner_tol {tol:.1e}", res)
     spec.checked = (x, w)
     return x
 
@@ -214,12 +228,11 @@ class LinearExact:
         return self.V.dot(x)
 
     def invert(self, y, inner_log=None):
-        y = _point(y, self.V.shape[0])
-        # _LU.refined_solve, but y is checked already: only the refinement's
-        # right-hand side is.
+        y = _floats(y, self.V.shape[0])
+        # _LU.refined_solve on floats; y is checked, the refinement's right side is not yet.
         lu = self._lu
         x = lu._solve(y)
-        x = x + lu.solve(y - lu.A.dot(x))
+        x = x + lu.solve(list(map(operator.sub, y, lu.A.dot(x).tolist())))
         return _verify(self, x, self.V.dot(x), y)
 
     def lipschitz(self):
@@ -371,19 +384,20 @@ class Semilinear:
         return self.A.dot(x) + self._g(x)
 
     def invert(self, y, inner_log=None):
-        y = _point(y, self.A.shape[0])
-        lu, rest, yl = self._lu, self._rest, y.tolist()
+        yl = _floats(y, self.A.shape[0])
+        lu, rest = self._lu, self._rest
         # Stop on a step small enough that the g-increment bound keeps the
         # final residual under inner_tol even when l_g > 1.
         step_tol = 0.5 * self.inner_tol / max(1.0, self.l_g)
         # A finite step over this bound fails that test: math.dist and _norm differ
         # by far less than 1e-6, and the floor keeps underflowing squares in.
         bound = math.inf if inner_log is not None else max(step_tol * (1.0 + 1e-6), 1e-150)
-        x = lu._solve(y)
+        x = lu._solve(yl)
         xl = x.tolist()
         for _ in range(self.max_inner):
             # y + g(x) (on floats, numpy's bits), handed to dgetrs as _solve does.
-            b = list(map(operator.add, yl, rest(xl))) if rest else y + self._g(np.array(xl))
+            b = (list(map(operator.add, yl, rest(xl))) if rest
+                 else np.add(yl, self._g(np.array(xl))))
             x_old, (x, info) = x, dgetrs(lu.lu, lu.piv, b)
             if info != 0:
                 lu._solve(b)  # raises _solve's error
@@ -392,12 +406,12 @@ class Semilinear:
                 step = _norm(x - x_old)
                 if not step < math.inf:
                     # Every non-finite b lands here; the checked solve raises on it.
-                    lu.solve(np.array(b))
+                    lu.solve(b)
                 if inner_log is not None:
                     inner_log.append(step)
                 if step <= step_tol:
                     break
-        return _verify(self, x, self.A.dot(x) + (np.array(rest(xl)) if rest else self._g(x)), y)
+        return _verify(self, x, self.A.dot(x) + (np.array(rest(xl)) if rest else self._g(x)), yl)
 
     def lipschitz(self):
         return self.inv_norm / (1.0 - self.contraction)

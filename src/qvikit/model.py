@@ -12,6 +12,7 @@ imports qvikit.inverse: a problem's own ``inverse`` strategy inverts.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,6 +60,11 @@ class Box:
     def dim(self):
         return self.lower.size
 
+    @cached_property
+    def _bounds(self):
+        """The bounds' floats: the lists of ``lower`` and ``upper``."""
+        return self.lower.tolist(), self.upper.tolist()
+
 
 ConvexSet = WholeSpace | NonnegativeOrthant | Box
 
@@ -74,6 +80,20 @@ def project(cset, z):
         return np.maximum(z, 0.0)
     # np.clip(z, lower, upper) bit for bit, signed zeros included, for less.
     return np.minimum(np.maximum(z, cset.lower), cset.upper)
+
+
+def project_floats(cset, z):
+    """``project(cset, z).tolist()`` for a list of floats, bit for bit: numpy's max
+    keeps its first argument only where greater or NaN, so a tie of signed zeros
+    gives the bound (``np.maximum(-0.0, 0.0)`` is 0.0); its min likewise."""
+    if len(z) != cset.dim:
+        raise ValueError(f"dimension mismatch: point ({len(z)},) vs set ({cset.dim},)")
+    if isinstance(cset, Box):
+        return [m if (m := t if t > lo or t != t else lo) < hi or m != m else hi
+                for t, lo, hi in zip(z, *cset._bounds)]
+    if isinstance(cset, NonnegativeOrthant):
+        return [t if t > 0.0 or t != t else 0.0 for t in z]
+    return list(z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,6 +185,18 @@ class VectorField:
         if x.shape != (self.dim,):
             raise ValueError(f"dimension mismatch: {x.shape} vs ({self.dim},)")
         return self.evaluate(x)
+
+    def floats(self, x):
+        """``self(x).tolist()``: the same checks and bits, the sum taken on floats."""
+        x = np.asarray(x, float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"dimension mismatch: {x.shape} vs ({self.dim},)")
+        if self.remainder is None:
+            return self.matrix.dot(x).tolist()
+        rest = self._rest(x.tolist())
+        if self.matrix is None:
+            return list(rest)
+        return list(map(operator.add, self.matrix.dot(x).tolist(), rest))
 
     def evaluate_batch(self, X):
         """Values at the N columns of a float array ``X`` of shape (dim, N),
@@ -289,13 +321,14 @@ def to_vi(problem):
     return T, problem.set
 
 
-def _natural_residual_parts(problem, x, fx, h, y=None):
-    """``(|y - p|, y, p)`` for ``y = x - v(x)``, ``p = proj_C(y - h fx)`` and
-    ``fx = f(x)``: the natural residual and the parts solvers step from; a
-    ``y`` given is that ``x - v(x)``, computed already."""
-    y = x - problem.v(x) if y is None else y
-    p = project(problem.set, y - h * fx)
-    return _norm(y - p), y, p
+def _y_and_p(problem, x, h, y=None):
+    """``y = x - v(x)`` and ``p = proj_C(y - h f(x))`` at the float array ``x``,
+    as lists of floats with numpy's bits; a ``y`` given is that ``x - v(x)``
+    (an array), computed already."""
+    f = problem.f  # evaluated before v: f's error comes first
+    fx = f.floats(x) if isinstance(f, VectorField) else np.asarray(f(x), float).tolist()
+    y = (x - problem.v(x) if y is None else y).tolist()
+    return y, project_floats(problem.set, [a - h * b for a, b in zip(y, fx)])
 
 
 def natural_residual(problem, x, h):
@@ -306,5 +339,5 @@ def natural_residual(problem, x, h):
     """
     if not h > 0:
         raise ValueError("h must be positive")
-    x = np.asarray(x, float)
-    return _natural_residual_parts(problem, x, problem.f(x), h)[0]
+    y, p = _y_and_p(problem, np.asarray(x, float), h)
+    return _norm(np.array([a - b for a, b in zip(y, p)]))

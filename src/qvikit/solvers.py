@@ -43,12 +43,7 @@ from .analysis import (
 )
 from .errors import BracketingFailure, ConfigError, DiagnosticsError, NoConvergence
 from .inverse import _LU, ScalarBracket, invert, inverts_v
-from .model import (
-    _natural_residual_parts,
-    natural_residual,
-    project,
-    project_moving,
-)
+from .model import _y_and_p, natural_residual, project, project_moving
 
 # Safety factors compensating the one-sided bias of sampled estimates:
 # gamma-hat is an upper bound (shrink it), L-hat a lower bound (grow it).
@@ -122,7 +117,10 @@ def _run(state0, probe, config, h, x_of=lambda state: state, on_step=None):
                                         and r > 10.0 * residuals[-101]):
                 diverged = True
                 break
-        if not _norm(x) <= _DIVERGENCE_GUARD:  # NaN or inf norms too
+        # NaN or inf norms too. Well below the guard, math.hypot decides as
+        # _norm would: the two differ by far less than 1e-3 there.
+        if not (math.hypot(*x.ravel().tolist()) < 0.999 * _DIVERGENCE_GUARD
+                or _norm(x) <= _DIVERGENCE_GUARD):
             diverged = True
             break
         if n >= config.max_iter:
@@ -221,13 +219,12 @@ def rate_bounds(gamma, L, l, l_tilde):
     return float(np.sqrt(1.0 - q_rho)), float(np.sqrt(1.0 - q_kappa))
 
 
-def alg1_step(problem, x, h):
-    """One modified projection step: invert after projecting in y-space."""
+def alg1_step(problem, x, h, *, y=None):
+    """One modified projection step: invert after projecting in y-space. ``y``, if
+    given, is x - v(x) as a float array (an inverse's check records it): v is not called."""
     if not h > 0:
         raise ValueError("h must be positive")
-    x = np.asarray(x, float)
-    fx = problem.f(x)  # before v: f's error comes first
-    return invert(problem.inverse, project(problem.set, x - problem.v(x) - h * fx))
+    return invert(problem.inverse, _y_and_p(problem, np.asarray(x, float), h, y)[1])
 
 
 def catching_up_step(problem, x, h):
@@ -238,9 +235,8 @@ def catching_up_step(problem, x, h):
     return project_moving(problem, x, x - h * problem.f(x))
 
 
-def _inverted(spec, p, keep):
-    """``x = invert(spec, p)``, and the ``x - v(x)`` its check recorded if ``keep``."""
-    x = invert(spec, p)
+def _checked(spec, x, keep):
+    """``x``, just returned by ``spec``'s invert, and its check's ``x - v(x)`` if ``keep``."""
     return x, spec.checked[1] if keep and spec.checked[0] is x else None
 
 
@@ -249,16 +245,16 @@ def solve_alg1(problem, x0, config=SolverConfig(), *, on_step=None):
 
     Each iterate evaluates f, the projection and v once, v in the inverse's
     check: the step inverts the p = proj_C(y - h f(x)) the residual |y - p|
-    used, and the check's x - v(x) is the next y (if ``inverts_v``).
+    used, and the check's x - v(x) is the next y (if ``inverts_v``); y, p on floats.
     """
     h = config.h if config.h is not None else auto_step(problem)
     spec = problem.inverse
     keep = inverts_v(spec, problem.v)
 
     def probe(state):
-        x, y = state
-        r, _, p = _natural_residual_parts(problem, x, problem.f(x), h, y)
-        return r, lambda: _inverted(spec, p, keep)
+        y, p = _y_and_p(problem, state[0], h, state[1])
+        r = _norm(np.array([a - b for a, b in zip(y, p)]))
+        return r, lambda: _checked(spec, invert(spec, p), keep)
 
     return _run((np.asarray(x0, float), None), probe, config, h,
                 x_of=lambda state: state[0], on_step=on_step)
@@ -302,7 +298,8 @@ def solve_tseng(problem, x0, config=SolverConfig(), literal=False, *, on_step=No
     def probe(state):
         x, w, y = state  # w: the x - v(x) of x's check, or None
         fx = f(x)  # equals T(y) since x = (Id-v)^{-1}(y)
-        r, y_of_x, _ = _natural_residual_parts(problem, x, fx, h, w)
+        y_of_x = x - problem.v(x) if w is None else w
+        r = _norm(y_of_x - project(cset, y_of_x - h * fx))
         if y is None:  # the start: y0 = x0 - v(x0)
             y = y_of_x
 
@@ -313,7 +310,7 @@ def solve_tseng(problem, x0, config=SolverConfig(), literal=False, *, on_step=No
                 yn = y + h * (fx - f(z))
             else:
                 yn = ybar - h * (f(z) - fx)
-            return *_inverted(spec, yn, keep), yn
+            return *_checked(spec, invert(spec, yn), keep), yn
 
         return r, advance
 
@@ -368,6 +365,7 @@ def sweep_trajectory(problem, x0, h, t_end):
     States are reported at t_k = k h, for at most 10^6 steps, and generated by
     the modified projection step, the discretization that is convergent for
     every bundled problem (the baseline moved-set step needs contractive v).
+    Each step is ``alg1_step`` given the check's x - v(x), as in solve_alg1.
     """
     if not h > 0:
         raise ValueError("h must be positive")
@@ -381,9 +379,14 @@ def sweep_trajectory(problem, x0, h, t_end):
                          f"{_MAX_SWEEP_STEPS} steps")
     xs = np.empty((steps + 1, *np.shape(x0)))
     rows = iter(xs)  # one row per state, x0's first
-    report = _run(np.asarray(x0, float), lambda x: (None, lambda: alg1_step(problem, x, h)),
-                  SolverConfig(h=h, max_iter=steps), h,
-                  on_step=lambda x: np.copyto(next(rows), x))
+    spec, keep = problem.inverse, inverts_v(problem.inverse, problem.v)
+
+    def probe(state):
+        x, y = state
+        return None, lambda: _checked(spec, alg1_step(problem, x, h, y=y), keep)
+
+    report = _run((np.asarray(x0, float), None), probe, SolverConfig(h=h, max_iter=steps), h,
+                  x_of=lambda state: state[0], on_step=lambda x: np.copyto(next(rows), x))
     xs = xs[:report.iterations + 1]
     return SweepResult(ts=h * np.arange(len(xs)), xs=xs, diverged=report.diverged)
 

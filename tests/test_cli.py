@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -61,6 +62,27 @@ def test_solve_example1_writes_trace_and_summary(tmp_path, capsys):
     assert doc["residual_final"] <= 1e-8
     assert np.allclose(doc["x_final"], [-0.3785, 0.1870], atol=1e-3)
     assert 0.0 < doc["rate_estimate"] < 1.0
+
+
+# The README commands and the sha256 of each file they write, recorded before
+# the solver hot path was rewritten; the catch-up diverges and exits 2.
+README_OUTPUTS = [
+    ("solve builtin:example1 --x0 6,2 --h 0.01 --out trace.csv --summary run.json", 0,
+     {"trace.csv": "b072bd2b4e4690632084b40c663c2b47a6e483b115e9f4826508bd5d7e47de5a",
+      "run.json": "d563d5f6fae8a5ddcf1969259e05408909ff9c55e2073f76c85c9ab8c7097a6d"}),
+    ("sweep builtin:example1 --x0 6,2 --h 0.01 --T 10 --out sweep.csv", 0,
+     {"sweep.csv": "bdc062877c5cd6335f8f9146e72ebeaa7ed2c702ff2c3d41b38fdb57bf92c6a0"}),
+    ("solve builtin:example2 --algorithm catchup --x0 43,22,55 --h 0.3 --out catchup.csv", 2,
+     {"catchup.csv": "5e23550ad13f7c709ffdf144312768d0e82597abbfec0478b7031adc50357622"}),
+]
+
+
+def test_readme_commands_write_their_pinned_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for command, code, digests in README_OUTPUTS:
+        assert run(capsys, *command.split())[0] == code, command
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in digests} == digests, command
 
 
 def test_positional_and_flag_problem_agree(capsys):

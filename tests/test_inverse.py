@@ -399,6 +399,35 @@ def test_every_strategy_rejects_a_non_finite_point(ex1, ex3, r5):
             invert(spec, y)
 
 
+@pytest.mark.parametrize("builtin,strategy", [
+    ("ex1", LinearExact), ("ex2", LinearExact), ("ex3", Semilinear)])
+def test_a_list_and_an_array_invert_alike(builtin, strategy, request):
+    # The solvers hand LinearExact and Semilinear a list of floats: it gives
+    # the array's result bits, check record and errors.
+    spec = request.getfixturevalue(builtin).inverse
+    assert type(spec) is strategy
+    dim = spec.V.shape[0] if strategy is LinearExact else spec.A.shape[0]
+
+    def outcome(y):
+        got = _outcome(type(spec).invert, spec, y, False)[0]
+        return got, got[0] == "x" and tuple(a.tobytes() for a in spec.checked)
+
+    rng = np.random.default_rng(13)
+    points = [rng.uniform(-60.0, 60.0, dim) for _ in range(200)]
+    points += [np.full(dim, 1e308)]  # finite, but its float sum overflows
+    for bad in (np.nan, -np.inf):
+        point = rng.uniform(-1.0, 1.0, dim)
+        point[-1] = bad
+        points.append(point)
+    for y in points:
+        assert outcome(y.tolist()) == outcome(y)
+    for bad in points[-2:]:
+        assert outcome(bad.tolist())[0][0] == "NoConvergence"
+    long = np.zeros(dim + 1)
+    assert outcome(long.tolist()) == outcome(long) == (
+        ("ValueError", f"dimension mismatch: ({dim + 1},) vs ({dim},)"), False)
+
+
 def reference_picard(spec, y, inner_log=None):
     """The loop that tested every Picard step before the chunked test: the
     reference for PicardContraction.invert, bit for bit."""
@@ -774,6 +803,59 @@ def test_semilinear_error_mid_loop_is_the_references(traced):
         ("EvalError('component 2: sqrt: math domain error')",
          "EvalError('sqrt: math domain error')", True),
         ("EvalError('sqrt: math domain error')", "ValueError('math domain error')", True)]
+
+
+def _exact_check(spec, x, vx, y):
+    """The check before its math.dist screen: the reference for _verify."""
+    w = x - vx
+    res = _norm(w - np.asarray(y))
+    if not res <= spec.inner_tol:
+        raise NoConvergence(
+            f"inverse residual {res:.3e} exceeds inner_tol {spec.inner_tol:.1e}", res)
+    spec.checked = (x, w)
+    return x
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       tol=st.sampled_from([1e-12, 1e-150, 1e-160, 1e-310, 1.0, 1e150, 1e200, 0.0, -1.0]),
+       ratio=st.sampled_from([0.0, 0.5, 1 - 1e-6, 1 - 1e-9, 1 - 1e-15, 1.0, 1 + 1e-15,
+                              1 + 1e-9, 2.0, math.inf, math.nan]),
+       as_list=st.booleans())
+def test_the_screened_check_decides_as_the_exact_norm(dim, seed, tol, ratio, as_list):
+    # Residuals at, just inside and just outside inner_tol, also where their
+    # squares underflow or overflow: the same verdict, error and record.
+    rng = np.random.default_rng(seed)
+    y = rng.uniform(-1.0, 1.0, dim) * 10.0 ** rng.integers(-3, 4)
+    step = rng.standard_normal(dim)
+    outcomes = []
+    with np.errstate(all="ignore"):
+        x = y + step / np.linalg.norm(step) * abs(tol) * ratio
+        for check in (_verify, _exact_check):
+            spec = types.SimpleNamespace(inner_tol=tol, checked=None)
+            try:
+                got = check(spec, x, np.zeros(dim), y.tolist() if as_list else y).tobytes()
+            except NoConvergence as exc:
+                got = (str(exc), float.hex(exc.achieved))
+            outcomes.append((got, spec.checked and tuple(a.tobytes() for a in spec.checked)))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_the_screened_check_leaves_underflowing_squares_to_the_exact_norm():
+    # Squares of entries near 1e-161 round as subnormals, so _norm can exceed
+    # math.dist by far more than 1e-6: a tolerance between the two fails.
+    rng = np.random.default_rng(3)
+    cases = 0
+    for _ in range(200):
+        w = rng.standard_normal(3) * 1e-161
+        dist, exact = math.dist(w.tolist(), [0.0] * 3), _norm(w)
+        if not exact > dist * (1 + 1e-6):
+            continue
+        cases += 1
+        spec = types.SimpleNamespace(inner_tol=(dist + exact) / 2, checked=None)
+        with pytest.raises(NoConvergence):
+            _verify(spec, w, np.zeros(3), [0.0] * 3)
+    assert cases > 50
 
 
 def test_linear_exact_refinement_that_overflows_raises_as_before():

@@ -19,6 +19,7 @@ from qvikit.model import (
     as_vector,
     natural_residual,
     project,
+    project_floats,
     project_moving,
     to_vi,
 )
@@ -50,6 +51,36 @@ def test_project_box_matches_clip_bit_for_bit():
     for z in points:
         got = project(box, z)
         assert got.tobytes() == np.clip(z, box.lower, box.upper).tobytes()
+
+
+# numpy's max keeps its first argument only where it is greater or NaN: on a
+# tie of signed zeros it gives the bound, and a NaN of either sign passes.
+_PROJECT_SPECIALS = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, np.inf, -np.inf,
+                     np.nan, -np.nan]
+
+
+@pytest.mark.parametrize("cset", [
+    WholeSpace(6), NonnegativeOrthant(6),
+    # The last two bounds leave a tie at a zero lower bound to the lower test alone.
+    Box([-0.0, 0.0, 0.0, -1.0, -0.0, 0.0], [0.0, -0.0, 0.0, 0.0, 1.0, 2.0]),
+], ids=["whole", "orthant", "signed-zero-box"])
+def test_float_projection_is_project_bit_for_bit(cset):
+    rng = np.random.default_rng(5)
+    for _ in range(3000):
+        z = rng.uniform(-3.0, 3.0, 6)
+        special = rng.random(6) < 0.75
+        z[special] = rng.choice(_PROJECT_SPECIALS, special.sum())
+        got = project_floats(cset, z.tolist())
+        assert type(got) is list
+        assert np.array(got).tobytes() == project(cset, z).tobytes(), z.tolist()
+
+
+def test_float_projection_rejects_a_dimension_mismatch():
+    with pytest.raises(ValueError) as want:
+        project(BOX, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError) as got:
+        project_floats(BOX, [1.0, 2.0, 3.0])
+    assert str(got.value) == str(want.value)
 
 
 def test_project_orthant():

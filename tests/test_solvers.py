@@ -428,7 +428,7 @@ def test_a_sweep_over_the_step_cap_is_refused_before_it_runs(ex1, monkeypatch):
     class Ran(Exception):
         pass
 
-    def run(state0, probe, config, h, on_step):  # records the step count, runs nothing
+    def run(state0, probe, config, h, x_of, on_step):  # records the step count, runs nothing
         raise Ran(config.max_iter)
     monkeypatch.setattr(solvers, "_run", run)
     with pytest.raises(ValueError) as info:
@@ -729,6 +729,29 @@ def test_solves_evaluate_v_once_per_accepted_iterate(case, ex1, ex3, monkeypatch
     if case in BIT_PINS:
         assert (report.iterations, tuple(map(float.hex, report.x_final.tolist()))) \
             == BIT_PINS[case]
+
+
+@pytest.mark.parametrize("case", ["example1", "example1-picard", "example3", "other-matrix"])
+def test_a_sweep_evaluates_v_once_where_its_inverse_checks_v(case, ex1, ex3, monkeypatch):
+    # Each step after the first takes its x - v(x) from the check of the
+    # inverse that returned x; an inverse of another matrix leaves the sweep
+    # evaluating v at every step, as does a wrapped v (with the same rows).
+    problem, x0, h = {
+        "example1": (ex1, [6.0, 2.0], 0.01),
+        "example1-picard": (_picard_example1(ex1), [6.0, 2.0], 0.01),
+        "example3": (ex3, [5.0, 4.0, 2.0], 0.3),
+        "other-matrix": (QviProblem("other", 2, ex1.f, ex1.v,
+                                    LinearExact(0.5 * ex1.v.matrix), ex1.set),
+                         [6.0, 2.0], 0.01),
+    }[case]
+    checks_v = case != "other-matrix"
+    assert inverse.inverts_v(problem.inverse, problem.v) is checks_v
+    result, calls, checks = _v_evaluations(
+        problem.v, lambda: sweep_trajectory(problem, x0, h, 100 * h), monkeypatch)
+    assert len(result.xs) == 101 and not result.diverged
+    assert (calls, checks) == (1 if checks_v else 100, 100)
+    wrapped = sweep_trajectory(_counted(problem), x0, h, 100 * h)
+    assert wrapped.xs.tobytes() == result.xs.tobytes()
 
 
 # Iterations, endpoint and last residual (float.hex) of 60-step runs whose
