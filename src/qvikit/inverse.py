@@ -181,14 +181,13 @@ def _unchecked(fn):
 
 
 def _verify(spec, x, vx, y):
-    """Check ``_norm(w - y) <= inner_tol`` for ``w = x - vx``; record ``(x, w)``. A
-    ``math.dist`` of 0 or well inside passes: the two differ by far less than 1e-6
-    where squares neither underflow nor overflow. Elsewhere ``_norm`` decides."""
+    """Check ``_norm(w - y) <= inner_tol`` for ``w = x - vx``; record ``(x, w)``. A ``math.dist``
+    of 0, or well inside where squares stay normal, passes; elsewhere ``_norm`` decides."""
     w = x - vx
     tol = spec.inner_tol
     d = math.dist(w.tolist(), y)
     if not (0.0 == d <= tol or 1e-150 < d < min(tol * (1.0 - 1e-6), 1e150)):
-        res = _norm(w - y)
+        res = _norm(w - np.asarray(y))
         if not res <= tol:
             raise NoConvergence(f"inverse residual {res:.3e} exceeds inner_tol {tol:.1e}", res)
     spec.checked = (x, w)

@@ -70,7 +70,7 @@ ConvexSet = WholeSpace | NonnegativeOrthant | Box
 
 
 def project(cset, z):
-    """Euclidean projection onto the set; exact for all three variants."""
+    """Euclidean projection onto the set, exact; on x86-64 a signed-zero tie gives the bound."""
     z = np.asarray(z, float)
     if z.shape != (cset.dim,):
         raise ValueError(f"dimension mismatch: point {z.shape} vs set ({cset.dim},)")
@@ -83,9 +83,8 @@ def project(cset, z):
 
 
 def project_floats(cset, z):
-    """``project(cset, z).tolist()`` for a list of floats, bit for bit: numpy's max
-    keeps its first argument only where greater or NaN, so a tie of signed zeros
-    gives the bound (``np.maximum(-0.0, 0.0)`` is 0.0); its min likewise."""
+    """``project(cset, z).tolist()`` for a list of floats, bit for bit where numpy's max
+    and min keep their first argument only past the bound or NaN (x86-64; CI prints it)."""
     if len(z) != cset.dim:
         raise ValueError(f"dimension mismatch: point ({len(z)},) vs set ({cset.dim},)")
     if isinstance(cset, Box):
@@ -326,9 +325,12 @@ def _y_and_p(problem, x, h, y=None):
     as lists of floats with numpy's bits; a ``y`` given is that ``x - v(x)``
     (an array), computed already."""
     f = problem.f  # evaluated before v: f's error comes first
-    fx = f.floats(x) if isinstance(f, VectorField) else np.asarray(f(x), float).tolist()
-    y = (x - problem.v(x) if y is None else y).tolist()
-    return y, project_floats(problem.set, [a - h * b for a, b in zip(y, fx)])
+    fx = f.floats(x) if isinstance(f, VectorField) else np.asarray(f(x), float)
+    y = x - problem.v(x) if y is None else y
+    yl = y.tolist()
+    if type(fx) is list:
+        return yl, project_floats(problem.set, [a - h * b for a, b in zip(yl, fx)])
+    return yl, project(problem.set, y - h * fx).tolist()  # numpy's broadcasting and errors
 
 
 def natural_residual(problem, x, h):

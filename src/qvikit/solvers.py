@@ -117,8 +117,7 @@ def _run(state0, probe, config, h, x_of=lambda state: state, on_step=None):
                                         and r > 10.0 * residuals[-101]):
                 diverged = True
                 break
-        # NaN or inf norms too. Well below the guard, math.hypot decides as
-        # _norm would: the two differ by far less than 1e-3 there.
+        # NaN or inf norms too; well below the guard math.hypot decides as _norm would.
         if not (math.hypot(*x.ravel().tolist()) < 0.999 * _DIVERGENCE_GUARD
                 or _norm(x) <= _DIVERGENCE_GUARD):
             diverged = True

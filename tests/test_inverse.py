@@ -841,21 +841,25 @@ def test_the_screened_check_decides_as_the_exact_norm(dim, seed, tol, ratio, as_
     assert outcomes[0] == outcomes[1]
 
 
-def test_the_screened_check_leaves_underflowing_squares_to_the_exact_norm():
-    # Squares of entries near 1e-161 round as subnormals, so _norm can exceed
-    # math.dist by far more than 1e-6: a tolerance between the two fails.
+@pytest.mark.parametrize("dim", [3, 1000])
+def test_the_screened_check_leaves_to_the_exact_norm_where_math_dist_reads_less(dim):
+    # Squares of entries near 1e-161 round as subnormals, and a thousand squares
+    # of half an ulp of 1 each round the dot product up: either way _norm exceeds
+    # math.dist, by more than 1e-6 or by a few ulps, and a tolerance between fails.
     rng = np.random.default_rng(3)
+    ws = ([rng.standard_normal(3) * 1e-161 for _ in range(200)] if dim == 3
+          else [np.array([1.0] + [math.sqrt(0.51 * 2.0 ** -52)] * (dim - 1))])
     cases = 0
-    for _ in range(200):
-        w = rng.standard_normal(3) * 1e-161
-        dist, exact = math.dist(w.tolist(), [0.0] * 3), _norm(w)
-        if not exact > dist * (1 + 1e-6):
+    for w in ws:
+        dist, exact = math.dist(w.tolist(), [0.0] * dim), _norm(w)
+        tol = (dist + exact) / 2
+        if not dist < tol < exact:
             continue
         cases += 1
-        spec = types.SimpleNamespace(inner_tol=(dist + exact) / 2, checked=None)
+        spec = types.SimpleNamespace(inner_tol=tol, checked=None)
         with pytest.raises(NoConvergence):
-            _verify(spec, w, np.zeros(3), [0.0] * 3)
-    assert cases > 50
+            _verify(spec, w, np.zeros(dim), [0.0] * dim)
+    assert cases > (50 if dim == 3 else 0)
 
 
 def test_linear_exact_refinement_that_overflows_raises_as_before():

@@ -259,6 +259,15 @@ def test_the_divergence_test_reads_the_residual_history_as_the_window_did(case):
     assert report.residuals == residuals[:report.iterations + 1]
 
 
+def test_the_divergence_guard_decides_by_the_exact_norm():
+    # A thousand squares of about half an ulp of a^2 each round the dot product
+    # up: math.hypot reads this iterate below the guard and _norm above it.
+    x = np.array([999999999999.9434] + [math.sqrt(0.51) * 2.0 ** -26 * 1e12] * 999)
+    assert math.hypot(*x) < solvers._DIVERGENCE_GUARD < math.sqrt(x.dot(x))
+    report = solvers._run(x, lambda x: (None, lambda: x), SolverConfig(h=1.0, max_iter=1), 1.0)
+    assert report.diverged and report.iterations == 0
+
+
 def test_the_readme_library_block_runs():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     library = readme.split("\n## Library\n", 1)[1]
@@ -752,6 +761,30 @@ def test_a_sweep_evaluates_v_once_where_its_inverse_checks_v(case, ex1, ex3, mon
     assert (calls, checks) == (1 if checks_v else 100, 100)
     wrapped = sweep_trajectory(_counted(problem), x0, h, 100 * h)
     assert wrapped.xs.tobytes() == result.xs.tobytes()
+
+
+@pytest.mark.parametrize("value", [np.ones(3), np.ones((2, 1)), np.ones((2, 2))])
+def test_an_f_of_the_wrong_shape_raises_in_each_alg1_path(ex1, value):
+    # An f that is not a VectorField forms y - h f(x) in numpy: a value that
+    # does not broadcast to the point, or broadcasts past it, raises.
+    problem = dataclasses.replace(ex1, f=FuncField(2, lambda x: value))
+    for run in (lambda: alg1_step(problem, [6.0, 2.0], 0.01),
+                lambda: solve_alg1(problem, [6.0, 2.0], SolverConfig(h=0.01)),
+                lambda: natural_residual(problem, [6.0, 2.0], 0.01),
+                lambda: sweep_trajectory(problem, [6.0, 2.0], 0.01, 0.1)):
+        with pytest.raises(ValueError):
+            run()
+
+
+def test_a_scalar_f_broadcasts_in_each_alg1_path(ex1):
+    # A 0-d value of f acts as that value in every coordinate, bit for bit.
+    scalar, full = (dataclasses.replace(ex1, f=FuncField(2, fn))
+                    for fn in (lambda x: 0.5 * x[0], lambda x: np.full(2, 0.5 * x[0])))
+    for run in (lambda p: alg1_step(p, [6.0, 2.0], 0.01).tobytes(),
+                lambda p: _report_bits(solve_alg1(p, [6.0, 2.0], SolverConfig(h=0.01))),
+                lambda p: float.hex(natural_residual(p, [6.0, 2.0], 0.01)),
+                lambda p: sweep_trajectory(p, [6.0, 2.0], 0.01, 0.1).xs.tobytes()):
+        assert run(scalar) == run(full)
 
 
 # Iterations, endpoint and last residual (float.hex) of 60-step runs whose
