@@ -99,48 +99,43 @@ class Call(_Node):
 
 Expr = Number | Var | Unary | Binary | Call
 
+_NUMBER, _IDENT = r"(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?", r"[A-Za-z_][A-Za-z_0-9]*"
 _TOKEN = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<number>(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>[-+*/^(),])
-    """,
-    re.VERBOSE,
-)
+    rf"(?P<ws>\s+)|(?P<number>{_NUMBER})|(?P<ident>{_IDENT})|(?P<op>[-+*/^(),])")
+# Tokens up to the first character no token matches, where _tokenize raises;
+# a token's first character picks its kind, so a run of ops and spaces is one.
+_TOKENS = re.compile(rf"(?:[\s()+*/^,-]+|{_NUMBER}|{_IDENT})*")
 
 
 def _tokenize(text):
-    tokens = []
+    """Yield the tokens of ``text`` as the parser asks for them, then "end"."""
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         if m.lastgroup == "number":
-            tokens.append(("number", float(m.group()), pos))
+            yield ("number", float(m.group()), pos)
         elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group(), pos))
+            yield ("ident", m.group(), pos)
         elif m.lastgroup == "op":
-            tokens.append((m.group(), m.group(), pos))
+            yield (m.group(), m.group(), pos)
         pos = m.end()
-    tokens.append(("end", None, len(text)))
-    return tokens
+    yield ("end", None, len(text))
 
 
 class _Parser:
     def __init__(self, tokens, dim):
         self.tokens = tokens
         self.dim = dim
-        self.i = 0
+        self.token = next(tokens)
         self.depth = 0
 
     def peek(self):
-        return self.tokens[self.i]
+        return self.token
 
     def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
+        tok, self.token = self.token, next(self.tokens)  # never past "end"
         return tok
 
     def nested(self, parse, offset):
@@ -264,10 +259,17 @@ def parse(text, dim):
     if not text.strip():
         raise ParseError("empty expression", 0)
     parser = _Parser(_tokenize(text), dim)
-    node, _ = parser.expr()
-    trailing = parser.peek()
-    if trailing[0] != "end":
-        raise ParseError(f"trailing input {trailing[1]!r}", trailing[2])
+    try:
+        node, _ = parser.expr()
+        trailing = parser.peek()
+        if trailing[0] != "end":
+            raise ParseError(f"trailing input {trailing[1]!r}", trailing[2])
+    except ParseError:
+        # A character no token matches is the error, wherever the parser stopped.
+        pos = _TOKENS.match(text, parser.peek()[2]).end()
+        if pos < len(text):
+            raise ParseError(f"unexpected character {text[pos]!r}", pos) from None
+        raise
     return node
 
 

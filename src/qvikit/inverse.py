@@ -23,6 +23,8 @@ each step norm with ``_norm``'s ``ddot``. Its first chunk is as long as the
 previous invert's loop on the same spec, so in a solve one chunk mostly
 suffices; a field's iterate that repeats the iterate one or two steps back bit
 for bit (an overflow to inf, or to inf and -inf in turn) ends the loop at once.
+For a pure-matrix field each step writes ``y + V x`` into the next row of a
+buffer the spec keeps (same bits), so a step allocates nothing.
 Semilinear sums each ``y + g(x)`` on the floats a remainder-only ``g`` reads,
 hands that list to LAPACK, screens each step with ``math.dist`` (with
 ``inner_log`` it tests every step) and checks with ``g`` at those floats.
@@ -243,16 +245,17 @@ _FIRST_CHUNK, _MAX_CHUNK = 8, 512
 
 
 def _first_stop(xs, tol, inner_log):
-    """The index in ``xs`` of the first iterate whose step from the one before
-    passes ``_norm(step) <= tol``, or None; and the steps' squared norms.
+    """The index in ``xs`` (a list of iterates, or their rows) of the first
+    iterate whose step from the one before passes ``_norm(step) <= tol``, or
+    None; and the steps' squared norms.
 
     A stacked matmul of the steps runs, row by row, the ``ddot`` of
     ``_norm``'s ``u.dot(u)``, so every norm is ``_norm``'s, bit for bit. With
     ``inner_log``, every step up to the stop is logged.
     """
-    # The iterates are contiguous float arrays of one shape: joining their
-    # bytes stacks them at a fraction of np.array's cost.
-    X = np.frombuffer(b"".join(xs)).reshape(len(xs), -1)
+    # A list holds contiguous float arrays of one shape: joining their bytes
+    # stacks them at a fraction of np.array's cost. Rows come stacked.
+    X = xs if type(xs) is np.ndarray else np.frombuffer(b"".join(xs)).reshape(len(xs), -1)
     D = X[1:] - X[:-1]
     squares = np.matmul(D[:, None, :], D[:, :, None]).ravel()
     norms = np.sqrt(squares)
@@ -290,6 +293,11 @@ class PicardContraction:
     after inf) ends the loop, as every later step repeats that cycle. The
     result, the inner_log values and an error are those of a loop that tests
     every step; iterates past the stop are dropped.
+
+    A v_map with a matrix and no remainder steps in place in the rows of one
+    buffer, made on first use and regrown for a longer chunk (at most 513
+    rows). The result, its check record and the iterate a chunk ends on are
+    copies. Any other v_map, which may raise mid-chunk, steps into new arrays.
     """
 
     v_map: object  # callable displacement, Lipschitz constant l
@@ -303,26 +311,44 @@ class PicardContraction:
             raise ConfigError(f"declared contraction l={self.l} must be < 1")
         self._v = _unchecked(self.v_map)
         self._pure = isinstance(self.v_map, VectorField)
+        # Row views of the step buffer, for a field with no remainder.
+        self._rows = [] if self._pure and self.v_map.remainder is None else None
+
+    def __getstate__(self):
+        # A copy makes its own buffer: copied row views would not be its rows.
+        return {**vars(self), "_buffer": None, "_rows": None if self._rows is None else []}
 
     def v(self, x):
         return np.asarray(self.v_map(x), float)
 
     def invert(self, y, inner_log=None):
         y = _point(y, getattr(self.v_map, "dim", None))
-        v, tol = self._v, self.inner_tol
+        v, add, tol = self._v, np.add, self.inner_tol
         x, left, k = y.copy(), self.max_inner, min(max(self._steps, 1), _MAX_CHUNK)
         with np.errstate(all="ignore"):
             while left > 0:
-                xs, failure = [x], None
-                try:
-                    for _ in range(min(k, left)):
-                        x = y + v(x)
-                        xs.append(x)
-                except Exception as exc:
-                    failure = exc
+                n, failure = min(k, left), None
+                if self._rows is not None:
+                    if len(self._rows) <= n:
+                        self._buffer = np.empty((n + 1, len(y)))
+                        self._rows = list(self._buffer)
+                    rows = self._rows
+                    rows[0][:] = x
+                    for a, b in zip(rows, rows[1:n + 1]):
+                        v(a, b)  # matrix.dot(a, out=b), then b = y + b
+                        add(y, b, b)
+                    xs = self._buffer[:n + 1]
+                else:
+                    xs = [x]
+                    try:
+                        for _ in range(n):
+                            x = y + v(x)
+                            xs.append(x)
+                    except Exception as exc:
+                        failure = exc
                 stop, squares = _first_stop(xs, tol, inner_log)
                 if stop is not None:
-                    x = xs[stop]
+                    x = xs[stop].copy()
                     self._steps = self.max_inner - left + stop
                     break
                 if failure is not None:
@@ -330,6 +356,7 @@ class PicardContraction:
                     # before the one that failed stopped it.
                     raise failure
                 left -= len(xs) - 1
+                x = xs[-1].copy()
                 same = [x.tobytes() == z.tobytes() for z in xs[-2:-4:-1]] \
                     if self._pure else []
                 if any(same):
@@ -339,7 +366,7 @@ class PicardContraction:
                     if inner_log is not None:
                         inner_log.extend([_norm(x - xs[-2])] * left)
                     if not same[0] and left % 2:
-                        x = xs[-2]
+                        x = xs[-2].copy()
                     break
                 k = _next_chunk(squares, tol, k)
             return _verify(self, x, v(x), y)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qvikit.expr as edsl
+
 from qvikit.errors import EvalError, ParseError
 from qvikit.expr import (
     _CACHE_SIZE,
@@ -253,6 +255,60 @@ def test_parse_error_nesting_limit(text, offset):
     with pytest.raises(ParseError, match="nests deeper than 64") as exc:
         parse(text, 1)
     assert exc.value.offset == offset
+
+
+def test_deep_nesting_stops_tokenizing_where_the_parser_stops(monkeypatch):
+    # The parser asks for tokens as it goes: on 5,000 parentheses it reads 65
+    # and the rest is only scanned for a character no token matches.
+    tokenize, counted = edsl._tokenize, []
+
+    def counting(text):
+        for token in tokenize(text):
+            counted.append(token)
+            yield token
+
+    monkeypatch.setattr(edsl, "_tokenize", counting)
+    text = "(" * 5000 + "x1" + ")" * 5000
+    with pytest.raises(ParseError, match="nests deeper than 64") as exc:
+        parse(text, 1)
+    assert exc.value.offset == 64 and len(text) == 10_002
+    assert len(counted) < 200
+
+
+@pytest.mark.parametrize("text,offset", [
+    ("(" * 100 + "x1 $", 103),
+    ("(" * 100 + "x1" + ")" * 99 + "é", 201),
+    ("-" * 100 + "x1 + @", 105),
+    ("x1 x2 ?", 6),
+    ("sin(x1 # x2", 7),
+])
+def test_an_unexpected_character_past_a_parse_error_is_the_error(text, offset):
+    # Tokenizing every character first made this error win over any the
+    # parser raises earlier in the text; it still does.
+    with pytest.raises(ParseError, match="unexpected character") as exc:
+        parse(text, 2)
+    assert exc.value.offset == offset
+
+
+def eager_parse(text, dim):
+    """``parse`` as it was, the whole text tokenized before the parser ran:
+    the reference for its trees and errors."""
+    list(edsl._tokenize(text))
+    return parse(text, dim)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(["(", ")", "x1", "x3", "2", "1.5e3", "-", "+", "*", "^",
+                                 ",", " ", "sin(", "max(", "$", "é", "#"]),
+                max_size=30).map("".join))
+def test_parse_on_demand_gives_the_eager_tokenizers_outcome(text):
+    def outcome(fn):
+        try:
+            return print_expr(fn(text, 2))
+        except ParseError as exc:
+            return str(exc), exc.offset
+
+    assert outcome(parse) == outcome(eager_parse)
 
 
 def test_nesting_limit_admits_64_levels():

@@ -1,6 +1,7 @@
 import importlib.machinery
 import math
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.linalg import norm
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
@@ -514,6 +515,56 @@ def test_picard_invert_matches_the_reference_loop(dim, kind, entries, offsets, s
         assert got == (want if traced else (want[0], None))
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(1, 4),
+       entries=st.lists(st.floats(-1, 1), min_size=16, max_size=16),
+       scale=st.sampled_from([0.0, 0.3, 0.85, 0.99, 1.5, 1e3]),
+       tol=st.sampled_from([1e-160, 1e-12, 1e-3]),
+       runs=st.lists(st.tuples(st.lists(st.floats(-10, 10), min_size=4, max_size=4),
+                               st.sampled_from([1.0, 1e-150, 1e150]),
+                               st.sampled_from([1, 2, 7, 8, 9, 24, 100, 1000, "stop-1"]),
+                               st.sampled_from([0, 1, 7, 9, 100, 600, 10**6])),
+                     min_size=2, max_size=3))
+# Two inverts that end a step short of their stop, in the same rows: each
+# passes its check on the last row the chunk wrote.
+@example(dim=2, entries=[0.3, 0.1, 0.0, 0.2] + [0.0] * 12, scale=0.3, tol=1e-12,
+         runs=[([1.0, 2.0, 0.0, 0.0], 1.0, "stop-1", 10**6),
+               ([2.0, 1.0, 0.0, 0.0], 1.0, "stop-1", 10**6)])
+def test_picard_inverts_in_a_row_keep_their_results(dim, entries, scale, tol, runs):
+    # Inverts on one pure-matrix spec step in the rows of one buffer, which
+    # grows to the longest chunk: each matches the reference loop, and a
+    # later invert changes no byte of an earlier one's x or check record.
+    # A pickled copy of the spec, buffer and all, inverts alike.
+    spec = PicardContraction(_picard_field("linear", dim, entries, scale, None), 0.5,
+                             inner_tol=tol)
+    cases, kept = [], []
+    for y, y_scale, max_inner, hint in runs:
+        point = np.array(y[:dim]) * y_scale
+        if max_inner == "stop-1":  # ends a step short of the stop, and may pass the check
+            spec.max_inner = 2000
+            max_inner = max(1, len(_outcome(reference_picard, spec, point, True)[1]) - 1)
+        spec.max_inner = max_inner
+        cases.append((point, max_inner, hint, _outcome(reference_picard, spec, point, True)))
+
+    def keeping(spec, y, log):
+        x = PicardContraction.invert(spec, y, log)
+        kept.append((x, x.tobytes(), spec.checked, [a.tobytes() for a in spec.checked]))
+        return x
+
+    for copy in (False, True):
+        if copy:
+            spec = pickle.loads(pickle.dumps(spec))
+        for point, max_inner, hint, want in cases:
+            spec.max_inner = max_inner
+            for traced in (True, False):
+                spec._steps = hint
+                got = _outcome(keeping, spec, point, traced)
+                assert got == (want if traced else (want[0], None))
+    for x, x_bytes, checked, checked_bytes in kept:
+        assert x.tobytes() == x_bytes
+        assert [a.tobytes() for a in checked] == checked_bytes
+
+
 def test_picard_screen_leaves_few_exact_norms(monkeypatch):
     spec = PicardContraction(VectorField.from_matrix([[-0.2, -0.4], [-0.4, -0.6]]), 0.85)
     y = np.array([5.0, -3.0])
@@ -537,7 +588,8 @@ def test_picard_screen_leaves_few_exact_norms(monkeypatch):
        tol=st.sampled_from([-1.0, 0.0, 1e-160, 1e-12, 1.0, 1e200]))
 def test_stacked_step_norms_are_the_norm_helpers_row_by_row(dim, seed, special, tol):
     # _first_stop takes every step norm from one stacked matmul: each row
-    # must be _norm's bits, or a NumPy release that breaks it fails here.
+    # must be _norm's bits, or a NumPy release that breaks it fails here. It
+    # takes the iterates as a list of arrays or, from the buffer, as rows.
     rng = np.random.default_rng(seed)
     with np.errstate(all="ignore"):
         X = rng.standard_normal((60, dim)) * 10.0 ** rng.integers(-320, 309, (60, 1))
@@ -545,14 +597,17 @@ def test_stacked_step_norms_are_the_norm_helpers_row_by_row(dim, seed, special, 
         X[mask] = rng.choice(_SPECIALS, mask.sum())
         xs = list(X)
         norms = [_norm(b - a) for a, b in zip(xs, xs[1:])]
-        log = []
-        stop, squares = inverse._first_stop(xs, tol, log)
         D = np.array(xs[1:]) - np.array(xs[:-1])
         stacked = np.sqrt(np.matmul(D[:, None, :], D[:, :, None])).ravel()
+        outcomes = []
+        for iterates in (xs, X):
+            log = []
+            stop, squares = inverse._first_stop(iterates, tol, log)
+            outcomes.append((stop, list(map(float.hex, log)), squares.tobytes()))
     assert [float.hex(n) for n in stacked.tolist()] == list(map(float.hex, norms))
     want = next((i + 1 for i, n in enumerate(norms) if n <= tol), None)
-    assert stop == want
-    assert list(map(float.hex, log)) == list(map(float.hex, norms[:want]))
+    assert outcomes[0][:2] == (want, list(map(float.hex, norms[:want])))
+    assert outcomes[1] == outcomes[0]
     assert squares.shape == (59,)
 
 
@@ -634,12 +689,14 @@ def test_picard_stops_on_a_period_two_cycle(traced, max_inner, monkeypatch):
     assert want[0][:2] == ("NoConvergence", "inf")
     assert want[1] is None or len(want[1]) == max_inner
     monkeypatch.setattr(inverse, "_verify", checking)
+    # A matrix product writes into a row of the spec's buffer (x, out) or,
+    # in the check, returns a new array (x): count both.
     calls, dot = [], spec._v
-    spec._v = lambda x: calls.append(1) or dot(x)
+    spec._v = lambda x, *out: calls.append(len(out)) or dot(x, *out)
     assert _outcome(PicardContraction.invert, spec, [1.0], traced) == want
     last = np.inf if max_inner % 2 == 0 else -np.inf
     assert checked[1] == checked[0] == np.array([last]).tobytes()
-    assert len(calls) < max_inner / 50
+    assert 0 < calls.count(1) == len(calls) - 1 < max_inner / 50
 
 
 def test_picard_runs_on_through_a_repeated_iterate_of_a_callable():
