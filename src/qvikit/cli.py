@@ -93,6 +93,8 @@ def _parse_x0(text, dim):
         raise UsageError(f"--x0 must be a comma list of numbers, got {text!r}") from None
     if len(values) != dim:
         raise UsageError(f"--x0 has {len(values)} entries but the problem has dim {dim}")
+    if not np.isfinite(values).all():
+        raise UsageError(f"--x0 must be finite, got {text!r}")
     return np.asarray(values, float)
 
 

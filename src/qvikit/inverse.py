@@ -18,16 +18,16 @@ the Lipschitz constant of the inverse: exactly for LinearExact, by 1/(1-l) and
 |(I-A)^{-1}|/(1 - |(I-A)^{-1}| L_g) for the contractions, and by a seeded
 sampled estimate (a lower bound) for ScalarBracket.
 
-PicardContraction tests a chunk of iterates in one stacked matmul, which takes
-each step norm with ``_norm``'s ``ddot``. Its first chunk is as long as the
-previous invert's loop on the same spec, so in a solve one chunk mostly
-suffices; a field's iterate that repeats the iterate one or two steps back bit
-for bit (an overflow to inf, or to inf and -inf in turn) ends the loop at once.
-For a pure-matrix field each step writes ``y + V x`` into the next row of a
-buffer the spec keeps (same bits), so a step allocates nothing.
-Semilinear sums each ``y + g(x)`` on the floats a remainder-only ``g`` reads,
-hands that list to LAPACK, screens each step with ``math.dist`` (with
-``inner_log`` it tests every step) and checks with ``g`` at those floats.
+PicardContraction writes each step ``y + v(x)`` into the next row of a buffer
+the spec keeps (same bits; a pure-matrix step allocates nothing) and tests a
+chunk of rows in one stacked matmul, which takes each step norm with ``_norm``'s
+``ddot``. Its first chunk is as long as the previous invert's loop on the same
+spec, so in a solve one chunk mostly suffices; a field's iterate that repeats
+the iterate one or two steps back bit for bit (an overflow to inf, or to inf
+and -inf in turn) ends the loop at once. Semilinear sums each ``y + g(x)`` on
+the floats a remainder-only ``g`` reads, hands that list to LAPACK, screens
+each step with ``math.dist`` and checks with ``g`` at those floats. An
+``inner_log`` only observes: it gets the step norms the loop measured.
 LinearExact and Semilinear also take ``y`` as the list of floats the solvers
 hand them (same bits and errors); the check screens with ``math.dist`` too.
 """
@@ -244,18 +244,15 @@ class LinearExact:
 _FIRST_CHUNK, _MAX_CHUNK = 8, 512
 
 
-def _first_stop(xs, tol, inner_log):
-    """The index in ``xs`` (a list of iterates, or their rows) of the first
-    iterate whose step from the one before passes ``_norm(step) <= tol``, or
-    None; and the steps' squared norms.
+def _first_stop(X, tol, inner_log):
+    """The index of the first row of ``X`` (a 2-D array of iterates) whose
+    step from the row before passes ``_norm(step) <= tol``, or None; and the
+    steps' squared norms.
 
     A stacked matmul of the steps runs, row by row, the ``ddot`` of
     ``_norm``'s ``u.dot(u)``, so every norm is ``_norm``'s, bit for bit. With
     ``inner_log``, every step up to the stop is logged.
     """
-    # A list holds contiguous float arrays of one shape: joining their bytes
-    # stacks them at a fraction of np.array's cost. Rows come stacked.
-    X = xs if type(xs) is np.ndarray else np.frombuffer(b"".join(xs)).reshape(len(xs), -1)
     D = X[1:] - X[:-1]
     squares = np.matmul(D[:, None, :], D[:, :, None]).ravel()
     norms = np.sqrt(squares)
@@ -294,10 +291,10 @@ class PicardContraction:
     result, the inner_log values and an error are those of a loop that tests
     every step; iterates past the stop are dropped.
 
-    A v_map with a matrix and no remainder steps in place in the rows of one
-    buffer, made on first use and regrown for a longer chunk (at most 513
-    rows). The result, its check record and the iterate a chunk ends on are
-    copies. Any other v_map, which may raise mid-chunk, steps into new arrays.
+    Each step writes into the next row of one buffer, made on first use and
+    regrown for a longer chunk (at most 513 rows), in place for a matrix with
+    no remainder. A v_map that raises ends the chunk on the row its step read.
+    The result, its check record and the iterate a chunk ends on are copies.
     """
 
     v_map: object  # callable displacement, Lipschitz constant l
@@ -311,12 +308,12 @@ class PicardContraction:
             raise ConfigError(f"declared contraction l={self.l} must be < 1")
         self._v = _unchecked(self.v_map)
         self._pure = isinstance(self.v_map, VectorField)
-        # Row views of the step buffer, for a field with no remainder.
-        self._rows = [] if self._pure and self.v_map.remainder is None else None
+        self._matrix = self._pure and self.v_map.remainder is None
+        self._rows = []  # row views of the step buffer, made on first use
 
     def __getstate__(self):
         # A copy makes its own buffer: copied row views would not be its rows.
-        return {**vars(self), "_buffer": None, "_rows": None if self._rows is None else []}
+        return {**vars(self), "_buffer": None, "_rows": []}
 
     def v(self, x):
         return np.asarray(self.v_map(x), float)
@@ -328,33 +325,29 @@ class PicardContraction:
         with np.errstate(all="ignore"):
             while left > 0:
                 n, failure = min(k, left), None
-                if self._rows is not None:
-                    if len(self._rows) <= n:
-                        self._buffer = np.empty((n + 1, len(y)))
-                        self._rows = list(self._buffer)
-                    rows = self._rows
-                    rows[0][:] = x
+                if len(self._rows) <= n:
+                    self._buffer = np.empty((n + 1, len(y)))
+                    self._rows = list(self._buffer)
+                rows = self._rows
+                rows[0][:] = x
+                if self._matrix:
                     for a, b in zip(rows, rows[1:n + 1]):
                         v(a, b)  # matrix.dot(a, out=b), then b = y + b
                         add(y, b, b)
-                    xs = self._buffer[:n + 1]
                 else:
-                    xs = [x]
                     try:
-                        for _ in range(n):
-                            x = y + v(x)
-                            xs.append(x)
+                        for m, (a, b) in enumerate(zip(rows, rows[1:n + 1])):
+                            add(y, v(a), b)
                     except Exception as exc:
-                        failure = exc
+                        n, failure = m, exc
+                xs = self._buffer[:n + 1]
                 stop, squares = _first_stop(xs, tol, inner_log)
                 if stop is not None:
                     x = xs[stop].copy()
                     self._steps = self.max_inner - left + stop
                     break
                 if failure is not None:
-                    # A loop that tests each step raises it too: no step
-                    # before the one that failed stopped it.
-                    raise failure
+                    raise failure  # no step before the failing one stopped the loop
                 left -= len(xs) - 1
                 x = xs[-1].copy()
                 same = [x.tobytes() == z.tobytes() for z in xs[-2:-4:-1]] \
@@ -410,6 +403,8 @@ class Semilinear:
         return self.A.dot(x) + self._g(x)
 
     def invert(self, y, inner_log=None):
+        """Iterate to a step of _norm <= step_tol; math.dist screens each step, _norm
+        decides where it cannot. ``inner_log`` gets each step's norm as measured."""
         yl = _floats(y, self.A.shape[0])
         lu, rest = self._lu, self._rest
         # Stop on a step small enough that the g-increment bound keeps the
@@ -417,7 +412,7 @@ class Semilinear:
         step_tol = 0.5 * self.inner_tol / max(1.0, self.l_g)
         # A finite step over this bound fails that test: math.dist and _norm differ
         # by far less than 1e-6, and the floor keeps underflowing squares in.
-        bound = math.inf if inner_log is not None else max(step_tol * (1.0 + 1e-6), 1e-150)
+        bound = max(step_tol * (1.0 + 1e-6), 1e-150)
         x = lu._solve(yl)
         xl = x.tolist()
         for _ in range(self.max_inner):
@@ -428,15 +423,16 @@ class Semilinear:
             if info != 0:
                 lu._solve(b)  # raises _solve's error
             xl_old, xl = xl, x.tolist()
-            if not bound < math.dist(xl, xl_old) < math.inf:
+            step = math.dist(xl, xl_old)
+            if not bound < step < math.inf:
                 step = _norm(x - x_old)
                 if not step < math.inf:
                     # Every non-finite b lands here; the checked solve raises on it.
                     lu.solve(b)
-                if inner_log is not None:
-                    inner_log.append(step)
-                if step <= step_tol:
-                    break
+            if inner_log is not None:
+                inner_log.append(step)
+            if step <= step_tol:
+                break
         return _verify(self, x, self.A.dot(x) + (np.array(rest(xl)) if rest else self._g(x)), yl)
 
     def lipschitz(self):

@@ -464,6 +464,30 @@ def test_a_negative_first_x0_needs_the_equals_form(argv, x0, joined, capsys):
         assert err == "error: argument --x0: expected one argument\n"
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "1e999"])
+@pytest.mark.parametrize("argv,x0", [
+    (["solve", "builtin:example1", "--h", "0.01"], "{},1"),
+    (["zero", "builtin:example4"], "1,{},3"),
+    (["sweep", "builtin:example1", "--h", "0.01", "--T", "1"], "{},1"),
+], ids=["solve", "zero", "sweep"])
+def test_a_non_finite_x0_is_a_usage_error(argv, x0, bad, capsys):
+    # Not an error from the first field evaluation, nor a declared divergence.
+    x0 = x0.format(bad)
+    code, out, err = run(capsys, *argv, "--x0", x0)
+    assert (code, out, err) == (1, "", f"error: --x0 must be finite, got {x0!r}\n")
+
+
+def test_picard_with_a_remainder_solves_to_its_pinned_output(capsys):
+    # example1 with v = V x + 0.1 (sin x2, cos x1), inverted by Picard: each
+    # inner step writes y + v(x) into a row of the spec's buffer.
+    path = Path(__file__).with_name("example1-picard-remainder.json")
+    code, out, err = run(capsys, "solve", str(path), "--x0", "6,2", "--h", "0.01")
+    assert (code, err) == (0, "")
+    assert out == ("status=converged iterations=710 h_used=0.01 "
+                   "residual=9.9048321461778534e-09 "
+                   "x_final=[-0.37853928702138623, 0.18702548892573995]\n")
+
+
 def test_singular_scaffold_reports_cleanly(tmp_path, capsys):
     doc = {
         "kind": "zero",
