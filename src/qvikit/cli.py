@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -105,8 +106,8 @@ def _parse_h(text):
         h = float(text)
     except ValueError:
         raise UsageError(f"--h must be 'auto' or a positive number, got {text!r}") from None
-    if not h > 0:
-        raise UsageError(f"--h must be positive, got {text}")
+    if not 0 < h < math.inf:
+        raise UsageError(f"--h must be positive and finite, got {text}")
     return h
 
 
@@ -188,6 +189,8 @@ def cmd_sweep(args):
     x0 = _parse_x0(args.x0, problem.dim)
     if not args.h > 0:
         raise UsageError(f"--h must be positive, got {args.h}")
+    if args.t_end < args.h:
+        raise UsageError(f"--T must be at least --h, got {args.t_end} < {args.h}")
     result = sweep_trajectory(problem, x0, args.h, args.t_end)
     if args.out:
         _write_csv(args.out, "t", result.xs, "speed", result.ts,
@@ -231,6 +234,20 @@ def cmd_analyze(args):
     return 0
 
 
+def _flag_type(kind, check):
+    """An argparse type: ``kind(text)``, refused with the message of the ValueError
+    that ``check`` raises on it, which argparse prints after the flag."""
+    def convert(text):
+        value = kind(text)
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    convert.__name__ = kind.__name__  # argparse's "invalid int value: 'x'"
+    return convert
+
+
 def _seed(text):
     if text.isdecimal():
         return int(text)
@@ -252,8 +269,10 @@ def _add_run_args(sub, h, tol):
     """The start, step, stopping and output flags of solve and zero."""
     sub.add_argument("--x0", required=True, help=_X0_HELP)
     sub.add_argument("--h", default=h, help="step size, or 'auto'")
-    sub.add_argument("--tol", type=float, default=tol)
-    sub.add_argument("--max-iter", type=int, default=10_000)
+    sub.add_argument("--tol", type=_flag_type(float, lambda t: SolverConfig(tol=t)),
+                     default=tol)
+    sub.add_argument("--max-iter", type=_flag_type(int, lambda n: SolverConfig(max_iter=n)),
+                     default=10_000)
     sub.add_argument("--out", default=None, help="CSV trace path")
     sub.add_argument("--summary", default=None, help="summary JSON path")
 
@@ -287,7 +306,8 @@ def build_parser(default_seed):
     analyze.add_argument("--estimate", required=True,
                          choices=["L", "l", "gamma", "pseudo"])
     analyze.add_argument("--seed", type=_seed, default=default_seed)
-    analyze.add_argument("--samples", type=int, default=10_000)
+    analyze.add_argument("--samples", default=10_000,
+                         type=_flag_type(int, lambda n: SamplingPlan(seed=0, count=n)))
     analyze.set_defaults(func=cmd_analyze)
 
     zero = subs.add_parser("zero", help="run the derivative-free zero finder")

@@ -70,21 +70,17 @@ ConvexSet = WholeSpace | NonnegativeOrthant | Box
 
 
 def project(cset, z):
-    """Euclidean projection onto the set, exact; on x86-64 a signed-zero tie gives the bound."""
+    """Euclidean projection onto the set, exact: ``project_floats`` on ``z``'s floats."""
     z = np.asarray(z, float)
     if z.shape != (cset.dim,):
         raise ValueError(f"dimension mismatch: point {z.shape} vs set ({cset.dim},)")
-    if isinstance(cset, WholeSpace):
-        return z.copy()
-    if isinstance(cset, NonnegativeOrthant):
-        return np.maximum(z, 0.0)
-    # np.clip(z, lower, upper) bit for bit, signed zeros included, for less.
-    return np.minimum(np.maximum(z, cset.lower), cset.upper)
+    return np.array(project_floats(cset, z.tolist()))
 
 
 def project_floats(cset, z):
-    """``project(cset, z).tolist()`` for a list of floats, bit for bit where numpy's max
-    and min keep their first argument only past the bound or NaN (x86-64; CI prints it)."""
+    """The projection of a list of floats, as a list, with the bits of numpy's max and min
+    (np.clip on a box): past the bound or NaN a coordinate stays, so on x86-64 a tie of
+    signed zeros gives the bound (CI prints numpy's rule)."""
     if len(z) != cset.dim:
         raise ValueError(f"dimension mismatch: point ({len(z)},) vs set ({cset.dim},)")
     if isinstance(cset, Box):
@@ -320,17 +316,25 @@ def to_vi(problem):
     return T, problem.set
 
 
+def _floats(field, x):
+    """The field at the float array ``x``, a list: a VectorField's ``floats``, else its value
+    broadcast to x's shape as numpy does (a 0-d value fills it; a misfit raises ValueError)."""
+    if isinstance(field, VectorField):
+        return field.floats(x)
+    return np.broadcast_to(np.asarray(field(x), float), x.shape).tolist()
+
+
 def _y_and_p(problem, x, h, y=None):
-    """``y = x - v(x)`` and ``p = proj_C(y - h f(x))`` at the float array ``x``,
-    as lists of floats with numpy's bits; a ``y`` given is that ``x - v(x)``
-    (an array), computed already."""
-    f = problem.f  # evaluated before v: f's error comes first
-    fx = f.floats(x) if isinstance(f, VectorField) else np.asarray(f(x), float)
-    y = x - problem.v(x) if y is None else y
-    yl = y.tolist()
-    if type(fx) is list:
-        return yl, project_floats(problem.set, [a - h * b for a, b in zip(yl, fx)])
-    return yl, project(problem.set, y - h * fx).tolist()  # numpy's broadcasting and errors
+    """``y = x - v(x)``, ``p = proj_C(y - h f(x))`` and ``f(x)`` at the float array ``x``, as
+    lists of floats with numpy's bits; a ``y`` given is that x - v(x) (an array), computed."""
+    fx = _floats(problem.f, x)  # evaluated before v: f's error comes first
+    y = (x - problem.v(x) if y is None else y).tolist()
+    return y, project_floats(problem.set, [a - h * b for a, b in zip(y, fx)]), fx
+
+
+def _residual(y, p):
+    """|y - p| for lists of floats: the natural residual of a ``_y_and_p``."""
+    return _norm(np.array([a - b for a, b in zip(y, p)]))
 
 
 def natural_residual(problem, x, h):
@@ -341,5 +345,5 @@ def natural_residual(problem, x, h):
     """
     if not h > 0:
         raise ValueError("h must be positive")
-    y, p = _y_and_p(problem, np.asarray(x, float), h)
-    return _norm(np.array([a - b for a, b in zip(y, p)]))
+    y, p, _ = _y_and_p(problem, np.asarray(x, float), h)
+    return _residual(y, p)

@@ -43,7 +43,7 @@ from .analysis import (
 )
 from .errors import BracketingFailure, ConfigError, DiagnosticsError, NoConvergence
 from .inverse import _LU, ScalarBracket, invert, inverts_v
-from .model import _y_and_p, natural_residual, project, project_moving
+from .model import _floats, _residual, _y_and_p, natural_residual, project_floats, project_moving
 
 # Safety factors compensating the one-sided bias of sampled estimates:
 # gamma-hat is an upper bound (shrink it), L-hat a lower bound (grow it).
@@ -251,9 +251,8 @@ def solve_alg1(problem, x0, config=SolverConfig(), *, on_step=None):
     keep = inverts_v(spec, problem.v)
 
     def probe(state):
-        y, p = _y_and_p(problem, state[0], h, state[1])
-        r = _norm(np.array([a - b for a, b in zip(y, p)]))
-        return r, lambda: _checked(spec, invert(spec, p), keep)
+        y, p, _ = _y_and_p(problem, state[0], h, state[1])
+        return _residual(y, p), lambda: _checked(spec, invert(spec, p), keep)
 
     return _run((np.asarray(x0, float), None), probe, config, h,
                 x_of=lambda state: state[0], on_step=on_step)
@@ -288,30 +287,26 @@ def solve_tseng(problem, x0, config=SolverConfig(), literal=False, *, on_step=No
     Standard update: ybar = proj_C(y - h T(y)); y+ = ybar - h (T(ybar) - T(y)).
     With literal=True the correction is taken at y instead of ybar
     (y+ = y - h (T(ybar) - T(y))), kept only for side-by-side comparison;
-    its outcome is reported, never relied on.
+    its outcome is reported, never relied on. It steps as solve_alg1 does: on
+    floats with numpy's bits, v in the inverse's check.
     """
     h = config.h if config.h is not None else tseng_auto_step(problem)
     f, spec, cset = problem.f, problem.inverse, problem.set
     keep = inverts_v(spec, problem.v)
 
     def probe(state):
-        x, w, y = state  # w: the x - v(x) of x's check, or None
-        fx = f(x)  # equals T(y) since x = (Id-v)^{-1}(y)
-        y_of_x = x - problem.v(x) if w is None else w
-        r = _norm(y_of_x - project(cset, y_of_x - h * fx))
-        if y is None:  # the start: y0 = x0 - v(x0)
-            y = y_of_x
+        x, w, y = state  # w: the x - v(x) of x's check, or None; y: the iterate's floats
+        y_of_x, p, fx = _y_and_p(problem, x, h, w)  # f(x) is T(y): x = (Id-v)^{-1}(y)
+        y = y_of_x if y is None else y  # the start: y0 = x0 - v(x0)
 
         def advance():
-            ybar = project(cset, y - h * fx)
-            z = invert(spec, ybar)
-            if literal:
-                yn = y + h * (fx - f(z))
-            else:
-                yn = ybar - h * (f(z) - fx)
+            ybar = project_floats(cset, [a - h * b for a, b in zip(y, fx)])
+            fz = _floats(f, invert(spec, ybar))
+            yn = ([a + h * (b - c) for a, b, c in zip(y, fx, fz)] if literal
+                  else [a - h * (c - b) for a, b, c in zip(ybar, fx, fz)])
             return *_checked(spec, invert(spec, yn), keep), yn
 
-        return r, advance
+        return _residual(y_of_x, p), advance
 
     return _run((np.asarray(x0, float), None, None), probe, config, h,
                 x_of=lambda state: state[0], on_step=on_step)
@@ -331,18 +326,22 @@ class ZeroMap:
         return cls(A, _LU(A, "w matrix").refined_solve)
 
 
-def zero_step(f, w, x, h):
-    """One zero-finder step w^{-1}(w(x) - h f(x)) = x - h A^{-1} f(x)."""
+def zero_step(f, w, x, h, *, fx=None):
+    """One zero-finder step w^{-1}(w(x) - h f(x)) = x - h A^{-1} f(x). ``fx``, if
+    given, is f(x), evaluated already: f is not called."""
     x = np.asarray(x, float)
-    return x - h * w.solve(f(x))
+    return x - h * w.solve(f(x) if fx is None else fx)
 
 
 def solve_zero(f, w, x0, config=SolverConfig(), *, on_step=None):
     """Drive |f(x_n)| below tol with the w-scaffold iteration; h is 1 by default."""
     h = config.h if config.h is not None else 1.0
-    return _run(np.asarray(x0, float),
-                lambda x: (_norm(f(x)), lambda: zero_step(f, w, x, h)), config, h,
-                on_step=on_step)
+
+    def probe(x):
+        fx = f(x)  # |f(x)| and the step's f(x): one evaluation per iterate
+        return _norm(fx), lambda: zero_step(f, w, x, h, fx=fx)
+
+    return _run(np.asarray(x0, float), probe, config, h, on_step=on_step)
 
 
 @dataclass(frozen=True)

@@ -564,6 +564,30 @@ def test_usage_errors_exit_one(capsys, argv, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["analyze", "builtin:example1", "--estimate", "L", "--samples", "0"],
+     "argument --samples: count must be at least 2"),
+    (["solve", "builtin:example1", "--x0", "6,2", "--h", "0.01", "--max-iter", "0"],
+     "argument --max-iter: max_iter must be at least 1"),
+    (["solve", "builtin:example1", "--x0", "6,2", "--h", "0.01", "--tol", "0"],
+     "argument --tol: tol must be positive and finite, got 0.0"),
+    (["zero", "builtin:example4", "--x0", EX4_X0, "--tol", "nan"],
+     "argument --tol: tol must be positive and finite, got nan"),
+    (["zero", "builtin:example4", "--x0", EX4_X0, "--max-iter", "-3"],
+     "argument --max-iter: max_iter must be at least 1"),
+    (["solve", "builtin:example1", "--x0", "6,2", "--h", "inf"],
+     "--h must be positive and finite, got inf"),
+    (["sweep", "builtin:example1", "--x0", "6,2", "--h", "0.01", "--T", "0"],
+     "--T must be at least --h, got 0.0 < 0.01"),
+    (["sweep", "builtin:example1", "--x0", "6,2", "--h", "inf", "--T", "1"],
+     "--T must be at least --h, got 1.0 < inf"),
+])
+def test_a_numeric_flag_out_of_range_names_itself(capsys, argv, line):
+    # The library's own message follows the flag it came from.
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {line}\n")
+
+
 def test_bad_json_file_exit_one(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

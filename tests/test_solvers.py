@@ -316,6 +316,24 @@ def test_tseng_agrees_with_alg1(ex1, ex2, ex3, r5,
         assert norm(report.x_final - xstar) <= 1e-6
 
 
+@pytest.mark.parametrize("literal", [False, True])
+@pytest.mark.parametrize("case", ["example1", "example2", "example3", "remark5"])
+def test_tseng_residuals_are_the_natural_residual_bit_for_bit(case, literal, request):
+    # Tseng stops on |y - proj_C(y - h f(x))| at y = x - v(x) of its iterate
+    # x, not at its own y-space iterate: natural_residual's bits each time.
+    problem, x0, h = {"example1": ("ex1", [6.0, 2.0], 0.01),
+                      "example2": ("ex2", [43.0, 22.0, 55.0], 0.01),
+                      "example3": ("ex3", [5.0, 4.0, 2.0], 0.01),
+                      "remark5": ("r5", [-7.0], 0.2)}[case]
+    problem = request.getfixturevalue(problem)
+    iterates = []
+    report = solve_tseng(problem, x0, SolverConfig(h=h, max_iter=300), literal=literal,
+                         on_step=lambda x: iterates.append(x.copy()))
+    assert len(report.residuals) == len(iterates) >= 10
+    assert list(map(float.hex, report.residuals)) == \
+        [float.hex(natural_residual(problem, x, h)) for x in iterates]
+
+
 def test_tseng_zero_iterations_at_solution(r5, r5_solution):
     report = solve_tseng(r5, r5_solution)
     assert report.converged
@@ -342,6 +360,19 @@ def test_zero_solver_bundled_problem(ex4):
     assert report.iterations <= 36
     assert norm(ex4.f(report.x_final)) <= 1e-10
     assert np.allclose(report.x_final, [-0.0931, 0.0816, -0.0555], atol=1e-3)
+
+
+def test_zero_solver_evaluates_f_once_per_iterate(ex4):
+    # The step takes the f(x) whose norm the stopping test measured; a step
+    # given no value evaluates f itself, with the same bits.
+    f = _Counting(ex4.f)
+    x0 = np.array([1e4, 2e4, 3e4])
+    report = solve_zero(f, ex4.w, x0, SolverConfig(h=1.0, tol=1e-10))
+    assert report.converged and report.iterations == 13
+    assert f.calls == report.iterations + 1
+    assert zero_step(f, ex4.w, x0, 1.0, fx=ex4.f(x0)).tobytes() == \
+        zero_step(ex4.f, ex4.w, x0, 1.0).tobytes()
+    assert f.calls == report.iterations + 1
 
 
 def test_zero_solver_identity_one_step():
@@ -607,6 +638,8 @@ BIT_PINS = {
                             "-0x1.c6500297cf105p-5")),
     "alg1.remark5": (1, ("-0x1.445a544a3a000p-2",)),
     "tseng.example1": (705, ("-0x1.839fda04d7d56p-2", "0x1.7f07533b84411p-3")),
+    # The literal variant diverges here; where it stops still pins its update's bits.
+    "tseng-literal.example1": (2696, ("0x1.6576a94042138p+5", "0x1.3cad66b36b7f1p+3")),
     "zero.example4": (13, ("-0x1.7d30c20d22419p-4", "0x1.4e12d88b6738cp-4",
                            "-0x1.c65007085b4a1p-5")),
     "sweep.example1": (1000, ("-0x1.839fc5ab00958p-2", "0x1.7f074e99d61a4p-3")),
@@ -622,6 +655,8 @@ def _picard_example1(ex1):
 def _bit_pin_run(case, ex1, ex2, ex3, ex4, r5):
     if case == "tseng.example1":
         r = solve_tseng(ex1, [6.0, 2.0], SolverConfig(h=0.01))
+    elif case == "tseng-literal.example1":
+        r = solve_tseng(ex1, [6.0, 2.0], SolverConfig(h=0.01), literal=True)
     elif case == "zero.example4":
         r = solve_zero(ex4.f, ex4.w, [1e4, 2e4, 3e4], SolverConfig(h=1.0, tol=1e-10))
     elif case == "sweep.example1":
@@ -771,7 +806,8 @@ def test_an_f_of_the_wrong_shape_raises_in_each_alg1_path(ex1, value):
     for run in (lambda: alg1_step(problem, [6.0, 2.0], 0.01),
                 lambda: solve_alg1(problem, [6.0, 2.0], SolverConfig(h=0.01)),
                 lambda: natural_residual(problem, [6.0, 2.0], 0.01),
-                lambda: sweep_trajectory(problem, [6.0, 2.0], 0.01, 0.1)):
+                lambda: sweep_trajectory(problem, [6.0, 2.0], 0.01, 0.1),
+                lambda: solve_tseng(problem, [6.0, 2.0], SolverConfig(h=0.01))):
         with pytest.raises(ValueError):
             run()
 
@@ -783,7 +819,10 @@ def test_a_scalar_f_broadcasts_in_each_alg1_path(ex1):
     for run in (lambda p: alg1_step(p, [6.0, 2.0], 0.01).tobytes(),
                 lambda p: _report_bits(solve_alg1(p, [6.0, 2.0], SolverConfig(h=0.01))),
                 lambda p: float.hex(natural_residual(p, [6.0, 2.0], 0.01)),
-                lambda p: sweep_trajectory(p, [6.0, 2.0], 0.01, 0.1).xs.tobytes()):
+                lambda p: sweep_trajectory(p, [6.0, 2.0], 0.01, 0.1).xs.tobytes(),
+                lambda p: _report_bits(solve_tseng(p, [6.0, 2.0], SolverConfig(h=0.01))),
+                lambda p: _report_bits(solve_tseng(p, [6.0, 2.0], SolverConfig(h=0.01),
+                                                   literal=True))):
         assert run(scalar) == run(full)
 
 
