@@ -256,12 +256,12 @@ def power_lambda_max(matvec, n):
     """
     best = 0.0
     for start in (np.ones(n), np.arange(1.0, n + 1.0)):
-        u = start / np.linalg.norm(start)
+        u = start / _norm(start)
         lam = 0.0
         for _ in range(_POWER_MAX_ITER):
-            w = matvec(u)
+            w = np.asarray(matvec(u), float)
             lam_new = float(u @ w)
-            nw = float(np.linalg.norm(w))
+            nw = _norm(w)
             if nw == 0.0:
                 lam_new = 0.0
                 break
@@ -331,8 +331,10 @@ def sample_lipschitz(f, plan):
     pairs = sample_pairs(plan, f.dim)
     best = 0.0
     for x, y in _candidates((f,), pairs, _lipschitz_bounds):
-        ratio = float(np.linalg.norm(np.asarray(f(x)) - np.asarray(f(y)))
-                      / np.linalg.norm(x - y))
+        # A NumPy quotient: a pair at distance 0, which min_separation 0 keeps,
+        # gives NaN (never the largest) and not an error.
+        ratio = float(np.divide(_norm(np.asarray(f(x), float) - np.asarray(f(y), float)),
+                                _norm(x - y)))
         best = max(best, ratio)
     return best
 

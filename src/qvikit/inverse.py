@@ -22,14 +22,15 @@ PicardContraction writes each step ``y + v(x)`` into the next row of a buffer
 the spec keeps (same bits; a pure-matrix step allocates nothing) and tests a
 chunk of rows in one stacked matmul, which takes each step norm with ``_norm``'s
 ``ddot``. Its first chunk is as long as the previous invert's loop on the same
-spec, so in a solve one chunk mostly suffices; a field's iterate that repeats
-the iterate one or two steps back bit for bit (an overflow to inf, or to inf
-and -inf in turn) ends the loop at once. Semilinear sums each ``y + g(x)`` on
-the floats a remainder-only ``g`` reads, hands that list to LAPACK, screens
-each step with ``math.dist`` and checks with ``g`` at those floats. An
-``inner_log`` only observes: it gets the step norms the loop measured.
-LinearExact and Semilinear also take ``y`` as the list of floats the solvers
-hand them (same bits and errors); the check screens with ``math.dist`` too.
+spec, so in a solve one chunk mostly suffices; later chunks double from 8 steps.
+A field's iterate that repeats the iterate one or two steps back bit for bit (an
+overflow to inf, or to inf and -inf in turn) ends the loop at once. Semilinear
+sums each ``y + g(x)`` on the floats a remainder-only ``g`` reads, hands that
+list to LAPACK, screens each step with ``math.dist`` and checks with ``g`` at
+those floats. An ``inner_log`` only observes: it gets the step norms the loop
+measured. LinearExact and Semilinear also take ``y`` as the list of floats the
+solvers hand them (same bits and errors); the check screens with ``math.dist``
+too.
 """
 
 from __future__ import annotations
@@ -240,40 +241,25 @@ class LinearExact:
         return self._lu.inverse_norm()
 
 
-# Steps in the first Picard chunk, and in the longest.
+# Steps in a fresh spec's first Picard chunk and in the chunk after a first
+# chunk that missed the stop; and in the longest chunk.
 _FIRST_CHUNK, _MAX_CHUNK = 8, 512
 
 
 def _first_stop(X, tol, inner_log):
     """The index of the first row of ``X`` (a 2-D array of iterates) whose
-    step from the row before passes ``_norm(step) <= tol``, or None; and the
-    steps' squared norms.
+    step from the row before passes ``_norm(step) <= tol``, or None.
 
     A stacked matmul of the steps runs, row by row, the ``ddot`` of
     ``_norm``'s ``u.dot(u)``, so every norm is ``_norm``'s, bit for bit. With
     ``inner_log``, every step up to the stop is logged.
     """
     D = X[1:] - X[:-1]
-    squares = np.matmul(D[:, None, :], D[:, :, None]).ravel()
-    norms = np.sqrt(squares)
+    norms = np.sqrt(np.matmul(D[:, None, :], D[:, :, None]).ravel())
     stop = next((i + 1 for i in np.flatnonzero(norms <= tol).tolist()), None)
     if inner_log is not None:
         inner_log.extend(norms[:stop].tolist())
-    return stop, squares
-
-
-def _next_chunk(squares, tol, k):
-    """Length of the next chunk: enough steps for the squared steps, at their
-    decay over the second half of this chunk, to reach tol^2, plus one;
-    double ``k`` where the chunk shows no decay. A wrong guess costs time."""
-    half = len(squares) // 2
-    first, last = squares[half], squares[-1]
-    if 0.0 < last <= first < np.inf and half < len(squares) - 1:
-        rate = (math.log(last) - math.log(first)) / (len(squares) - 1 - half)
-        if rate < 0.0:
-            need = (math.log(max(tol * tol, 1e-300)) - math.log(last)) / rate
-            return math.ceil(min(max(need, 0.0), _MAX_CHUNK - 1)) + 1
-    return min(_MAX_CHUNK, 2 * k)
+    return stop
 
 
 @dataclass(eq=False)
@@ -284,12 +270,12 @@ class PicardContraction:
     max_inner steps. It iterates in chunks, never past max_inner, and tests
     each chunk with _first_stop. The first chunk is as long as the previous
     invert's loop on this spec (8 steps at first, at most 512), so the inverts
-    of a solve mostly run one chunk; later ones are sized from the decay of
-    the steps. For a model field v_map, a pure function, a chunk that ends on
-    the iterate one or two steps back (bit for bit: inf, or inf after -inf
-    after inf) ends the loop, as every later step repeats that cycle. The
-    result, the inner_log values and an error are those of a loop that tests
-    every step; iterates past the stop are dropped.
+    of a solve mostly run one chunk; the next one is 8 steps, and each later
+    one doubles, up to 512. For a model field v_map, a pure function, a chunk
+    that ends on the iterate one or two steps back (bit for bit: inf, or inf
+    after -inf after inf) ends the loop, as every later step repeats that
+    cycle. The result, the inner_log values and an error are those of a loop
+    that tests every step; iterates past the stop are dropped.
 
     Each step writes into the next row of one buffer, made on first use and
     regrown for a longer chunk (at most 513 rows), in place for a matrix with
@@ -322,6 +308,7 @@ class PicardContraction:
         y = _point(y, getattr(self.v_map, "dim", None))
         v, add, tol = self._v, np.add, self.inner_tol
         x, left, k = y.copy(), self.max_inner, min(max(self._steps, 1), _MAX_CHUNK)
+        later = _FIRST_CHUNK  # the chunk after a first one that missed the stop
         with np.errstate(all="ignore"):
             while left > 0:
                 n, failure = min(k, left), None
@@ -341,7 +328,7 @@ class PicardContraction:
                     except Exception as exc:
                         n, failure = m, exc
                 xs = self._buffer[:n + 1]
-                stop, squares = _first_stop(xs, tol, inner_log)
+                stop = _first_stop(xs, tol, inner_log)
                 if stop is not None:
                     x = xs[stop].copy()
                     self._steps = self.max_inner - left + stop
@@ -361,7 +348,7 @@ class PicardContraction:
                     if not same[0] and left % 2:
                         x = xs[-2].copy()
                     break
-                k = _next_chunk(squares, tol, k)
+                k, later = later, min(2 * later, _MAX_CHUNK)
             return _verify(self, x, v(x), y)
 
     def lipschitz(self):

@@ -131,6 +131,19 @@ def test_sample_lipschitz_builtin_regression(ex1):
     assert sample_lipschitz(ex1.f, PLAN0) == pytest.approx(5.624515124638683, abs=1e-9)
 
 
+def test_sample_lipschitz_skips_a_pair_at_distance_zero():
+    # At 1e15 a local pair's offset of 2.5e-4 rounds away, and min_separation 0
+    # keeps the pair: its ratio 0/0 is NaN, never the largest, and not an error.
+    f = VectorField.from_exprs(["x1*x1"], 1)
+    plan = SamplingPlan(seed=0, count=200, lo=1e15, hi=1e15 + 0.25, min_separation=0.0)
+    pairs = sample_pairs(plan, 1)
+    apart = [(x, y) for x, y in pairs if x[0] != y[0]]
+    assert 0 < len(apart) < len(pairs)
+    with np.errstate(invalid="ignore"):
+        got = sample_lipschitz(f, plan)
+    assert got == max(np.linalg.norm(f(x) - f(y)) / np.linalg.norm(x - y) for x, y in apart)
+
+
 def test_sample_gamma_builtin_regression(ex1):
     w = FuncField(2, lambda x: x - ex1.v(x))
     assert sample_pair_modulus(ex1.f, w, PLAN0) == pytest.approx(

@@ -29,6 +29,7 @@ from qvikit.errors import (
 from qvikit.inverse import (
     _FIRST_CHUNK,
     _LU,
+    _MAX_CHUNK,
     LinearExact,
     PicardContraction,
     ScalarBracket,
@@ -476,8 +477,10 @@ def _picard_field(kind, dim, entries, scale, offsets):
     return VectorField.from_matrix(0.7 * M, texts)
 
 
+# max_inner values. After a first chunk of 1 to 9 steps that misses the stop,
+# chunks of 8, 16, 32, ... steps follow: 40 and _MAX_CHUNK end in one of them.
 _STEPS = st.sampled_from([1, 2, _FIRST_CHUNK - 1, _FIRST_CHUNK, _FIRST_CHUNK + 1,
-                          3 * _FIRST_CHUNK, 100])
+                          3 * _FIRST_CHUNK, 40, 100, _MAX_CHUNK])
 
 
 @settings(max_examples=400, deadline=None)
@@ -490,7 +493,8 @@ _STEPS = st.sampled_from([1, 2, _FIRST_CHUNK - 1, _FIRST_CHUNK, _FIRST_CHUNK + 1
        y_scale=st.sampled_from([1.0, 1e-150, 1e-170, 1e150]),
        tol=st.sampled_from([1e-160, 1e-12, 1e-3]),
        max_inner=_STEPS, near_stop=st.sampled_from([None, -1, 0, 1]),
-       hint=st.sampled_from([0, 1, 7, 8, 9, "stop-1", "stop", "stop+1", "max_inner", 10**6]))
+       hint=st.sampled_from([0, 1, 7, 8, 9, "stop-1", "stop", "stop+1", "max_inner",
+                             _MAX_CHUNK, 10**6]))
 def test_picard_invert_matches_the_reference_loop(dim, kind, entries, offsets, scale,
                                                    y, y_scale, tol, max_inner, near_stop,
                                                    hint):
@@ -523,8 +527,8 @@ def test_picard_invert_matches_the_reference_loop(dim, kind, entries, offsets, s
        tol=st.sampled_from([1e-160, 1e-12, 1e-3]),
        runs=st.lists(st.tuples(st.lists(st.floats(-10, 10), min_size=4, max_size=4),
                                st.sampled_from([1.0, 1e-150, 1e150]),
-                               st.sampled_from([1, 2, 7, 8, 9, 24, 100, 1000, "stop-1"]),
-                               st.sampled_from([0, 1, 7, 9, 100, 600, 10**6])),
+                               st.sampled_from([1, 2, 7, 8, 9, 24, 40, 100, 1000, "stop-1"]),
+                               st.sampled_from([0, 1, 7, 9, 100, _MAX_CHUNK, 600, 10**6])),
                      min_size=2, max_size=3))
 # Two inverts that end a step short of their stop, in the same rows: each
 # passes its check on the last row the chunk wrote.
@@ -592,20 +596,20 @@ def test_picard_screen_leaves_few_exact_norms(monkeypatch):
        tol=st.sampled_from([-1.0, 0.0, 1e-160, 1e-12, 1.0, 1e200]))
 def test_stacked_step_norms_are_the_norm_helpers_row_by_row(dim, seed, special, tol):
     # _first_stop takes every step norm from one stacked matmul over the
-    # rows of the iterates: each must be _norm's bits, or a NumPy release
-    # that breaks it fails here.
+    # rows of the iterates: each logged norm must be _norm's bits, or a NumPy
+    # release that breaks it fails here. A tolerance of -inf logs every row.
     rng = np.random.default_rng(seed)
     with np.errstate(all="ignore"):
         X = rng.standard_normal((60, dim)) * 10.0 ** rng.integers(-320, 309, (60, 1))
         mask = rng.random(X.shape) < special
         X[mask] = rng.choice(_SPECIALS, mask.sum())
         norms = [_norm(b - a) for a, b in zip(X, X[1:])]
-        log = []
-        stop, squares = inverse._first_stop(X, tol, log)
+        log, every = [], []
+        stop = inverse._first_stop(X, tol, log)
+        assert inverse._first_stop(X, -math.inf, every) is None
     want = next((i + 1 for i, n in enumerate(norms) if n <= tol), None)
     assert (stop, list(map(float.hex, log))) == (want, list(map(float.hex, norms[:want])))
-    assert squares.shape == (59,)
-    assert [float.hex(math.sqrt(q)) for q in squares.tolist()] == list(map(float.hex, norms))
+    assert list(map(float.hex, every)) == list(map(float.hex, norms))
 
 
 @pytest.mark.parametrize("tol", [1e-3, 1e-12, 1e-160, 1e-162])
