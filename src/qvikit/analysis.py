@@ -306,7 +306,8 @@ def sample_pair_modulus(f, w, plan):
     for x, y in _candidates((f, w), pairs, _modulus_bounds):
         num = float(np.dot(np.asarray(f(x)) - np.asarray(f(y)),
                            np.asarray(w(x)) - np.asarray(w(y))))
-        best = min(best, num / float(np.dot(x - y, x - y)))
+        # A NumPy quotient, as in sample_lipschitz: a pair at distance 0 gives NaN.
+        best = min(best, float(np.divide(num, np.dot(x - y, x - y))))
     return best
 
 

@@ -23,8 +23,8 @@ the spec keeps (same bits; a pure-matrix step allocates nothing) and tests a
 chunk of rows in one stacked matmul, which takes each step norm with ``_norm``'s
 ``ddot``. Its first chunk is as long as the previous invert's loop on the same
 spec, so in a solve one chunk mostly suffices; later chunks double from 8 steps.
-A field's iterate that repeats the iterate one or two steps back bit for bit (an
-overflow to inf, or to inf and -inf in turn) ends the loop at once. Semilinear
+Picard refuses an ``l`` below the norm of a ``v`` that is a matrix alone, and
+ScalarBracket a bracket other than a < b with |a| + |b| finite. Semilinear
 sums each ``y + g(x)`` on the floats a remainder-only ``g`` reads, hands that
 list to LAPACK, screens each step with ``math.dist`` and checks with ``g`` at
 those floats. An ``inner_log`` only observes: it gets the step norms the loop
@@ -51,6 +51,7 @@ from .analysis import (
     SamplingPlan,
     _candidates,
     _norm,
+    operator_norm,
     power_lambda_max,
     sample_pairs,
 )
@@ -271,11 +272,10 @@ class PicardContraction:
     each chunk with _first_stop. The first chunk is as long as the previous
     invert's loop on this spec (8 steps at first, at most 512), so the inverts
     of a solve mostly run one chunk; the next one is 8 steps, and each later
-    one doubles, up to 512. For a model field v_map, a pure function, a chunk
-    that ends on the iterate one or two steps back (bit for bit: inf, or inf
-    after -inf after inf) ends the loop, as every later step repeats that
-    cycle. The result, the inner_log values and an error are those of a loop
-    that tests every step; iterates past the stop are dropped.
+    one doubles, up to 512. The result, the inner_log values and an error are
+    those of a loop that tests every step; iterates past the stop are dropped.
+    A v_map that is a matrix alone must declare l at least its operator norm,
+    less 1e-9 relative (ConfigError), so its iterates stay within |y| / (1 - l).
 
     Each step writes into the next row of one buffer, made on first use and
     regrown for a longer chunk (at most 513 rows), in place for a matrix with
@@ -292,9 +292,11 @@ class PicardContraction:
     def __post_init__(self):
         if not 0.0 <= self.l < 1.0:
             raise ConfigError(f"declared contraction l={self.l} must be < 1")
+        self._matrix = isinstance(self.v_map, VectorField) and self.v_map.remainder is None
+        # operator_norm rises to the norm, within rounding: a refusal is never false.
+        if self._matrix and self.l < (norm := operator_norm(self.v_map.matrix)) * (1 - 1e-9):
+            raise ConfigError(f"{self.l!r} is below v's operator norm {norm!r}")
         self._v = _unchecked(self.v_map)
-        self._pure = isinstance(self.v_map, VectorField)
-        self._matrix = self._pure and self.v_map.remainder is None
         self._rows = []  # row views of the step buffer, made on first use
 
     def __getstate__(self):
@@ -337,17 +339,6 @@ class PicardContraction:
                     raise failure  # no step before the failing one stopped the loop
                 left -= len(xs) - 1
                 x = xs[-1].copy()
-                same = [x.tobytes() == z.tobytes() for z in xs[-2:-4:-1]] \
-                    if self._pure else []
-                if any(same):
-                    # A pure v repeats the last one or two iterates to the end
-                    # of the loop: every later step has the last one's norm,
-                    # and the loop ends on x or, after an odd count, xs[-2].
-                    if inner_log is not None:
-                        inner_log.extend([_norm(x - xs[-2])] * left)
-                    if not same[0] and left % 2:
-                        x = xs[-2].copy()
-                    break
                 k, later = later, min(2 * later, _MAX_CHUNK)
             return _verify(self, x, v(x), y)
 
@@ -438,8 +429,9 @@ class ScalarBracket:
 
     def __post_init__(self):
         a, b = self.bracket
-        if not a < b:
-            raise ValueError("bracket must satisfy a < b")
+        # |a| + |b| finite keeps the width b - a and the midpoints finite.
+        if not (a < b and math.isfinite(abs(a) + abs(b))):
+            raise ValueError(f"bracket {self.bracket!r} must satisfy a < b with |a| + |b| finite")
         self._v = _unchecked(self.v_map)
 
     def v(self, x):

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import operator_norm
 from .errors import ConfigError, SingularLinearPart
 from .expr import parse, print_expr
 from .inverse import (
@@ -307,11 +306,7 @@ def _inverse_from_json(spec, v, dim):
             raise ConfigError("inverse.strategy: linear_exact needs v in pure matrix form")
         return _at("v.matrix", LinearExact, v.matrix, **kwargs)
     if strategy == "picard":
-        # operator_norm rises to the norm, within rounding: a refusal is never false.
-        norm = 0.0 if v.remainder is not None else operator_norm(v.matrix)
-        if float(spec["l"]) < norm * (1.0 - 1e-9):
-            raise ConfigError(f"inverse.l: {spec['l']!r} is below v's operator norm {norm!r}")
-        return PicardContraction(v, float(spec["l"]), **kwargs)
+        return _at("inverse.l", PicardContraction, v, float(spec["l"]), **kwargs)
     if strategy == "semilinear":
         if v.matrix is None or v.remainder is None:
             raise ConfigError("inverse.strategy: semilinear needs v in {matrix, remainder} form")
@@ -324,12 +319,11 @@ def _inverse_from_json(spec, v, dim):
             raise
     if dim != 1:  # scalar_bracket, the schema's last strategy
         raise ConfigError("inverse.strategy: scalar_bracket only applies in dimension 1")
-    a, b = map(float, spec["bracket"])
-    # |a| + |b| finite keeps the width b - a and the midpoints finite.
-    if not (a < b and np.isfinite(abs(a) + abs(b))):
+    try:
+        return ScalarBracket(v, tuple(map(float, spec["bracket"])), **kwargs)
+    except ValueError:  # the bracket's rule
         raise ConfigError("inverse.bracket: expected finite a < b with |a| + |b| "
-                          f"finite, got {spec['bracket']!r}")
-    return ScalarBracket(v, (a, b), **kwargs)
+                          f"finite, got {spec['bracket']!r}") from None
 
 
 def _constants_to_json(constants):

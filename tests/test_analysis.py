@@ -144,6 +144,18 @@ def test_sample_lipschitz_skips_a_pair_at_distance_zero():
     assert got == max(np.linalg.norm(f(x) - f(y)) / np.linalg.norm(x - y) for x, y in apart)
 
 
+def test_sample_pair_modulus_skips_a_pair_at_distance_zero():
+    # The plan above keeps a pair at distance 0: its ratio <df, dw> / |dx|^2 is
+    # 0/0, NaN, never the smallest, and not an error.
+    f = VectorField.from_exprs(["x1*x1"], 1)
+    plan = SamplingPlan(seed=0, count=200, lo=1e15, hi=1e15 + 0.25, min_separation=0.0)
+    apart = [(x, y) for x, y in sample_pairs(plan, 1) if x[0] != y[0]]
+    with np.errstate(invalid="ignore"):
+        got = sample_pair_modulus(f, f, plan)
+    assert got == min(float(np.dot(f(x) - f(y), f(x) - f(y))) / float(np.dot(x - y, x - y))
+                      for x, y in apart)
+
+
 def test_sample_gamma_builtin_regression(ex1):
     w = FuncField(2, lambda x: x - ex1.v(x))
     assert sample_pair_modulus(ex1.f, w, PLAN0) == pytest.approx(

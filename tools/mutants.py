@@ -29,6 +29,8 @@ SCREENED = f"{T_INV}::test_the_screened_check_leaves_to_the_exact_norm_where_mat
 EXACT = f"{T_INV}::test_the_screened_check_decides_as_the_exact_norm"
 PROJECTION = f"{T_MODEL}::test_float_projection_is_project_bit_for_bit"
 PINS = f"{T_SOLVERS}::test_solver_results_bit_for_bit"
+OTHER_MAP = (f"{T_SOLVERS}::"
+             "test_a_solve_whose_inverse_checks_another_map_evaluates_v_at_every_iterate")
 
 # (file, old text, new text, test selection, reason[, verdict])
 CATALOG = [
@@ -62,15 +64,31 @@ CATALOG = [
      "Picard goes on from a row of its buffer at a chunk's end"),
     (INV, "def __getstate__(self):\n        # A copy", "def _getstate(self):\n        # A copy",
      ROW_BY_ROW, "a copied Picard spec shares row views with its original"),
-    (INV, "x = xs[-2].copy()", "x = xs[-2]", ROW_BY_ROW,
-     "Picard returns a row of its buffer on the cycle branch",
-     "equivalent: the branch ends a period-1 or period-2 cycle of a pure v, whose "
-     "iterates hold inf or repeat a step larger than inner_tol; _verify's residual "
-     "there is inf, NaN or that step up to rounding, so it raises NoConvergence and "
-     "the row never reaches a caller"),
+    (INV, "min(max(self._steps, 1), _MAX_CHUNK)", "max(self._steps, 1)", ROW_BY_ROW,
+     "a first Picard chunk is as long as any hint, past _MAX_CHUNK"),
     (INV, "n, failure = m, exc", "n, failure = m + 1, exc",
      f"{T_INV}::test_picard_invert_matches_the_reference_loop",
      "a Picard chunk whose v raises ends one row late"),
+    (INV, "if self._matrix and self.l < (norm", "if False and self.l < (norm",
+     f"{T_INV}::test_a_picard_l_below_the_norm_of_a_matrix_v_is_refused_where_built",
+     "a Picard spec takes an l below the norm of a matrix v"),
+    (INV, "if not (a < b and math.isfinite(abs(a) + abs(b))):", "if not a < b:",
+     f"{T_INV}::test_a_bracket_is_refused_where_built",
+     "a ScalarBracket takes a bracket whose |a| + |b| overflows"),
+    (ANALYSIS, "float(np.divide(num, np.dot(x - y, x - y)))", "num / float(np.dot(x - y, x - y))",
+     f"{T_ANALYSIS}::test_sample_pair_modulus_skips_a_pair_at_distance_zero",
+     "sample_pair_modulus divides on Python floats, which raise at distance zero"),
+    (INV, "x = x + lu.solve(list(", "x = x + lu._solve(list(",
+     f"{T_INV}::test_linear_exact_refinement_that_overflows_raises_as_before",
+     "LinearExact's refinement solve goes unchecked"),
+    (INV, " and M.tobytes() == v.matrix.tobytes())", ")", f"{OTHER_MAP}[other-matrix-alg1]",
+     "inverts_v ignores LinearExact's matrix bytes"),
+    (INV, "v.remainder == rest", "True", f"{OTHER_MAP}[other-remainder-alg1]",
+     "inverts_v ignores Semilinear's remainder"),
+    (INV, "math.isfinite(sum(values)) or all(map(math.isfinite, values))",
+     "math.isfinite(sum(values))",
+     f"{T_INV}::test_all_finite_gives_numpys_verdict_without_warnings",
+     "_all_finite reads an overflowing sum as a non-finite entry"),
     (SOLVERS, "[a + h * (b - c) for a, b, c in zip(y, fx, fz)]",
      "[a + h * b - h * c for a, b, c in zip(y, fx, fz)]", f"{PINS}[tseng-literal.example1]",
      "the literal Tseng update leaves NumPy's operation order"),
