@@ -1,36 +1,37 @@
 """Strategies for applying (Id - v)^{-1}.
 
 The moving-set iteration needs x = (Id - v)^{-1}(y) once per step, so the
-inverse is a first-class object built ahead of time. Four strategies cover
-the shapes of v that actually occur:
+inverse is a first-class object built ahead of time from the field v it
+inverts, its first argument. Four strategies cover the shapes of v:
 
-  LinearExact        v(x) = V x, solve (I - V) x = y by LU factorization
-  PicardContraction  any v with Lipschitz constant l < 1, iterate x <- y + v(x)
-  Semilinear         v(x) = A x + g(x), iterate x <- (I-A)^{-1}(y + g(x));
-                     works when |(I-A)^{-1}| L_g < 1 even if |A| is huge
-  ScalarBracket      dim 1, x - v(x) monotone, bisection on a bracket
+  LinearExact(v)             v(x) = V x, solve (I - V) x = y by LU factorization
+  PicardContraction(v, l)    any v with Lipschitz constant l < 1, x <- y + v(x)
+  Semilinear(v, l_g)         v(x) = A x + g(x), x <- (I-A)^{-1}(y + g(x));
+                             works when |(I-A)^{-1}| L_g < 1 even if |A| is huge
+  ScalarBracket(v, bracket)  dim 1, x - v(x) monotone, bisection on a bracket
 
-Every invert call verifies |x - v(x) - y| <= inner_tol a posteriori, which
-turns the well-definedness of the inverse from a hypothesis into a runtime
-contract; the check records ``spec.checked = (x, x - v(x))``, which a solver
-steps on from where ``inverts_v`` holds. Each strategy's ``lipschitz()`` bounds
-the Lipschitz constant of the inverse: exactly for LinearExact, by 1/(1-l) and
-|(I-A)^{-1}|/(1 - |(I-A)^{-1}| L_g) for the contractions, and by a seeded
-sampled estimate (a lower bound) for ScalarBracket.
+A constructor refuses a v of the wrong form or a bad declaration with a
+ConfigError that starts with the name at fault (``strategy: ``, ``l: ``,
+``l_g: ``, ``bracket: ``, ``inner_tol: `` or ``max_inner: ``), and a singular
+linear part with SingularLinearPart. Every invert call verifies
+|x - v(x) - y| <= inner_tol a posteriori, which turns the well-definedness
+of the inverse from a hypothesis into a runtime contract; the check records
+``spec.checked = (x, x - v(x))``, which a solver steps on from where
+``inverts_v`` holds: where ``spec.v_map`` is the problem's v. Each
+``lipschitz()`` bounds the Lipschitz constant of the inverse: exactly for
+LinearExact, by 1/(1-l) and |(I-A)^{-1}|/(1 - |(I-A)^{-1}| L_g) for the
+contractions, and by a seeded sampled estimate (a lower bound) for ScalarBracket.
 
 PicardContraction writes each step ``y + v(x)`` into the next row of a buffer
 the spec keeps (same bits; a pure-matrix step allocates nothing) and tests a
 chunk of rows in one stacked matmul, which takes each step norm with ``_norm``'s
 ``ddot``. Its first chunk is as long as the previous invert's loop on the same
 spec, so in a solve one chunk mostly suffices; later chunks double from 8 steps.
-Picard refuses an ``l`` below the norm of a ``v`` that is a matrix alone, and
-ScalarBracket a bracket other than a < b with |a| + |b| finite. Semilinear
-sums each ``y + g(x)`` on the floats a remainder-only ``g`` reads, hands that
+Semilinear sums each ``y + g(x)`` on the floats its remainder reads, hands that
 list to LAPACK, screens each step with ``math.dist`` and checks with ``g`` at
 those floats. An ``inner_log`` only observes: it gets the step norms the loop
-measured. LinearExact and Semilinear also take ``y`` as the list of floats the
-solvers hand them (same bits and errors); the check screens with ``math.dist``
-too.
+measured. All but Picard work on ``y`` as the list of floats the solvers
+hand them (same bits and errors); the check screens with ``math.dist`` too.
 """
 
 from __future__ import annotations
@@ -199,44 +200,45 @@ def _verify(spec, x, vx, y):
 
 
 def inverts_v(spec, v):
-    """Whether ``spec``'s check evaluates the field ``v`` bit for bit (a matrix
-    of ``v.matrix``'s bytes and layout), so its record holds ``x - v(x)``."""
-    if isinstance(spec, PicardContraction):
-        return spec.v_map is v
-    semi = (isinstance(spec, Semilinear) and isinstance(spec.g, VectorField)
-            and spec.g.matrix is None)
-    if not (semi or isinstance(spec, LinearExact)):
-        return False
-    M, rest = (spec.A, spec.g.remainder) if semi else (spec.V, None)
-    return (isinstance(v, VectorField) and v.matrix is not None and v.remainder == rest
-            and M.strides == v.matrix.strides and M.tobytes() == v.matrix.tobytes())
+    """Whether ``spec``'s check evaluates the field ``v``, so its record holds ``x - v(x)``."""
+    return spec.v_map is v
 
 
 @dataclass(eq=False)
-class LinearExact:
-    """Inverse of Id - v for linear v(x) = V x."""
+class _Strategy:
+    """The field a strategy inverts and its inner loop's stop: a step or
+    residual of at most ``inner_tol``, or ``max_inner`` steps."""
 
-    V: np.ndarray
-    inner_tol: float = 1e-12
-    max_inner: int = 100_000
+    v_map: object
+    inner_tol: float = field(default=1e-12, kw_only=True)
+    max_inner: int = field(default=100_000, kw_only=True)
 
     def __post_init__(self):
-        self.V = np.asarray(self.V, float)
-        n = self.V.shape[0]
-        if self.V.shape != (n, n):
-            raise ValueError("V must be square")
-        self._lu = _LU(np.eye(n) - self.V, "I - V")
+        if not 0.0 < self.inner_tol < math.inf:
+            raise ConfigError(f"inner_tol: {self.inner_tol!r} is not positive and finite")
+        if not self.max_inner >= 1:
+            raise ConfigError(f"max_inner: {self.max_inner!r} is below 1")
 
-    def v(self, x):
-        return self.V.dot(x)
+
+@dataclass(eq=False)
+class LinearExact(_Strategy):
+    """Inverse of Id - v for a field v(x) = V x, a matrix V alone."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        v = self.v_map
+        if not (isinstance(v, VectorField) and v.remainder is None):
+            raise ConfigError("strategy: linear_exact needs v in pure matrix form")
+        self._lu = _LU(np.eye(v.dim) - v.matrix, "I - V")
 
     def invert(self, y, inner_log=None):
-        y = _floats(y, self.V.shape[0])
+        V = self.v_map.matrix
+        y = _floats(y, V.shape[0])
         # _LU.refined_solve on floats; y is checked, the refinement's right side is not yet.
         lu = self._lu
         x = lu._solve(y)
         x = x + lu.solve(list(map(operator.sub, y, lu.A.dot(x).tolist())))
-        return _verify(self, x, self.V.dot(x), y)
+        return _verify(self, x, V.dot(x), y)
 
     def lipschitz(self):
         return self._lu.inverse_norm()
@@ -264,7 +266,7 @@ def _first_stop(X, tol, inner_log):
 
 
 @dataclass(eq=False)
-class PicardContraction:
+class PicardContraction(_Strategy):
     """Inverse via the fixed-point iteration x <- y + v(x), for l < 1.
 
     The loop stops on the first step with _norm(step) <= inner_tol, or after
@@ -283,28 +285,23 @@ class PicardContraction:
     The result, its check record and the iterate a chunk ends on are copies.
     """
 
-    v_map: object  # callable displacement, Lipschitz constant l
-    l: float
-    inner_tol: float = 1e-12
-    max_inner: int = 100_000
+    l: float  # the Lipschitz constant of v_map, any callable displacement
     _steps = _FIRST_CHUNK  # steps of the last invert that stopped
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0.0 <= self.l < 1.0:
-            raise ConfigError(f"declared contraction l={self.l} must be < 1")
+            raise ConfigError(f"l: declared contraction l={self.l} must be < 1")
         self._matrix = isinstance(self.v_map, VectorField) and self.v_map.remainder is None
         # operator_norm rises to the norm, within rounding: a refusal is never false.
         if self._matrix and self.l < (norm := operator_norm(self.v_map.matrix)) * (1 - 1e-9):
-            raise ConfigError(f"{self.l!r} is below v's operator norm {norm!r}")
+            raise ConfigError(f"l: {self.l!r} is below v's operator norm {norm!r}")
         self._v = _unchecked(self.v_map)
         self._rows = []  # row views of the step buffer, made on first use
 
     def __getstate__(self):
         # A copy makes its own buffer: copied row views would not be its rows.
         return {**vars(self), "_buffer": None, "_rows": []}
-
-    def v(self, x):
-        return np.asarray(self.v_map(x), float)
 
     def invert(self, y, inner_log=None):
         y = _point(y, getattr(self.v_map, "dim", None))
@@ -347,44 +344,39 @@ class PicardContraction:
 
 
 @dataclass(eq=False)
-class Semilinear:
-    """Inverse for v(x) = A x + g(x), preconditioned by (I - A)^{-1}.
+class Semilinear(_Strategy):
+    """Inverse for a field v(x) = A x + g(x), a matrix A and a remainder g,
+    preconditioned by (I - A)^{-1}.
 
     The plain Picard iteration diverges when |A| >= 1, but the equivalent
     fixed point x = (I-A)^{-1}(y + g(x)) contracts with factor
-    |(I-A)^{-1}| L_g, checked against the declared Lipschitz bound l_g.
+    |(I-A)^{-1}| L_g, checked against the declared Lipschitz bound l_g of g.
     """
 
-    A: np.ndarray
-    g: object  # callable remainder
     l_g: float
-    inner_tol: float = 1e-12
-    max_inner: int = 100_000
     inv_norm: float = field(init=False)
 
     def __post_init__(self):
-        self.A = np.asarray(self.A, float)
-        self._lu = _LU(np.eye(self.A.shape[0]) - self.A, "I - A")
-        self._g = _unchecked(self.g)
-        # g on a point's floats if a remainder-only field of A's size, else on arrays.
-        pure = (isinstance(self.g, VectorField) and self.g.matrix is None
-                and self.g.dim == self.A.shape[0])
-        self._rest = self.g._rest if pure else None
+        super().__post_init__()
+        v = self.v_map
+        if not (isinstance(v, VectorField) and v.matrix is not None and v.remainder is not None):
+            raise ConfigError("strategy: semilinear needs v in {matrix, remainder} form")
+        if not 0.0 < self.l_g < math.inf:
+            raise ConfigError(f"l_g: {self.l_g!r} is not positive and finite")
+        self._lu = _LU(np.eye(v.dim) - v.matrix, "I - A")
         self.inv_norm = self._lu.inverse_norm()
         self.contraction = self.inv_norm * self.l_g
         if self.contraction >= 1.0:
             raise ConfigError(
-                f"semilinear contraction factor {self.contraction:.3f} is not < 1"
+                f"l_g: semilinear contraction factor {self.contraction:.3f} is not < 1"
             )
-
-    def v(self, x):
-        return self.A.dot(x) + self._g(x)
 
     def invert(self, y, inner_log=None):
         """Iterate to a step of _norm <= step_tol; math.dist screens each step, _norm
         decides where it cannot. ``inner_log`` gets each step's norm as measured."""
-        yl = _floats(y, self.A.shape[0])
-        lu, rest = self._lu, self._rest
+        v = self.v_map
+        yl = _floats(y, v.dim)
+        lu, rest = self._lu, v._rest
         # Stop on a step small enough that the g-increment bound keeps the
         # final residual under inner_tol even when l_g > 1.
         step_tol = 0.5 * self.inner_tol / max(1.0, self.l_g)
@@ -394,9 +386,8 @@ class Semilinear:
         x = lu._solve(yl)
         xl = x.tolist()
         for _ in range(self.max_inner):
-            # y + g(x) (on floats, numpy's bits), handed to dgetrs as _solve does.
-            b = (list(map(operator.add, yl, rest(xl))) if rest
-                 else np.add(yl, self._g(np.array(xl))))
+            # y + g(x) on floats, numpy's bits, handed to dgetrs as _solve does.
+            b = list(map(operator.add, yl, rest(xl)))
             x_old, (x, info) = x, dgetrs(lu.lu, lu.piv, b)
             if info != 0:
                 lu._solve(b)  # raises _solve's error
@@ -411,44 +402,47 @@ class Semilinear:
                 inner_log.append(step)
             if step <= step_tol:
                 break
-        return _verify(self, x, self.A.dot(x) + (np.array(rest(xl)) if rest else self._g(x)), yl)
+        return _verify(self, x, v.matrix.dot(x) + np.array(rest(xl)), yl)
 
     def lipschitz(self):
         return self.inv_norm / (1.0 - self.contraction)
 
 
 @dataclass(eq=False)
-class ScalarBracket:
-    """Bisection inverse for one-dimensional v with x - v(x) increasing or
-    decreasing: each midpoint's sign is compared with the left end's."""
+class ScalarBracket(_Strategy):
+    """Bisection inverse for a v of dimension 1 with x - v(x) increasing or
+    decreasing on the bracket a < b: each midpoint's sign is compared with
+    the left end's."""
 
-    v_map: object
     bracket: tuple
-    inner_tol: float = 1e-12
-    max_inner: int = 100_000
 
     def __post_init__(self):
+        super().__post_init__()
+        if getattr(self.v_map, "dim", 1) != 1:
+            raise ConfigError("strategy: scalar_bracket only applies in dimension 1")
         a, b = self.bracket
         # |a| + |b| finite keeps the width b - a and the midpoints finite.
         if not (a < b and math.isfinite(abs(a) + abs(b))):
-            raise ValueError(f"bracket {self.bracket!r} must satisfy a < b with |a| + |b| finite")
+            raise ConfigError("bracket: expected finite a < b with |a| + |b| finite, "
+                              f"got {self.bracket!r}")
+        self.bracket = (float(a), float(b))
         self._v = _unchecked(self.v_map)
-
-    def v(self, x):
-        return np.asarray(self.v_map(np.atleast_1d(np.asarray(x, float))), float)
 
     def _w(self, t):
         return t - float(self._v(np.array([t]))[0])
 
     def invert(self, y, inner_log=None):
-        target = float(_point(y, None).ravel()[0])
-        a, b = float(self.bracket[0]), float(self.bracket[1])
+        y = _floats(y, 1)
+        (target,), (a, b) = y, self.bracket
+
+        def checked(t):
+            x = np.array([t])
+            return _verify(self, x, self._v(x), y)
+
         ga = self._w(a) - target
         gb = self._w(b) - target
-        if ga == 0.0:
-            return np.array([a])
-        if gb == 0.0:
-            return np.array([b])
+        if ga == 0.0 or gb == 0.0:
+            return checked(a if ga == 0.0 else b)
         if np.sign(ga) == np.sign(gb):
             raise BracketingFailure(
                 f"x - v(x) - y has no sign change on [{a}, {b}]: "
@@ -464,7 +458,7 @@ class ScalarBracket:
             if inner_log is not None:
                 inner_log.append(abs(gm))
             if abs(gm) <= self.inner_tol:
-                return np.array([mid])
+                return checked(mid)
             if np.sign(gm) == np.sign(ga):
                 a, ga = mid, gm
             else:
@@ -480,8 +474,7 @@ class ScalarBracket:
         largest |x1 - x2| / |w(x1) - w(x2)|, w = Id - v, over a plan's pairs
         in the bracket. A batch of v screens the pairs, as the analysis
         estimators do."""
-        a, b = float(self.bracket[0]), float(self.bracket[1])
-        plan = SamplingPlan(seed=seed, count=count, lo=a, hi=b)
+        plan = SamplingPlan(seed=seed, count=count, lo=self.bracket[0], hi=self.bracket[1])
         pairs = sample_pairs(plan, 1)
         best = 0.0
         for x1, x2 in _candidates((self.v_map,), pairs, _inverse_ratio_bounds):

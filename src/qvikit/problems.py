@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +63,7 @@ def example1():
     f = VectorField.from_matrix([[3.0, 1.0], [1.0, 4.0]],
                                 ["cos(x2)^3", "sin(x1)"])
     v = VectorField.from_matrix([[-0.2, -0.4], [-0.4, -0.6]])
-    return QviProblem("example1", 2, f, v, LinearExact(v.matrix),
+    return QviProblem("example1", 2, f, v, LinearExact(v),
                       Box([-30.0, -30.0], [40.0, 40.0]))
 
 
@@ -73,7 +73,7 @@ def example2():
         ["1.2*abs(sin(x2)^3)", "1.1*abs(sin(x3))", "cos(abs(x1)+x3)^3"],
     )
     v = VectorField.from_matrix(_SHARED_V_MATRIX)
-    return QviProblem("example2", 3, f, v, LinearExact(v.matrix),
+    return QviProblem("example2", 3, f, v, LinearExact(v),
                       Box([-400.0] * 3, [500.0] * 3))
 
 
@@ -82,10 +82,8 @@ def example3():
         _SHARED_V_MATRIX,
         ["0.6*cos(x2)^2", "0.5*sin(x1)", "0.7*sin(x3)^2"],
     )
-    g = VectorField(3, remainder=v.remainder)
     # Componentwise slope bounds 0.6, 0.5, 0.7 give |g'| <= sqrt(1.10).
-    inv = Semilinear(v.matrix, g, l_g=1.05)
-    return QviProblem("example3", 3, _example3_f(), v, inv,
+    return QviProblem("example3", 3, _example3_f(), v, Semilinear(v, l_g=1.05),
                       Box([-400.0] * 3, [500.0] * 3))
 
 
@@ -283,47 +281,32 @@ def _set_from_json(spec, dim):
     return Box(lower, upper)
 
 
+# Each strategy by its file name. A key of the inverse object names a parameter
+# of its constructor; _TYPES converts the key's JSON value to what that takes.
+_STRATEGIES = {"linear_exact": LinearExact, "picard": PicardContraction,
+               "semilinear": Semilinear, "scalar_bracket": ScalarBracket}
+_TYPES = {"l": float, "l_g": float, "bracket": list, "inner_tol": float, "max_inner": int}
+
+
 def _inverse_to_json(spec):
-    base = {"inner_tol": spec.inner_tol, "max_inner": spec.max_inner}
-    if isinstance(spec, LinearExact):
-        return {"strategy": "linear_exact", **base}
-    if isinstance(spec, PicardContraction):
-        return {"strategy": "picard", "l": spec.l, **base}
-    if isinstance(spec, Semilinear):
-        return {"strategy": "semilinear", "l_g": spec.l_g, **base}
-    return {"strategy": "scalar_bracket",
-            "bracket": [float(spec.bracket[0]), float(spec.bracket[1])], **base}
+    name = next(name for name, build in _STRATEGIES.items() if isinstance(spec, build))
+    own = {key: _TYPES[key](getattr(spec, key))
+           for key in ("l", "l_g", "bracket") if hasattr(spec, key)}
+    return {"strategy": name, **own, "inner_tol": spec.inner_tol, "max_inner": spec.max_inner}
 
 
-def _inverse_from_json(spec, v, dim):
-    strategy, kwargs = spec["strategy"], {}
-    if "inner_tol" in spec:
-        kwargs["inner_tol"] = float(spec["inner_tol"])
-    if "max_inner" in spec:
-        kwargs["max_inner"] = int(spec["max_inner"])
-    if strategy == "linear_exact":
-        if v.matrix is None or v.remainder is not None:
-            raise ConfigError("inverse.strategy: linear_exact needs v in pure matrix form")
-        return _at("v.matrix", LinearExact, v.matrix, **kwargs)
-    if strategy == "picard":
-        return _at("inverse.l", PicardContraction, v, float(spec["l"]), **kwargs)
-    if strategy == "semilinear":
-        if v.matrix is None or v.remainder is None:
-            raise ConfigError("inverse.strategy: semilinear needs v in {matrix, remainder} form")
-        g = VectorField(dim, remainder=v.remainder)
-        try:
-            return Semilinear(v.matrix, g, float(spec["l_g"]), **kwargs)
-        except ConfigError as exc:  # a singular I - A, else the contraction factor
-            at = "v.matrix" if isinstance(exc, SingularLinearPart) else "inverse.l_g"
-            exc.args = (f"{at}: {exc}",)
-            raise
-    if dim != 1:  # scalar_bracket, the schema's last strategy
-        raise ConfigError("inverse.strategy: scalar_bracket only applies in dimension 1")
+def _inverse_from_json(spec, v):
+    """The strategy ``spec`` names, over ``v``; a ConfigError it raises names
+    its JSON path, ``v.matrix`` for a singular linear part."""
+    build = _STRATEGIES[spec["strategy"]]
+    params = {f.name for f in fields(build)}
     try:
-        return ScalarBracket(v, tuple(map(float, spec["bracket"])), **kwargs)
-    except ValueError:  # the bracket's rule
-        raise ConfigError("inverse.bracket: expected finite a < b with |a| + |b| "
-                          f"finite, got {spec['bracket']!r}") from None
+        return build(v, **{key: _TYPES[key](value) for key, value in spec.items()
+                           if key in params})
+    except ConfigError as exc:
+        at = "v.matrix: " if isinstance(exc, SingularLinearPart) else "inverse."
+        exc.args = (at + str(exc),)
+        raise
 
 
 def _constants_to_json(constants):
@@ -363,7 +346,7 @@ def problem_from_dict(doc):
         w = _at("w.matrix", ZeroMap.from_matrix, _matrix(doc["w"]["matrix"], dim, "w.matrix"))
         return ZeroProblem(name, dim, f, w)
     v = _field_from_json(doc["v"], dim, "v")
-    return QviProblem(name, dim, f, v, _inverse_from_json(doc["inverse"], v, dim),
+    return QviProblem(name, dim, f, v, _inverse_from_json(doc["inverse"], v),
                       _set_from_json(doc["set"], dim),
                       _constants_from_json(doc.get("constants", {})))
 

@@ -197,10 +197,9 @@ def test_criterion_09_zero_finder_contraction(ex4, ex4_solution):
 
 
 def test_criterion_10_tseng(ex1):
-    rotation = QviProblem(
-        "rotation", 2, VectorField.from_exprs(["-x2", "x1"], 2),
-        VectorField.zero(2), LinearExact(np.zeros((2, 2))),
-        Box([-1.0, -1.0], [1.0, 1.0]))
+    v = VectorField.zero(2)
+    rotation = QviProblem("rotation", 2, VectorField.from_exprs(["-x2", "x1"], 2), v,
+                          LinearExact(v), Box([-1.0, -1.0], [1.0, 1.0]))
     rot = solve_tseng(rotation, np.array([1.0, 1.0]), SolverConfig(h=0.3))
     agree = solve_tseng(ex1, np.array([6.0, 2.0]))
     ref = solve_alg1(ex1, np.array([6.0, 2.0]), SolverConfig(h=0.01))
@@ -221,7 +220,7 @@ def test_criterion_11_inverse_round_trips(ex1, ex3, r5):
     cases = [
         ("linear", ex1.inverse, ex1.v, 2, 50.0),
         ("semilinear", ex3.inverse, ex3.v, 3, 50.0),
-        ("picard", picard, picard.v, 1, 50.0),
+        ("picard", picard, picard.v_map, 1, 50.0),
         ("bracket", r5.inverse, r5.v, 1, 15.0),
     ]
     worst = {}

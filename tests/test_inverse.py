@@ -70,11 +70,11 @@ def test_picard_lipschitz_closed_form():
 
 
 def test_linear_exact_identity_lipschitz():
-    assert LinearExact(np.zeros((3, 3))).lipschitz() == 1.0
+    assert LinearExact(VectorField.zero(3)).lipschitz() == 1.0
 
 
 def test_linear_exact_lipschitz_matches_svd(ex2):
-    want = 1.0 / np.linalg.svd(np.eye(3) - ex2.inverse.V, compute_uv=False).min()
+    want = 1.0 / np.linalg.svd(np.eye(3) - ex2.v.matrix, compute_uv=False).min()
     got = ex2.inverse.lipschitz()
     assert got == pytest.approx(want, rel=1e-8)
 
@@ -93,11 +93,11 @@ def test_round_trip_recovers_x(which, ex1, ex2, ex3, r5):
     rng = np.random.default_rng(6)
     for _ in range(1000):
         x = rng.uniform(-10, 10, dim)
-        y = x - spec.v(x)
+        y = x - spec.v_map(x)
         got = invert(spec, y)
         assert norm(got - x) <= 10.0 * spec.inner_tol
         # A-posteriori contract held on every call.
-        assert norm(got - spec.v(got) - y) <= spec.inner_tol
+        assert norm(got - spec.v_map(got) - y) <= spec.inner_tol
 
 
 def test_inverse_is_lipschitz_exact_strategies(ex1, ex3):
@@ -146,7 +146,7 @@ def test_picard_inner_contraction_rate():
 
 def test_singular_linear_part_rejected():
     with pytest.raises(SingularLinearPart):
-        LinearExact(np.eye(2))
+        LinearExact(VectorField.from_matrix(np.eye(2)))
 
 
 def test_picard_requires_contraction():
@@ -155,9 +155,9 @@ def test_picard_requires_contraction():
 
 
 def test_semilinear_requires_contraction():
-    g = VectorField.from_exprs(["sin(x1)"], 1)
-    with pytest.raises(ConfigError, match="not < 1"):
-        Semilinear(np.zeros((1, 1)), g, l_g=1.0)
+    v = VectorField.from_matrix([[0.0]], ["sin(x1)"])
+    with pytest.raises(ConfigError, match="^l_g: semilinear contraction factor 1.000 is not < 1$"):
+        Semilinear(v, l_g=1.0)
 
 
 def test_bracket_failure_outside_range(r5):
@@ -166,7 +166,7 @@ def test_bracket_failure_outside_range(r5):
 
 
 def test_bracket_validation(r5):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"^bracket: .* got \(2\.0, 1\.0\)$"):
         ScalarBracket(r5.v, (2.0, 1.0))
 
 
@@ -174,11 +174,58 @@ def test_bracket_validation(r5):
 def test_a_bracket_is_refused_where_built(r5, bracket):
     # The loader's rule, in the spec: a < b with |a| + |b| finite, so that the
     # width and every midpoint are finite.
-    with pytest.raises(ValueError, match=r"a < b with \|a\| \+ \|b\| finite"):
+    with pytest.raises(ConfigError, match=r"a < b with \|a\| \+ \|b\| finite"):
         ScalarBracket(r5.v, bracket)
     spec = ScalarBracket(r5.v, (-8e307, 8e307))
     assert spec.lipschitz(count=200) > 0.0
     assert abs(invert(spec, [0.0])[0] + 0.3168) < 1e-3
+
+
+def _every_strategy(ex1, ex3, r5, **loop):
+    """A spec of each strategy, built with the inner loop's keywords ``loop``."""
+    return (lambda: LinearExact(ex1.v, **loop), lambda: Semilinear(ex3.v, 1.05, **loop),
+            lambda: PicardContraction(VectorField.from_exprs(["0.5*sin(x1)"], 1), 0.5, **loop),
+            lambda: ScalarBracket(r5.v, (-20.0, 20.0), **loop))
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("inner_tol", -1.0, "inner_tol: -1.0 is not positive and finite"),
+    ("inner_tol", 0.0, "inner_tol: 0.0 is not positive and finite"),
+    ("inner_tol", math.nan, "inner_tol: nan is not positive and finite"),
+    ("inner_tol", math.inf, "inner_tol: inf is not positive and finite"),
+    ("max_inner", 0, "max_inner: 0 is below 1"),
+    ("max_inner", -5, "max_inner: -5 is below 1"),
+])
+def test_every_strategy_refuses_an_inner_loop_that_cannot_stop_or_pass(
+        key, value, message, ex1, ex3, r5):
+    # An inner_tol of -1 or NaN once refused even an exact inverse, and a
+    # max_inner below 1 ran no step; the schema refuses both in files.
+    for build in _every_strategy(ex1, ex3, r5, **{key: value}):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build()
+    for build in _every_strategy(ex1, ex3, r5, inner_tol=1e-300, max_inner=1):
+        assert build().max_inner == 1
+
+
+@pytest.mark.parametrize("l_g", [-0.5, 0.0, math.nan, math.inf])
+def test_semilinear_refuses_an_l_g_that_is_not_positive_and_finite(ex3, l_g):
+    # At -0.5 lipschitz() once read 0.1227, under the bound at example3's 1.05,
+    # and at NaN it read NaN; the schema refuses both in files.
+    with pytest.raises(ConfigError, match=f"^l_g: {l_g!r} is not positive and finite$"):
+        Semilinear(ex3.v, l_g)
+    assert Semilinear(ex3.v, 1.05).lipschitz() == ex3.inverse.lipschitz()
+
+
+def test_a_scalar_bracket_records_x_minus_v_of_x_bit_for_bit(r5):
+    # Each return passes the check, which records the x - v(x) of remark5's
+    # v: the bits a solver would compute, at an end of the bracket as well.
+    spec = r5.inverse
+    ends = [a - r5.v(np.array([a]))[0] for a in spec.bracket]
+    for y in [*np.linspace(-15.0, 15.0, 61), *ends]:
+        x = invert(spec, [float(y)])
+        assert spec.checked[0] is x
+        assert spec.checked[1].tobytes() == (x - r5.v(x)).tobytes()
+    assert x.tolist() == [spec.bracket[1]]
 
 
 def test_no_convergence_reports_achieved_residual():
@@ -375,8 +422,8 @@ def test_invert_checks_the_dimension_once_on_entry(ex1, ex3):
 def _nan_strip_problem():
     # f is the identity outside the strip |x1| <= 1 and NaN inside it.
     f = FuncField(2, lambda x: x if abs(x[0]) > 1.0 else np.full(2, np.nan))
-    return QviProblem("nan", 2, f, VectorField.zero(2),
-                      LinearExact(np.zeros((2, 2))), WholeSpace(2))
+    v = VectorField.zero(2)
+    return QviProblem("nan", 2, f, v, LinearExact(v), WholeSpace(2))
 
 
 def test_run_reports_divergence_when_a_field_returns_nan():
@@ -405,9 +452,9 @@ def test_picard_on_a_non_finite_point_stops_at_once(bad):
 
 
 def test_every_strategy_rejects_a_non_finite_point(ex1, ex3, r5):
-    g = VectorField.from_exprs(["0.1*sin(x1)"], 1)
+    v = VectorField.from_matrix([[0.0]], ["0.1*sin(x1)"])
     for spec, dim in ((ex1.inverse, 2), (ex3.inverse, 3), (r5.inverse, 1),
-                      (_sine_picard(), 1), (Semilinear(np.zeros((1, 1)), g, 0.1), 1)):
+                      (_sine_picard(), 1), (Semilinear(v, 0.1), 1)):
         y = np.zeros(dim)
         y[-1] = np.nan
         with pytest.raises(NoConvergence, match="non-finite"):
@@ -415,13 +462,13 @@ def test_every_strategy_rejects_a_non_finite_point(ex1, ex3, r5):
 
 
 @pytest.mark.parametrize("builtin,strategy", [
-    ("ex1", LinearExact), ("ex2", LinearExact), ("ex3", Semilinear)])
+    ("ex1", LinearExact), ("ex2", LinearExact), ("ex3", Semilinear), ("r5", ScalarBracket)])
 def test_a_list_and_an_array_invert_alike(builtin, strategy, request):
-    # The solvers hand LinearExact and Semilinear a list of floats: it gives
-    # the array's result bits, check record and errors.
+    # The solvers hand LinearExact, Semilinear and ScalarBracket a list of
+    # floats: it gives the array's result bits, check record and errors.
     spec = request.getfixturevalue(builtin).inverse
     assert type(spec) is strategy
-    dim = spec.V.shape[0] if strategy is LinearExact else spec.A.shape[0]
+    dim = spec.v_map.dim
 
     def outcome(y):
         got = _outcome(type(spec).invert, spec, y, False)[0]
@@ -677,12 +724,12 @@ def test_a_picard_l_below_the_norm_of_a_matrix_v_is_refused_where_built(entry):
     # x <- y + 3x overflows to inf and x <- y - 3x to inf and -inf in turn: a
     # declared l of 0.5 is refused by the spec and, naming its path, by the
     # loader, both with the same norm. At l equal to the norm, both build.
-    message = "0.5 is below v's operator norm 3.0"
+    message = "l: 0.5 is below v's operator norm 3.0"
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         PicardContraction(VectorField.from_matrix([[entry]]), 0.5)
     doc = {"dim": 1, "f": {"matrix": [[1.0]]}, "v": {"matrix": [[entry]]},
            "inverse": {"strategy": "picard", "l": 0.5}, "set": {"type": "whole_space"}}
-    with pytest.raises(ConfigError, match=f"^inverse\\.l: {re.escape(message)}$"):
+    with pytest.raises(ConfigError, match=f"^inverse\\.{re.escape(message)}$"):
         problem_from_dict(doc)
     doc["v"]["matrix"] = [[entry / 4.0]]
     doc["inverse"]["l"] = 0.75
@@ -720,8 +767,9 @@ def test_picard_runs_on_through_a_repeated_iterate_of_a_callable():
 def reference_semilinear(spec, y, inner_log=None):
     """Semilinear.invert as it was, each inner right-hand side checked by
     _LU.solve: the reference for Semilinear.invert, bit for bit."""
-    y = inverse._point(y, spec.A.shape[0])
-    solve, g = spec._lu.solve, spec._g
+    v = spec.v_map
+    y = inverse._point(y, v.dim)
+    solve, g = spec._lu.solve, VectorField(v.dim, remainder=v.remainder).evaluate
     step_tol = 0.5 * spec.inner_tol / max(1.0, spec.l_g)
     x = solve(y)
     for _ in range(spec.max_inner):
@@ -732,7 +780,7 @@ def reference_semilinear(spec, y, inner_log=None):
         x = xn
         if step <= step_tol:
             break
-    return _verify(spec, x, spec.v(x), y)
+    return _verify(spec, x, v(x), y)
 
 
 def _as_the_reference(got, want):
@@ -753,26 +801,23 @@ def _as_the_reference(got, want):
             and all(g == w or close(g, w) for g, w in zip(got[1], want[1])))
 
 
-def _semilinear_remainder(kind, dim, amplitude, offsets):
-    if kind == "callable":
-        return lambda x: amplitude * np.sin(x + np.array(offsets[:dim]))
-    if kind == "huge":
-        # Finite values whose sum with a large y overflows to inf.
-        return lambda x: np.full(dim, 1.5e308) + amplitude * np.sin(x)
-    # A sine remainder, or for "explode" a square that raises EvalError
-    # once it overflows.
-    term = "{c!r}*x{j}*x{j}" if kind == "explode" else "{c!r}*sin(x{j} + {o!r})"
-    return VectorField.from_exprs(
-        [term.format(c=amplitude, j=i + 1, o=offsets[i]) for i in range(dim)], dim)
+def _semilinear_field(kind, A, amplitude, offsets):
+    """A v of matrix A and a sine remainder; for "huge" plus finite values
+    whose sum with a large y overflows to inf, for "explode" a square that
+    raises EvalError once it overflows."""
+    term = {"expression": "{c!r}*sin(x{j} + {o!r})", "huge": "1.5e308 + {c!r}*sin(x{j})",
+            "explode": "{c!r}*x{j}*x{j}"}[kind]
+    return VectorField.from_matrix(
+        A, [term.format(c=amplitude, j=i + 1, o=offsets[i]) for i in range(len(A))])
 
 
 @settings(max_examples=300, deadline=None)
 @given(dim=st.integers(1, 3),
-       kind=st.sampled_from(["expression", "callable", "explode", "huge"]),
+       kind=st.sampled_from(["expression", "explode", "huge"]),
        entries=st.lists(st.floats(-1, 1), min_size=9, max_size=9),
        scale=st.sampled_from([0.0, 0.5, 3.0, 100.0]),
        offsets=st.lists(st.floats(-3, 3), min_size=3, max_size=3),
-       contraction=st.sampled_from([0.0, 0.3, 0.9]),
+       contraction=st.sampled_from([0.01, 0.3, 0.9]),
        y=st.lists(st.floats(-10, 10), min_size=3, max_size=3),
        y_scale=st.sampled_from([1.0, 1e-170, 1e150, 1e307]),
        tol=st.sampled_from([1e-160, 1e-12, 1e-3]),
@@ -789,30 +834,16 @@ def test_semilinear_invert_matches_the_reference_loop(dim, kind, entries, scale,
     except SingularLinearPart:
         return
     l_g = contraction / lu.inverse_norm()
-    spec = Semilinear(A, _semilinear_remainder(kind, dim, l_g / dim, offsets),
-                      l_g, inner_tol=tol, max_inner=max_inner)
+    spec = Semilinear(_semilinear_field(kind, A, l_g / dim, offsets), l_g,
+                      inner_tol=tol, max_inner=max_inner)
     point = np.array(y[:dim]) * y_scale
     want = _outcome(reference_semilinear, spec, point, True)
     assert _as_the_reference(_outcome(Semilinear.invert, spec, point, True), want)
     assert _outcome(Semilinear.invert, spec, point, False)[0] == want[0]
 
 
-@pytest.mark.parametrize("g", [
-    lambda x: 0.01, lambda x: np.array([0.01]), lambda x: np.zeros(2), lambda x: np.zeros(4),
-    VectorField.from_exprs(["0.1*sin(x1)"], 1), VectorField.from_exprs(["x1", "x2"], 2),
-], ids=["scalar", "one", "two", "four", "field-of-dim-1", "field-of-dim-2"])
-def test_semilinear_with_a_remainder_of_another_size_broadcasts_as_numpy_does(g):
-    # Only a remainder-only field of A's size is summed on floats; any other
-    # g keeps numpy's broadcasting, and its results and errors.
-    spec = Semilinear(np.diag([2.0, 3.0, 4.0]), g, 0.1)
-    want = _outcome(reference_semilinear, spec, np.array([1.0, 2.0, 3.0]), True)
-    assert _as_the_reference(_outcome(Semilinear.invert, spec, np.array([1.0, 2.0, 3.0]), True),
-                             want)
-
-
 def test_semilinear_rejects_an_overflowing_right_hand_side_as_the_solve_does():
-    g = lambda x: np.full(2, 1.5e308)  # noqa: E731
-    spec = Semilinear(np.zeros((2, 2)), g, 0.1)
+    spec = Semilinear(VectorField.from_matrix(np.zeros((2, 2)), ["1.5e308"] * 2), 0.1)
     point = np.array([1e308, 0.0])
     want = _outcome(reference_semilinear, spec, point, True)
     assert want == (("ValueError", "array must not contain infs or NaNs"), [])
@@ -840,10 +871,9 @@ def test_semilinear_screen_leaves_few_exact_norms(ex3, monkeypatch):
     assert counts[0] == counts[1] <= 2  # the exact test at the stop, then _verify
 
 
-@pytest.mark.parametrize("kind", ["callable", "expression"])
 @pytest.mark.parametrize("tol", [1e-3, 1e-12, 1e-160, 1e-162])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_semilinear_step_at_the_tolerance_stops_as_the_reference_does(dim, tol, kind):
+def test_semilinear_step_at_the_tolerance_stops_as_the_reference_does(dim, tol):
     # From y = 0 with A = 0 and g(x) = c + x/2, the steps are |c|, |c|/2, ...
     # toward 2c: the loop stops after one step exactly when _norm(c) <=
     # step_tol, and returns c then, else 1.5c or later.
@@ -856,9 +886,8 @@ def test_semilinear_step_at_the_tolerance_stops_as_the_reference_does(dim, tol, 
         spread = rng.choice([2.0 ** -52, 1e-3, 0.3])
         c = u * (step_tol / _norm(u)) * (1.0 + rng.integers(-3, 4) * spread)
         texts = [f"{float(ci)!r} + 0.5*x{i + 1}" for i, ci in enumerate(c)]
-        g = (VectorField.from_exprs(texts, dim) if kind == "expression"
-             else lambda x, c=c: c + 0.5 * x)
-        spec = Semilinear(np.zeros((dim, dim)), g, 0.5, inner_tol=tol)
+        spec = Semilinear(VectorField.from_matrix(np.zeros((dim, dim)), texts), 0.5,
+                          inner_tol=tol)
         want = _outcome(reference_semilinear, spec, np.zeros(dim), True)
         assert _as_the_reference(_outcome(Semilinear.invert, spec, np.zeros(dim), True), want)
         assert _outcome(Semilinear.invert, spec, np.zeros(dim), False)[0] == want[0]
@@ -870,8 +899,8 @@ def test_semilinear_step_at_the_tolerance_stops_as_the_reference_does(dim, tol, 
 @pytest.mark.parametrize("traced", [True, False])
 def test_semilinear_error_mid_loop_is_the_references(traced):
     # x1 runs 1, 1.5, 1.75, 1.875, 1.9375: the sqrt of component 2 fails there.
-    g = VectorField.from_exprs(["0.5*x1 + 1", "0.5*x2 + 0*sqrt(1.9 - x1)"], 2)
-    spec = Semilinear(np.zeros((2, 2)), g, 0.6)
+    v = VectorField.from_matrix(np.zeros((2, 2)), ["0.5*x1 + 1", "0.5*x2 + 0*sqrt(1.9 - x1)"])
+    spec = Semilinear(v, 0.6)
     chains = []
     for fn in (reference_semilinear, Semilinear.invert):
         with pytest.raises(EvalError) as info:
@@ -948,13 +977,13 @@ def test_the_screened_check_leaves_to_the_exact_norm_where_math_dist_reads_less(
 def test_linear_exact_refinement_that_overflows_raises_as_before():
     # I - V = 2^-52: the first solve of y = 1e300 overflows to inf, so the
     # refinement's right-hand side is not finite.
-    spec = LinearExact(np.array([[1.0 - 2.0 ** -52]]))
+    spec = LinearExact(VectorField.from_matrix([[1.0 - 2.0 ** -52]]))
     point = np.array([1e300])
 
     def reference(spec, y, inner_log=None):
-        y = inverse._point(y, spec.V.shape[0])
+        y = inverse._point(y, spec.v_map.dim)
         x = spec._lu.refined_solve(y)
-        return _verify(spec, x, spec.V.dot(x), y)
+        return _verify(spec, x, spec.v_map.matrix.dot(x), y)
 
     want = _outcome(reference, spec, point, False)
     assert want[0] == ("ValueError", "array must not contain infs or NaNs")

@@ -139,9 +139,8 @@ def test_projection_variational_characterization():
 
 
 def test_project_moving_zero_displacement():
-    dim = 2
-    p = QviProblem("t", dim, VectorField.zero(dim), VectorField.zero(dim),
-                   qk.LinearExact(np.zeros((dim, dim))), BOX)
+    v = VectorField.zero(2)
+    p = QviProblem("t", 2, VectorField.zero(2), v, qk.LinearExact(v), BOX)
     z = np.array([50.0, -50.0])
     assert np.array_equal(project_moving(p, [1.0, 1.0], z), project(BOX, z))
 
@@ -164,7 +163,7 @@ def test_moving_set_identity_bit_exact(r5):
     # The identity is bitwise only when v(base) + q rounds exactly, so it is
     # checked on dyadic data and on the hand example where the sums are exact.
     v = VectorField.from_matrix([[0.5, 0.0], [0.0, 0.25]])
-    p = QviProblem("t", 2, VectorField.zero(2), v, qk.LinearExact(v.matrix),
+    p = QviProblem("t", 2, VectorField.zero(2), v, qk.LinearExact(v),
                    Box([-0.5, -0.5], [1.5, 1.5]))
     rng = np.random.default_rng(3)
     for _ in range(200):
@@ -215,8 +214,8 @@ def test_field_dimension_mismatch():
 
 def test_to_vi_zero_displacement_is_identity_reduction():
     f = VectorField.from_exprs(["x1 + 1", "x2"], 2)
-    p = QviProblem("t", 2, f, VectorField.zero(2),
-                   qk.LinearExact(np.zeros((2, 2))), BOX)
+    v = VectorField.zero(2)
+    p = QviProblem("t", 2, f, v, qk.LinearExact(v), BOX)
     T, cset = to_vi(p)
     assert cset is p.set
     y = np.array([0.3, -0.8])
@@ -250,8 +249,8 @@ def test_natural_residual_published_point(ex1):
 
 
 def test_natural_residual_zero_field_measures_distance():
-    p = QviProblem("t", 2, VectorField.zero(2), VectorField.zero(2),
-                   qk.LinearExact(np.zeros((2, 2))), BOX)
+    v = VectorField.zero(2)
+    p = QviProblem("t", 2, VectorField.zero(2), v, qk.LinearExact(v), BOX)
     x = np.array([50.0, 2.0])
     assert natural_residual(p, x, 0.7) == pytest.approx(10.0, abs=1e-12)
 
@@ -353,8 +352,8 @@ def test_constant_validation():
 
 def test_problem_dimension_agreement():
     with pytest.raises(ValueError):
-        QviProblem("t", 2, VectorField.zero(2), VectorField.zero(3),
-                   qk.LinearExact(np.zeros((3, 3))), BOX)
+        v = VectorField.zero(3)
+        QviProblem("t", 2, VectorField.zero(2), v, qk.LinearExact(v), BOX)
 
 
 def test_func_field_adapter():

@@ -172,8 +172,8 @@ def test_bare_number_constant_is_declared():
 def test_set_variants_round_trip():
     for cset in (WholeSpace(2), NonnegativeOrthant(2),
                  Box([-1.0, 0.0], [1.0, 2.0])):
-        p = QviProblem("t", 2, VectorField.zero(2), VectorField.zero(2),
-                       LinearExact(np.zeros((2, 2))), cset)
+        v = VectorField.zero(2)
+        p = QviProblem("t", 2, VectorField.zero(2), v, LinearExact(v), cset)
         restored = loads_problem(dumps_problem(p))
         assert type(restored.set) is type(cset)
 
@@ -642,6 +642,86 @@ def test_scalar_bracket_needs_dimension_one():
     }
     with pytest.raises(ConfigError, match="dimension 1"):
         problem_from_dict(doc)
+
+
+_SINE = ["0.1*sin(x1)"]
+# Each rule a strategy's constructor keeps: a document it refuses, the same
+# strategy built in Python, and the two messages. The loader prefixes the
+# constructor's message with ``inverse.`` (or ``v.matrix: `` for a singular
+# linear part); a value the schema refuses keeps the schema's message.
+_STRATEGY_RULES = {
+    "linear_exact-over-a-remainder": (
+        dict(v={"matrix": [[0.5]], "remainder": _SINE}),
+        lambda: LinearExact(VectorField.from_matrix([[0.5]], _SINE)),
+        "strategy: linear_exact needs v in pure matrix form",
+        "inverse.strategy: linear_exact needs v in pure matrix form"),
+    "semilinear-over-a-matrix-alone": (
+        dict(inverse={"strategy": "semilinear", "l_g": 0.1}),
+        lambda: Semilinear(VectorField.from_matrix([[0.5]]), 0.1),
+        "strategy: semilinear needs v in {matrix, remainder} form",
+        "inverse.strategy: semilinear needs v in {matrix, remainder} form"),
+    "scalar_bracket-in-dimension-2": (
+        dict(dim=2, f=["-x1", "-x2"], v=["0", "0"],
+             inverse={"strategy": "scalar_bracket", "bracket": [-1, 1]}),
+        lambda: ScalarBracket(VectorField.from_exprs(["0", "0"], 2), [-1, 1]),
+        "strategy: scalar_bracket only applies in dimension 1",
+        "inverse.strategy: scalar_bracket only applies in dimension 1"),
+    "bracket-not-increasing": (
+        dict(v=["-2*x1"], inverse={"strategy": "scalar_bracket", "bracket": [1, 0]}),
+        lambda: ScalarBracket(VectorField.from_exprs(["-2*x1"], 1), [1, 0]),
+        "bracket: expected finite a < b with |a| + |b| finite, got [1, 0]",
+        "inverse.bracket: expected finite a < b with |a| + |b| finite, got [1, 0]"),
+    "picard-l-below-the-norm": (
+        dict(v={"matrix": [[3.0]]}, inverse={"strategy": "picard", "l": 0.5}),
+        lambda: PicardContraction(VectorField.from_matrix([[3.0]]), 0.5),
+        "l: 0.5 is below v's operator norm 3.0",
+        "inverse.l: 0.5 is below v's operator norm 3.0"),
+    "semilinear-contraction": (
+        dict(v={"matrix": [[0.5]], "remainder": _SINE},
+             inverse={"strategy": "semilinear", "l_g": 5.0}),
+        lambda: Semilinear(VectorField.from_matrix([[0.5]], _SINE), 5.0),
+        "l_g: semilinear contraction factor 10.000 is not < 1",
+        "inverse.l_g: semilinear contraction factor 10.000 is not < 1"),
+    "singular-I-V": (
+        dict(v={"matrix": [[1.0]]}),
+        lambda: LinearExact(VectorField.from_matrix([[1.0]])),
+        "I - V is numerically singular",
+        "v.matrix: I - V is numerically singular"),
+    "singular-I-A": (
+        dict(v={"matrix": [[1.0]], "remainder": _SINE},
+             inverse={"strategy": "semilinear", "l_g": 0.1}),
+        lambda: Semilinear(VectorField.from_matrix([[1.0]], _SINE), 0.1),
+        "I - A is numerically singular",
+        "v.matrix: I - A is numerically singular"),
+    "l_g-not-positive": (
+        dict(v={"matrix": [[0.5]], "remainder": _SINE},
+             inverse={"strategy": "semilinear", "l_g": -0.5}),
+        lambda: Semilinear(VectorField.from_matrix([[0.5]], _SINE), -0.5),
+        "l_g: -0.5 is not positive and finite",
+        "inverse.l_g: expected a number above 0, got -0.5"),
+    "inner_tol-not-positive": (
+        dict(inverse={"strategy": "linear_exact", "inner_tol": -1.0}),
+        lambda: LinearExact(VectorField.from_matrix([[0.5]]), inner_tol=-1.0),
+        "inner_tol: -1.0 is not positive and finite",
+        "inverse.inner_tol: expected a number above 0, got -1.0"),
+    "max_inner-below-1": (
+        dict(inverse={"strategy": "linear_exact", "max_inner": 0}),
+        lambda: LinearExact(VectorField.from_matrix([[0.5]]), max_inner=0),
+        "max_inner: 0 is below 1",
+        "inverse.max_inner: expected an integer of at least 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("rule", list(_STRATEGY_RULES))
+def test_a_strategy_refuses_in_python_as_it_does_in_a_file(rule):
+    changes, build, message, in_file = _STRATEGY_RULES[rule]
+    doc = _minimal_doc()
+    doc.update(changes)
+    error = SingularLinearPart if rule.startswith("singular") else ConfigError
+    for make, want in ((build, message), (lambda: problem_from_dict(doc), in_file)):
+        with pytest.raises(error) as info:
+            make()
+        assert str(info.value) == want
 
 
 def test_zero_problem_needs_matrix_w(ex4):

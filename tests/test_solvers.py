@@ -55,18 +55,17 @@ from qvikit.problems import dumps_problem, get_builtin, loads_problem
 
 
 def _declared(dim, gamma, L):
+    v = VectorField.zero(dim)
     return QviProblem(
-        "t", dim, VectorField.zero(dim), VectorField.zero(dim),
-        LinearExact(np.zeros((dim, dim))), WholeSpace(dim),
+        "t", dim, VectorField.zero(dim), v, LinearExact(v), WholeSpace(dim),
         ProblemConstants(gamma=Constant(gamma, "declared"),
                          L=Constant(L, "declared")),
     )
 
 
 def _zero_v_problem(f, cset):
-    dim = cset.dim
-    return QviProblem("t", dim, f, VectorField.zero(dim),
-                      LinearExact(np.zeros((dim, dim))), cset)
+    v = VectorField.zero(cset.dim)
+    return QviProblem("t", cset.dim, f, v, LinearExact(v), cset)
 
 
 ROTATION = _zero_v_problem(VectorField.from_exprs(["-x2", "x1"], 2),
@@ -814,9 +813,8 @@ def test_a_sweep_evaluates_v_once_where_its_inverse_checks_v(case, ex1, ex3, mon
         "example1": (ex1, [6.0, 2.0], 0.01),
         "example1-picard": (_picard_example1(ex1), [6.0, 2.0], 0.01),
         "example3": (ex3, [5.0, 4.0, 2.0], 0.3),
-        "other-matrix": (QviProblem("other", 2, ex1.f, ex1.v,
-                                    LinearExact(0.5 * ex1.v.matrix), ex1.set),
-                         [6.0, 2.0], 0.01),
+        "other-matrix": (QviProblem("other", 2, ex1.f, ex1.v, LinearExact(
+            VectorField.from_matrix(0.5 * ex1.v.matrix)), ex1.set), [6.0, 2.0], 0.01),
     }[case]
     checks_v = case != "other-matrix"
     assert inverse.inverts_v(problem.inverse, problem.v) is checks_v
@@ -857,8 +855,8 @@ def test_a_scalar_f_broadcasts_in_each_alg1_path(ex1):
 
 
 # Iterations, endpoint and last residual (float.hex) of 60-step runs whose
-# inverse checks another map than the problem's v: recorded before the
-# checked x - v(x) was reused.
+# inverse checks another map than the problem's v, or (the bracket rows) had
+# no check: recorded before the checked x - v(x) was reused.
 GUARD_PINS = {
     ("counting", "alg1"): (60, ("-0x1.7d10013864506p-4", "0x1.4ed4f9eb47bd4p-4",
                                 "-0x1.bfa453290ded9p-5"), "0x1.409563dcdc116p-10"),
@@ -877,30 +875,47 @@ GUARD_PINS = {
 }
 
 
-@pytest.mark.parametrize("case,name", sorted(GUARD_PINS))
+def _guard_bits(report):
+    return (report.iterations, tuple(map(float.hex, report.x_final.tolist())),
+            float.hex(report.residual_final))
+
+
+@pytest.mark.parametrize("case,name", sorted(k for k in GUARD_PINS if k[0] != "bracket"))
 def test_a_solve_whose_inverse_checks_another_map_evaluates_v_at_every_iterate(
-        case, name, ex1, ex3, r5, monkeypatch):
-    # A wrapped v, a LinearExact of another matrix, a Semilinear of another
-    # remainder and a ScalarBracket (no check) each leave the solver
-    # evaluating the problem's v at every iterate.
+        case, name, ex1, ex3, monkeypatch):
+    # A wrapped v, and a LinearExact or a Semilinear built from another field
+    # (another matrix, or another remainder), each leave the solver evaluating
+    # the problem's v at every iterate.
     problem, x0, h = {
         "counting": (_counted(ex3), [5.0, 4.0, 2.0], 0.3),
-        "other-matrix": (QviProblem("other", 2, ex1.f, ex1.v,
-                                    LinearExact(0.5 * ex1.v.matrix), ex1.set),
-                         [6.0, 2.0], 0.01),
+        "other-matrix": (QviProblem("other", 2, ex1.f, ex1.v, LinearExact(
+            VectorField.from_matrix(0.5 * ex1.v.matrix)), ex1.set), [6.0, 2.0], 0.01),
         "other-remainder": (QviProblem("other", 3, ex3.f, ex3.v, Semilinear(
-            ex3.v.matrix, VectorField.from_exprs(
-                ["0.6*cos(x2)^2", "0.5*sin(x1)", "0.7*sin(x3)^2 + 0.001"], 3), 1.05),
+            VectorField.from_matrix(ex3.v.matrix, [
+                "0.6*cos(x2)^2", "0.5*sin(x1)", "0.7*sin(x3)^2 + 0.001"]), 1.05),
             ex3.set), [5.0, 4.0, 2.0], 0.3),
-        "bracket": (r5, [-7.0], 0.2),
     }[case]
+    assert not inverse.inverts_v(problem.inverse, problem.v)
     solve = {"alg1": solve_alg1, "tseng": solve_tseng}[name]
     target = getattr(problem.v, "field", problem.v)  # what _Counting calls
     report, calls, _ = _v_evaluations(
         target, lambda: solve(problem, x0, SolverConfig(h=h, max_iter=60)), monkeypatch)
     assert calls == report.iterations + 1
-    assert (report.iterations, tuple(map(float.hex, report.x_final.tolist())),
-            float.hex(report.residual_final)) == GUARD_PINS[case, name]
+    assert _guard_bits(report) == GUARD_PINS[case, name]
+
+
+@pytest.mark.parametrize("name", ["alg1", "tseng"])
+def test_a_scalar_bracket_solve_evaluates_v_once_with_the_bits_it_had(name, r5, monkeypatch):
+    # remark5's ScalarBracket checks its v, so the solve steps on each check's
+    # x - v(x): v is called once, at x0, and the results are those pinned when
+    # the bracket had no check and v was evaluated at every iterate.
+    solve = {"alg1": solve_alg1, "tseng": solve_tseng}[name]
+    assert inverse.inverts_v(r5.inverse, r5.v)
+    report, calls, checks = _v_evaluations(
+        r5.v, lambda: solve(r5, [-7.0], SolverConfig(h=0.2, max_iter=60)), monkeypatch)
+    assert (calls, checks) == (1, (2 if name == "tseng" else 1) * report.iterations)
+    assert _guard_bits(report) == GUARD_PINS["bracket", name]
+    assert _bits(report) == _bits(solve(_counted(r5), [-7.0], SolverConfig(h=0.2, max_iter=60)))
 
 
 @pytest.mark.parametrize("builtin,name,source", [

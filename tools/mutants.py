@@ -31,6 +31,7 @@ PROJECTION = f"{T_MODEL}::test_float_projection_is_project_bit_for_bit"
 PINS = f"{T_SOLVERS}::test_solver_results_bit_for_bit"
 OTHER_MAP = (f"{T_SOLVERS}::"
              "test_a_solve_whose_inverse_checks_another_map_evaluates_v_at_every_iterate")
+RULES = "tests/test_problems.py::test_a_strategy_refuses_in_python_as_it_does_in_a_file"
 
 # (file, old text, new text, test selection, reason[, verdict])
 CATALOG = [
@@ -81,10 +82,17 @@ CATALOG = [
     (INV, "x = x + lu.solve(list(", "x = x + lu._solve(list(",
      f"{T_INV}::test_linear_exact_refinement_that_overflows_raises_as_before",
      "LinearExact's refinement solve goes unchecked"),
-    (INV, " and M.tobytes() == v.matrix.tobytes())", ")", f"{OTHER_MAP}[other-matrix-alg1]",
-     "inverts_v ignores LinearExact's matrix bytes"),
-    (INV, "v.remainder == rest", "True", f"{OTHER_MAP}[other-remainder-alg1]",
-     "inverts_v ignores Semilinear's remainder"),
+    (INV, "return spec.v_map is v", "return True", f"{OTHER_MAP}[other-matrix-alg1]",
+     "inverts_v holds for a strategy built from another field"),
+    (INV, "return _verify(self, x, self._v(x), y)", "return x",
+     f"{T_INV}::test_a_scalar_bracket_records_x_minus_v_of_x_bit_for_bit",
+     "ScalarBracket returns without recording its check"),
+    (INV, "isinstance(v, VectorField) and v.remainder is None)", "isinstance(v, VectorField))",
+     f"{RULES}[linear_exact-over-a-remainder]", "LinearExact takes a field with a remainder"),
+    (INV, "if not 0.0 < self.l_g < math.inf:", "if False:", f"{RULES}[l_g-not-positive]",
+     "Semilinear takes an l_g that is not positive"),
+    (INV, "if not 0.0 < self.inner_tol < math.inf:", "if False:",
+     f"{RULES}[inner_tol-not-positive]", "a strategy takes an inner_tol that is not positive"),
     (INV, "math.isfinite(sum(values)) or all(map(math.isfinite, values))",
      "math.isfinite(sum(values))",
      f"{T_INV}::test_all_finite_gives_numpys_verdict_without_warnings",
