@@ -16,8 +16,8 @@ ConfigError that starts with the name at fault (``strategy: ``, ``l: ``,
 linear part with SingularLinearPart. Every invert call verifies
 |x - v(x) - y| <= inner_tol a posteriori, which turns the well-definedness
 of the inverse from a hypothesis into a runtime contract; the check records
-``spec.checked = (x, x - v(x))``, which a solver steps on from where
-``inverts_v`` holds: where ``spec.v_map`` is the problem's v. Each
+``spec.checked = (x, x - v(x))``, which a solver steps on: a problem holds
+its v only as ``spec.v_map`` (``QviProblem.v``), so the record is its own. Each
 ``lipschitz()`` bounds the Lipschitz constant of the inverse: exactly for
 LinearExact, by 1/(1-l) and |(I-A)^{-1}|/(1 - |(I-A)^{-1}| L_g) for the
 contractions, and by a seeded sampled estimate (a lower bound) for ScalarBracket.
@@ -197,11 +197,6 @@ def _verify(spec, x, vx, y):
             raise NoConvergence(f"inverse residual {res:.3e} exceeds inner_tol {tol:.1e}", res)
     spec.checked = (x, w)
     return x
-
-
-def inverts_v(spec, v):
-    """Whether ``spec``'s check evaluates the field ``v``, so its record holds ``x - v(x)``."""
-    return spec.v_map is v
 
 
 @dataclass(eq=False)

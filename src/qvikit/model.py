@@ -6,8 +6,8 @@ it into a fixed-set variational inequality in y = x - v(x):
 
     0 in T(y*) + N_C(y*),  T = f o (Id - v)^{-1},  x* = (Id - v)^{-1}(y*).
 
-Types here are immutable values; all operations are pure. Nothing here
-imports qvikit.inverse: a problem's own ``inverse`` strategy inverts.
+Types here are immutable values; all operations are pure. A problem's own
+``inverse`` strategy (qvikit.inverse, not imported here) holds v and inverts Id - v.
 """
 
 from __future__ import annotations
@@ -256,8 +256,8 @@ class Constant:
     source: str
 
     def __post_init__(self):
-        if not self.value > 0:
-            raise ValueError("stored constants must be strictly positive")
+        if not 0 < self.value < np.inf:
+            raise ValueError(f"stored constants must be positive and finite, got {self.value!r}")
         if self.source not in ("declared", "spectral", "sampled"):
             raise ValueError(f"unknown source {self.source!r}")
 
@@ -283,15 +283,18 @@ class QviProblem:
     name: str
     dim: int
     f: VectorField
-    v: VectorField
-    inverse: object  # the inverse strategy of v (qvikit.inverse)
+    inverse: object  # the strategy that inverts Id - v (qvikit.inverse): v is its v_map
     set: ConvexSet
     constants: ProblemConstants = ProblemConstants()
 
     def __post_init__(self):
-        dims = {self.dim, self.f.dim, self.v.dim, self.set.dim}
+        dims = {self.dim, self.f.dim, getattr(self.v, "dim", None), self.set.dim}
         if dims != {self.dim}:
             raise ValueError(f"dimension mismatch across problem parts: {dims}")
+
+    @property
+    def v(self):
+        return self.inverse.v_map
 
     @cached_property
     def w(self):

@@ -63,7 +63,7 @@ def example1():
     f = VectorField.from_matrix([[3.0, 1.0], [1.0, 4.0]],
                                 ["cos(x2)^3", "sin(x1)"])
     v = VectorField.from_matrix([[-0.2, -0.4], [-0.4, -0.6]])
-    return QviProblem("example1", 2, f, v, LinearExact(v),
+    return QviProblem("example1", 2, f, LinearExact(v),
                       Box([-30.0, -30.0], [40.0, 40.0]))
 
 
@@ -73,7 +73,7 @@ def example2():
         ["1.2*abs(sin(x2)^3)", "1.1*abs(sin(x3))", "cos(abs(x1)+x3)^3"],
     )
     v = VectorField.from_matrix(_SHARED_V_MATRIX)
-    return QviProblem("example2", 3, f, v, LinearExact(v),
+    return QviProblem("example2", 3, f, LinearExact(v),
                       Box([-400.0] * 3, [500.0] * 3))
 
 
@@ -83,7 +83,7 @@ def example3():
         ["0.6*cos(x2)^2", "0.5*sin(x1)", "0.7*sin(x3)^2"],
     )
     # Componentwise slope bounds 0.6, 0.5, 0.7 give |g'| <= sqrt(1.10).
-    return QviProblem("example3", 3, _example3_f(), v, Semilinear(v, l_g=1.05),
+    return QviProblem("example3", 3, _example3_f(), Semilinear(v, l_g=1.05),
                       Box([-400.0] * 3, [500.0] * 3))
 
 
@@ -101,7 +101,7 @@ def remark5():
         l=Constant(7.0 / 3.0, "declared"),
         gamma=Constant(2.0 / 9.0, "declared"),
     )
-    return QviProblem("remark5", 1, f, v, ScalarBracket(v, (-20.0, 20.0)),
+    return QviProblem("remark5", 1, f, ScalarBracket(v, (-20.0, 20.0)),
                       NonnegativeOrthant(1), constants)
 
 
@@ -346,7 +346,7 @@ def problem_from_dict(doc):
         w = _at("w.matrix", ZeroMap.from_matrix, _matrix(doc["w"]["matrix"], dim, "w.matrix"))
         return ZeroProblem(name, dim, f, w)
     v = _field_from_json(doc["v"], dim, "v")
-    return QviProblem(name, dim, f, v, _inverse_from_json(doc["inverse"], v),
+    return QviProblem(name, dim, f, _inverse_from_json(doc["inverse"], v),
                       _set_from_json(doc["set"], dim),
                       _constants_from_json(doc.get("constants", {})))
 

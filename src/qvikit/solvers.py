@@ -42,7 +42,7 @@ from .analysis import (
     sample_pair_modulus,
 )
 from .errors import BracketingFailure, ConfigError, DiagnosticsError, NoConvergence
-from .inverse import _LU, ScalarBracket, invert, inverts_v
+from .inverse import _LU, ScalarBracket, invert
 from .model import _floats, _residual, _y_and_p, natural_residual, project_floats, project_moving
 
 # Safety factors compensating the one-sided bias of sampled estimates:
@@ -197,9 +197,17 @@ def auto_step(problem, plan=None):
     plan = plan or SamplingPlan(seed=0)
     gamma, _ = resolve_constant(problem, "gamma", plan, GAMMA_SAFETY)
     L, _ = resolve_constant(problem, "L", plan, LIP_SAFETY)
-    if gamma <= 0:
-        raise ConfigError(f"auto step needs a positive gamma, got {gamma:.3e}")
-    return gamma / L**2
+    return _auto_h(lambda: gamma / L**2, "gamma / L^2", f"gamma = {gamma!r}, L = {L!r}")
+
+
+def _auto_h(formula, rule, at):
+    """The auto step ``formula()`` if positive and finite, else a ConfigError naming both."""
+    try:
+        if 0.0 < (h := formula()) < math.inf:
+            return h
+    except ArithmeticError:  # the formula overflows, or divides by zero
+        pass
+    raise ConfigError(f"h: the auto step {rule} is not positive and finite at {at}")
 
 
 def rate_bounds(gamma, L, l, l_tilde):
@@ -234,9 +242,9 @@ def catching_up_step(problem, x, h):
     return project_moving(problem, x, x - h * problem.f(x))
 
 
-def _checked(spec, x, keep):
-    """``x``, just returned by ``spec``'s invert, and its check's ``x - v(x)`` if ``keep``."""
-    return x, spec.checked[1] if keep and spec.checked[0] is x else None
+def _checked(spec, x):
+    """``x``, just returned by ``spec``'s invert, and its check's ``x - v(x)``."""
+    return x, spec.checked[1]
 
 
 def solve_alg1(problem, x0, config=SolverConfig(), *, on_step=None):
@@ -244,15 +252,14 @@ def solve_alg1(problem, x0, config=SolverConfig(), *, on_step=None):
 
     Each iterate evaluates f, the projection and v once, v in the inverse's
     check: the step inverts the p = proj_C(y - h f(x)) the residual |y - p|
-    used, and the check's x - v(x) is the next y (if ``inverts_v``); y, p on floats.
+    used, and the check's x - v(x) is the next y; y, p on floats.
     """
     h = config.h if config.h is not None else auto_step(problem)
     spec = problem.inverse
-    keep = inverts_v(spec, problem.v)
 
     def probe(state):
         y, p, _ = _y_and_p(problem, state[0], h, state[1])
-        return _residual(y, p), lambda: _checked(spec, invert(spec, p), keep)
+        return _residual(y, p), lambda: _checked(spec, invert(spec, p))
 
     return _run((np.asarray(x0, float), None), probe, config, h,
                 x_of=lambda state: state[0], on_step=on_step)
@@ -276,9 +283,8 @@ def tseng_auto_step(problem, plan=None):
     """
     L, _ = resolve_constant(problem, "L", plan or SamplingPlan(seed=0), LIP_SAFETY)
     l_tilde, _ = resolve_constant(problem, "l_tilde")
-    if L * l_tilde <= 0:
-        raise ConfigError(f"tseng auto step needs a positive L * l_tilde, got {L * l_tilde:.3e}")
-    return 0.9 / (L * l_tilde)
+    return _auto_h(lambda: 0.9 / (L * l_tilde), "0.9 / (L l_tilde)",
+                   f"L = {L!r}, l_tilde = {l_tilde!r}")
 
 
 def solve_tseng(problem, x0, config=SolverConfig(), literal=False, *, on_step=None):
@@ -292,10 +298,9 @@ def solve_tseng(problem, x0, config=SolverConfig(), literal=False, *, on_step=No
     """
     h = config.h if config.h is not None else tseng_auto_step(problem)
     f, spec, cset = problem.f, problem.inverse, problem.set
-    keep = inverts_v(spec, problem.v)
 
     def probe(state):
-        x, w, y = state  # w: the x - v(x) of x's check, or None; y: the iterate's floats
+        x, w, y = state  # w: the x - v(x) of x's check (None at x0); y: the iterate's floats
         y_of_x, p, fx = _y_and_p(problem, x, h, w)  # f(x) is T(y): x = (Id-v)^{-1}(y)
         y = y_of_x if y is None else y  # the start: y0 = x0 - v(x0)
 
@@ -304,7 +309,7 @@ def solve_tseng(problem, x0, config=SolverConfig(), literal=False, *, on_step=No
             fz = _floats(f, invert(spec, ybar))
             yn = ([a + h * (b - c) for a, b, c in zip(y, fx, fz)] if literal
                   else [a - h * (c - b) for a, b, c in zip(ybar, fx, fz)])
-            return *_checked(spec, invert(spec, yn), keep), yn
+            return *_checked(spec, invert(spec, yn)), yn
 
         return _residual(y_of_x, p), advance
 
@@ -377,11 +382,10 @@ def sweep_trajectory(problem, x0, h, t_end):
                          f"{_MAX_SWEEP_STEPS} steps")
     xs = np.empty((steps + 1, *np.shape(x0)))
     rows = iter(xs)  # one row per state, x0's first
-    spec, keep = problem.inverse, inverts_v(problem.inverse, problem.v)
 
     def probe(state):
         x, y = state
-        return None, lambda: _checked(spec, alg1_step(problem, x, h, y=y), keep)
+        return None, lambda: _checked(problem.inverse, alg1_step(problem, x, h, y=y))
 
     report = _run((np.asarray(x0, float), None), probe, SolverConfig(h=h, max_iter=steps), h,
                   x_of=lambda state: state[0], on_step=lambda x: np.copyto(next(rows), x))

@@ -198,7 +198,7 @@ def test_criterion_09_zero_finder_contraction(ex4, ex4_solution):
 
 def test_criterion_10_tseng(ex1):
     v = VectorField.zero(2)
-    rotation = QviProblem("rotation", 2, VectorField.from_exprs(["-x2", "x1"], 2), v,
+    rotation = QviProblem("rotation", 2, VectorField.from_exprs(["-x2", "x1"], 2),
                           LinearExact(v), Box([-1.0, -1.0], [1.0, 1.0]))
     rot = solve_tseng(rotation, np.array([1.0, 1.0]), SolverConfig(h=0.3))
     agree = solve_tseng(ex1, np.array([6.0, 2.0]))

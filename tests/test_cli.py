@@ -442,8 +442,21 @@ def test_tseng_auto_step_on_a_constant_field_exits_1(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run(capsys, "solve", str(path), "--algorithm", "tseng", "--x0", "0.5")
     assert (code, out) == (1, "")
-    assert err == "error: ConfigError: tseng auto step needs a positive L * l_tilde, " \
-        "got 0.000e+00\n"
+    assert err == "error: ConfigError: h: the auto step 0.9 / (L l_tilde) is not positive " \
+        "and finite at L = 0.0, l_tilde = 3.333333333333333\n"
+
+
+def test_an_auto_step_whose_formula_overflows_exits_1(tmp_path, capsys):
+    # "L": 1e200 is schema-valid, but gamma / L**2 overflows: one error line
+    # that names h and its constants, not an OverflowError traceback.
+    doc = problem_to_dict(get_builtin("example1"))
+    doc["constants"] = {"L": 1e200}
+    path = tmp_path / "huge-L.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "solve", str(path), "--x0", "6,2")
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: ConfigError: h: the auto step gamma / L\^2 is not positive and "
+                        r"finite at gamma = [0-9.e-]+, L = 1e\+200\n", err)
 
 
 @pytest.mark.parametrize("argv,x0", [

@@ -423,7 +423,7 @@ def _nan_strip_problem():
     # f is the identity outside the strip |x1| <= 1 and NaN inside it.
     f = FuncField(2, lambda x: x if abs(x[0]) > 1.0 else np.full(2, np.nan))
     v = VectorField.zero(2)
-    return QviProblem("nan", 2, f, v, LinearExact(v), WholeSpace(2))
+    return QviProblem("nan", 2, f, LinearExact(v), WholeSpace(2))
 
 
 def test_run_reports_divergence_when_a_field_returns_nan():

@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import math
 import pickle
 
 import numpy as np
@@ -140,7 +142,7 @@ def test_projection_variational_characterization():
 
 def test_project_moving_zero_displacement():
     v = VectorField.zero(2)
-    p = QviProblem("t", 2, VectorField.zero(2), v, qk.LinearExact(v), BOX)
+    p = QviProblem("t", 2, VectorField.zero(2), qk.LinearExact(v), BOX)
     z = np.array([50.0, -50.0])
     assert np.array_equal(project_moving(p, [1.0, 1.0], z), project(BOX, z))
 
@@ -153,8 +155,8 @@ def test_project_moving_hand_value(r5):
 
 def test_project_moving_constant_translate():
     v = VectorField.from_exprs(["0.25"], 1)
-    p = QviProblem("t", 1, VectorField.zero(1), v,
-                   qk.PicardContraction(v, 0.0), Box([0.0], [1.0]))
+    p = QviProblem("t", 1, VectorField.zero(1), qk.PicardContraction(v, 0.0),
+                   Box([0.0], [1.0]))
     z = np.array([0.8])  # interior of the shifted interval [0.25, 1.25]
     assert np.array_equal(project_moving(p, [5.0], z), z)
 
@@ -163,7 +165,7 @@ def test_moving_set_identity_bit_exact(r5):
     # The identity is bitwise only when v(base) + q rounds exactly, so it is
     # checked on dyadic data and on the hand example where the sums are exact.
     v = VectorField.from_matrix([[0.5, 0.0], [0.0, 0.25]])
-    p = QviProblem("t", 2, VectorField.zero(2), v, qk.LinearExact(v),
+    p = QviProblem("t", 2, VectorField.zero(2), qk.LinearExact(v),
                    Box([-0.5, -0.5], [1.5, 1.5]))
     rng = np.random.default_rng(3)
     for _ in range(200):
@@ -215,7 +217,7 @@ def test_field_dimension_mismatch():
 def test_to_vi_zero_displacement_is_identity_reduction():
     f = VectorField.from_exprs(["x1 + 1", "x2"], 2)
     v = VectorField.zero(2)
-    p = QviProblem("t", 2, f, v, qk.LinearExact(v), BOX)
+    p = QviProblem("t", 2, f, qk.LinearExact(v), BOX)
     T, cset = to_vi(p)
     assert cset is p.set
     y = np.array([0.3, -0.8])
@@ -250,7 +252,7 @@ def test_natural_residual_published_point(ex1):
 
 def test_natural_residual_zero_field_measures_distance():
     v = VectorField.zero(2)
-    p = QviProblem("t", 2, VectorField.zero(2), v, qk.LinearExact(v), BOX)
+    p = QviProblem("t", 2, VectorField.zero(2), qk.LinearExact(v), BOX)
     x = np.array([50.0, 2.0])
     assert natural_residual(p, x, 0.7) == pytest.approx(10.0, abs=1e-12)
 
@@ -344,16 +346,32 @@ def test_a_remainder_alone_keeps_signed_zeros():
 
 
 def test_constant_validation():
-    with pytest.raises(ValueError):
-        Constant(-1.0, "declared")
+    # A dump writes a non-finite value as Infinity or NaN, which the loader refuses.
+    for value in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="stored constants must be positive and finite"):
+            Constant(value, "declared")
     with pytest.raises(ValueError):
         Constant(1.0, "guessed")
 
 
 def test_problem_dimension_agreement():
-    with pytest.raises(ValueError):
-        v = VectorField.zero(3)
-        QviProblem("t", 2, VectorField.zero(2), v, qk.LinearExact(v), BOX)
+    # v is held once, in the inverse, so the check covers the inverse too: a
+    # problem over LinearExact(zero(3)) no longer fails on a solve's first step.
+    zero2, zero3 = VectorField.zero(2), VectorField.zero(3)
+    for f, v, cset in ((zero3, zero2, BOX), (zero2, zero2, WholeSpace(3)), (zero2, zero3, BOX)):
+        with pytest.raises(ValueError, match=r"^dimension mismatch across problem parts: \{2, 3"):
+            QviProblem("t", 2, f, qk.LinearExact(v), cset)
+    # A strategy takes any callable v; one without a dimension fits no problem.
+    with pytest.raises(ValueError, match=r"^dimension mismatch across problem parts: \{.*None"):
+        QviProblem("t", 2, zero2, qk.PicardContraction(lambda x: 0.5 * x, 0.5), BOX)
+
+
+def test_a_problem_holds_v_once_in_its_inverse(ex1, ex2, ex3, r5):
+    for problem in (ex1, ex2, ex3, r5):
+        for p in (problem, qk.loads_problem(qk.dumps_problem(problem))):
+            assert p.v is p.inverse.v_map
+    assert [f.name for f in dataclasses.fields(QviProblem)] == [
+        "name", "dim", "f", "inverse", "set", "constants"]
 
 
 def test_func_field_adapter():

@@ -173,7 +173,7 @@ def test_set_variants_round_trip():
     for cset in (WholeSpace(2), NonnegativeOrthant(2),
                  Box([-1.0, 0.0], [1.0, 2.0])):
         v = VectorField.zero(2)
-        p = QviProblem("t", 2, VectorField.zero(2), v, LinearExact(v), cset)
+        p = QviProblem("t", 2, VectorField.zero(2), LinearExact(v), cset)
         restored = loads_problem(dumps_problem(p))
         assert type(restored.set) is type(cset)
 

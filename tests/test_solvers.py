@@ -22,6 +22,7 @@ from qvikit.model import (
     VectorField,
     WholeSpace,
     natural_residual,
+    project,
 )
 from qvikit.solvers import (
     GAMMA_SAFETY,
@@ -57,7 +58,7 @@ from qvikit.problems import dumps_problem, get_builtin, loads_problem
 def _declared(dim, gamma, L):
     v = VectorField.zero(dim)
     return QviProblem(
-        "t", dim, VectorField.zero(dim), v, LinearExact(v), WholeSpace(dim),
+        "t", dim, VectorField.zero(dim), LinearExact(v), WholeSpace(dim),
         ProblemConstants(gamma=Constant(gamma, "declared"),
                          L=Constant(L, "declared")),
     )
@@ -65,7 +66,7 @@ def _declared(dim, gamma, L):
 
 def _zero_v_problem(f, cset):
     v = VectorField.zero(cset.dim)
-    return QviProblem("t", cset.dim, f, v, LinearExact(v), cset)
+    return QviProblem("t", cset.dim, f, LinearExact(v), cset)
 
 
 ROTATION = _zero_v_problem(VectorField.from_exprs(["-x2", "x1"], 2),
@@ -90,8 +91,26 @@ def test_auto_step_matches_safety_factored_estimates(ex1):
 
 
 def test_auto_step_rejects_nonmonotone():
-    with pytest.raises(ConfigError, match="positive gamma"):
+    # The rotation's sampled gamma is 0 up to rounding.
+    with pytest.raises(ConfigError, match=r"^h: the auto step gamma / L\^2 is not positive and "
+                       r"finite at gamma = -?[0-9.e-]+, L = 1\.1[0-9]*$"):
         auto_step(ROTATION)
+
+
+def test_an_auto_step_that_overflows_or_is_not_positive_is_refused(ex1):
+    # One rule for both steps: h names its formula and constants, whether the
+    # formula overflows (L**2), divides by zero, or rounds to 0.
+    huge = ProblemConstants(L=Constant(1e200, "declared"), l_tilde=Constant(1e200, "declared"))
+    problem = dataclasses.replace(ex1, constants=huge)
+    with pytest.raises(ConfigError, match=r"^h: the auto step gamma / L\^2 is not positive and "
+                       r"finite at gamma = [0-9.e-]+, L = 1e\+200$"):
+        auto_step(problem)
+    with pytest.raises(ConfigError, match=r"^h: the auto step 0\.9 / \(L l_tilde\) is not "
+                       r"positive and finite at L = 1e\+200, l_tilde = 1e\+200$"):
+        tseng_auto_step(problem)
+    zero = _zero_v_problem(VectorField.zero(2), WholeSpace(2))  # gamma = L = 0
+    with pytest.raises(ConfigError, match=r"at gamma = 0\.0, L = 0\.0$"):
+        auto_step(zero)
 
 
 def test_rate_bounds_closed_form():
@@ -268,10 +287,13 @@ def test_the_divergence_guard_decides_by_the_exact_norm():
 
 
 def test_the_readme_library_block_runs():
+    # Every python block of the section, each in a fresh namespace.
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    library = readme.split("\n## Library\n", 1)[1]
-    block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
-    exec(compile(block, "README.md", "exec"), {})
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", library, re.S)
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_catching_up_step_agrees_without_displacement():
@@ -743,24 +765,8 @@ class _Counting:
 
 
 def _counted(problem):
-    return QviProblem(problem.name, problem.dim, _Counting(problem.f),
-                      _Counting(problem.v), problem.inverse, problem.set,
-                      problem.constants)
-
-
-def test_alg1_evaluates_f_and_v_once_per_iterate(ex1):
-    problem = _counted(ex1)
-    report = solve_alg1(problem, [6.0, 2.0], SolverConfig(h=0.01))
-    assert report.converged and report.iterations == 687
-    assert problem.f.calls == problem.v.calls == report.iterations + 1
-
-
-def test_tseng_evaluates_v_once_per_iterate(ex1):
-    problem = _counted(ex1)
-    report = solve_tseng(problem, [6.0, 2.0], SolverConfig(h=0.01))
-    assert report.converged
-    assert problem.v.calls == report.iterations + 1
-    assert problem.f.calls == 2 * report.iterations + 1
+    """``problem`` with its f counted; its v is the inverse's, counted by _v_evaluations."""
+    return dataclasses.replace(problem, f=_Counting(problem.f))
 
 
 def _v_evaluations(target, run, monkeypatch):
@@ -776,9 +782,46 @@ def _v_evaluations(target, run, monkeypatch):
     return report, len(calls), len(checks)
 
 
+def test_alg1_evaluates_f_and_v_once_per_iterate(ex1, monkeypatch):
+    problem = _counted(ex1)
+    report, calls, checks = _v_evaluations(
+        problem.v, lambda: solve_alg1(problem, [6.0, 2.0], SolverConfig(h=0.01)), monkeypatch)
+    assert report.converged and report.iterations == 687
+    assert problem.f.calls == calls + checks == report.iterations + 1
+
+
+def test_tseng_evaluates_v_once_per_iterate(ex1, monkeypatch):
+    # Once at x0, then in the check of each of a step's two inverts.
+    problem = _counted(ex1)
+    report, calls, checks = _v_evaluations(
+        problem.v, lambda: solve_tseng(problem, [6.0, 2.0], SolverConfig(h=0.01)), monkeypatch)
+    assert report.converged
+    assert (calls, checks) == (1, 2 * report.iterations)
+    assert problem.f.calls == 2 * report.iterations + 1
+
+
 def _bits(report):
     return (report.iterations, report.x_final.tobytes(),
             [float.hex(r) for r in report.residuals])
+
+
+def _reference_bits(name, problem, x0, h, max_iter=10_000, tol=1e-8):
+    """The ``_bits`` of a solve written out as a loop that evaluates v afresh at
+    every iterate: ``alg1_step`` with no ``y``, or Tseng's update in numpy."""
+    x, residuals = np.asarray(x0, float), []
+    y = x - problem.v(x)
+    while True:
+        residuals.append(natural_residual(problem, x, h))
+        if residuals[-1] <= tol or len(residuals) > max_iter:
+            break
+        if name == "alg1":
+            x = alg1_step(problem, x, h)
+            continue
+        fx = problem.f(x)
+        ybar = project(problem.set, y - h * fx)
+        y = ybar - h * (problem.f(inverse.invert(problem.inverse, ybar)) - fx)
+        x = inverse.invert(problem.inverse, y)
+    return len(residuals) - 1, x.tobytes(), [float.hex(r) for r in residuals]
 
 
 @pytest.mark.parametrize("case", ["alg1.example1", "alg1.example1-picard", "alg1.example3",
@@ -792,38 +835,45 @@ def test_solves_evaluate_v_once_per_accepted_iterate(case, ex1, ex3, monkeypatch
                       "example1-picard": (_picard_example1(ex1), [6.0, 2.0], 0.01),
                       "example3": (ex3, [5.0, 4.0, 2.0], 0.3)}[builtin]
     solve = {"alg1": solve_alg1, "tseng": solve_tseng}[name]
-    assert inverse.inverts_v(problem.inverse, problem.v)
     report, calls, checks = _v_evaluations(
         problem.v, lambda: solve(problem, x0, SolverConfig(h=h)), monkeypatch)
     assert report.converged
     assert (calls, checks) == (1, (2 if name == "tseng" else 1) * report.iterations)
-    # A wrapped v is evaluated at every iterate, as before: the same bits.
-    assert _bits(report) == _bits(solve(_counted(problem), x0, SolverConfig(h=h)))
+    # A loop that evaluates v at every iterate gives the same bits.
+    assert _bits(report) == _reference_bits(name, problem, x0, h)
     if case in BIT_PINS:
         assert (report.iterations, tuple(map(float.hex, report.x_final.tolist()))) \
             == BIT_PINS[case]
 
 
+def _other_field(case, ex1, ex3):
+    """A builtin rebuilt over another v: half example1's matrix, or example3's
+    remainder plus 0.001. The field the inverse inverts is the problem's v."""
+    if case == "other-matrix":
+        return (QviProblem("other", 2, ex1.f, LinearExact(
+            VectorField.from_matrix(0.5 * ex1.v.matrix)), ex1.set), [6.0, 2.0], 0.01)
+    return (QviProblem("other", 3, ex3.f, Semilinear(VectorField.from_matrix(
+        ex3.v.matrix, ["0.6*cos(x2)^2", "0.5*sin(x1)", "0.7*sin(x3)^2 + 0.001"]), 1.05),
+        ex3.set), [5.0, 4.0, 2.0], 0.3)
+
+
 @pytest.mark.parametrize("case", ["example1", "example1-picard", "example3", "other-matrix"])
 def test_a_sweep_evaluates_v_once_where_its_inverse_checks_v(case, ex1, ex3, monkeypatch):
     # Each step after the first takes its x - v(x) from the check of the
-    # inverse that returned x; an inverse of another matrix leaves the sweep
-    # evaluating v at every step, as does a wrapped v (with the same rows).
+    # inverse that returned x, with the rows of alg1_step evaluating v afresh.
     problem, x0, h = {
         "example1": (ex1, [6.0, 2.0], 0.01),
         "example1-picard": (_picard_example1(ex1), [6.0, 2.0], 0.01),
         "example3": (ex3, [5.0, 4.0, 2.0], 0.3),
-        "other-matrix": (QviProblem("other", 2, ex1.f, ex1.v, LinearExact(
-            VectorField.from_matrix(0.5 * ex1.v.matrix)), ex1.set), [6.0, 2.0], 0.01),
-    }[case]
-    checks_v = case != "other-matrix"
-    assert inverse.inverts_v(problem.inverse, problem.v) is checks_v
+    }.get(case) or _other_field(case, ex1, ex3)
     result, calls, checks = _v_evaluations(
         problem.v, lambda: sweep_trajectory(problem, x0, h, 100 * h), monkeypatch)
     assert len(result.xs) == 101 and not result.diverged
-    assert (calls, checks) == (1 if checks_v else 100, 100)
-    wrapped = sweep_trajectory(_counted(problem), x0, h, 100 * h)
-    assert wrapped.xs.tobytes() == result.xs.tobytes()
+    assert (calls, checks) == (1, 100)
+    rows = [np.asarray(x0, float)]
+    for _ in range(100):
+        rows.append(alg1_step(problem, rows[-1], h))
+    assert np.array(rows).tobytes() == result.xs.tobytes()
 
 
 @pytest.mark.parametrize("value", [np.ones(3), np.ones((2, 1)), np.ones((2, 2))])
@@ -854,24 +904,16 @@ def test_a_scalar_f_broadcasts_in_each_alg1_path(ex1):
         assert run(scalar) == run(full)
 
 
-# Iterations, endpoint and last residual (float.hex) of 60-step runs whose
-# inverse checks another map than the problem's v, or (the bracket rows) had
-# no check: recorded before the checked x - v(x) was reused.
+# Iterations, endpoint and last residual (float.hex) of 60-step runs that
+# evaluated v at every iterate: recorded before each check's x - v(x) was
+# reused, and before remark5's bracket had a check.
 GUARD_PINS = {
-    ("counting", "alg1"): (60, ("-0x1.7d10013864506p-4", "0x1.4ed4f9eb47bd4p-4",
+    ("example3", "alg1"): (60, ("-0x1.7d10013864506p-4", "0x1.4ed4f9eb47bd4p-4",
                                 "-0x1.bfa453290ded9p-5"), "0x1.409563dcdc116p-10"),
-    ("counting", "tseng"): (60, ("-0x1.79d24b2e6f6a0p-4", "0x1.51a7d033a6e1ep-4",
+    ("example3", "tseng"): (60, ("-0x1.79d24b2e6f6a0p-4", "0x1.51a7d033a6e1ep-4",
                                  "-0x1.b2a3d57023148p-5"), "0x1.8d4c975d5f31ap-8"),
-    ("other-matrix", "alg1"): (60, ("0x1.fa798dd01d77ap+4", "0x1.9e6374075dedbp+4"),
-                               "0x1.0629c57a6c22cp+4"),
-    ("other-matrix", "tseng"): (60, ("0x1.314d1683c7e60p+0", "0x1.b4c954e3e1ddap-3"),
-                                "0x1.c9608f1b998f4p-5"),
-    ("other-remainder", "alg1"): (60, ("-0x1.7b865f1069e7ep-4", "0x1.4d7e365fd3555p-4",
-                                       "-0x1.bdc810c104c9ap-5"), "0x1.03594559932e9p-9"),
-    ("other-remainder", "tseng"): (60, ("-0x1.79d248baf2bb6p-4", "0x1.51a7cc6ef2024p-4",
-                                        "-0x1.b2a3c32552dadp-5"), "0x1.8d4d1b678ebe7p-8"),
-    ("bracket", "alg1"): (21, ("-0x1.445a544a3a000p-2",), "0x1.e4a8000000000p-41"),
-    ("bracket", "tseng"): (31, ("-0x1.445a54b89e000p-2",), "0x1.e777bd0000000p-28"),
+    ("remark5", "alg1"): (21, ("-0x1.445a544a3a000p-2",), "0x1.e4a8000000000p-41"),
+    ("remark5", "tseng"): (31, ("-0x1.445a54b89e000p-2",), "0x1.e777bd0000000p-28"),
 }
 
 
@@ -880,42 +922,37 @@ def _guard_bits(report):
             float.hex(report.residual_final))
 
 
-@pytest.mark.parametrize("case,name", sorted(k for k in GUARD_PINS if k[0] != "bracket"))
-def test_a_solve_whose_inverse_checks_another_map_evaluates_v_at_every_iterate(
-        case, name, ex1, ex3, monkeypatch):
-    # A wrapped v, and a LinearExact or a Semilinear built from another field
-    # (another matrix, or another remainder), each leave the solver evaluating
-    # the problem's v at every iterate.
-    problem, x0, h = {
-        "counting": (_counted(ex3), [5.0, 4.0, 2.0], 0.3),
-        "other-matrix": (QviProblem("other", 2, ex1.f, ex1.v, LinearExact(
-            VectorField.from_matrix(0.5 * ex1.v.matrix)), ex1.set), [6.0, 2.0], 0.01),
-        "other-remainder": (QviProblem("other", 3, ex3.f, ex3.v, Semilinear(
-            VectorField.from_matrix(ex3.v.matrix, [
-                "0.6*cos(x2)^2", "0.5*sin(x1)", "0.7*sin(x3)^2 + 0.001"]), 1.05),
-            ex3.set), [5.0, 4.0, 2.0], 0.3),
-    }[case]
-    assert not inverse.inverts_v(problem.inverse, problem.v)
+@pytest.mark.parametrize("case,name", sorted(GUARD_PINS))
+def test_a_guarded_solve_evaluates_v_once_with_the_bits_it_had(case, name, ex3, r5,
+                                                               monkeypatch):
+    # The solve steps on each check's x - v(x): v is called once, at x0, and
+    # the results are the pinned ones of a loop that evaluates v afresh.
+    problem, x0, h = {"example3": (ex3, [5.0, 4.0, 2.0], 0.3),
+                      "remark5": (r5, [-7.0], 0.2)}[case]
     solve = {"alg1": solve_alg1, "tseng": solve_tseng}[name]
-    target = getattr(problem.v, "field", problem.v)  # what _Counting calls
-    report, calls, _ = _v_evaluations(
-        target, lambda: solve(problem, x0, SolverConfig(h=h, max_iter=60)), monkeypatch)
-    assert calls == report.iterations + 1
-    assert _guard_bits(report) == GUARD_PINS[case, name]
-
-
-@pytest.mark.parametrize("name", ["alg1", "tseng"])
-def test_a_scalar_bracket_solve_evaluates_v_once_with_the_bits_it_had(name, r5, monkeypatch):
-    # remark5's ScalarBracket checks its v, so the solve steps on each check's
-    # x - v(x): v is called once, at x0, and the results are those pinned when
-    # the bracket had no check and v was evaluated at every iterate.
-    solve = {"alg1": solve_alg1, "tseng": solve_tseng}[name]
-    assert inverse.inverts_v(r5.inverse, r5.v)
     report, calls, checks = _v_evaluations(
-        r5.v, lambda: solve(r5, [-7.0], SolverConfig(h=0.2, max_iter=60)), monkeypatch)
+        problem.v, lambda: solve(problem, x0, SolverConfig(h=h, max_iter=60)), monkeypatch)
     assert (calls, checks) == (1, (2 if name == "tseng" else 1) * report.iterations)
-    assert _guard_bits(report) == GUARD_PINS["bracket", name]
-    assert _bits(report) == _bits(solve(_counted(r5), [-7.0], SolverConfig(h=0.2, max_iter=60)))
+    assert _guard_bits(report) == GUARD_PINS[case, name]
+    assert _bits(report) == _reference_bits(name, problem, x0, h, max_iter=60)
+
+
+@pytest.mark.parametrize("case", ["other-matrix", "other-remainder"])
+@pytest.mark.parametrize("name", ["alg1", "tseng"])
+def test_a_problem_over_another_field_solves_and_reloads_as_itself(case, name, ex1, ex3,
+                                                                   monkeypatch):
+    # A problem states v once, in its inverse, so one over another field steps
+    # on its own checks with the bits of a loop evaluating v afresh, and its
+    # dump reloads as the same problem: the same bits again.
+    problem, x0, h = _other_field(case, ex1, ex3)
+    assert problem.v is problem.inverse.v_map
+    solve = {"alg1": solve_alg1, "tseng": solve_tseng}[name]
+    config = SolverConfig(h=h, max_iter=60)
+    report, calls, checks = _v_evaluations(
+        problem.v, lambda: solve(problem, x0, config), monkeypatch)
+    assert (calls, checks) == (1, (2 if name == "tseng" else 1) * report.iterations)
+    assert _bits(report) == _reference_bits(name, problem, x0, h, max_iter=60)
+    assert _bits(solve(loads_problem(dumps_problem(problem)), x0, config)) == _bits(report)
 
 
 @pytest.mark.parametrize("builtin,name,source", [

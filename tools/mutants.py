@@ -29,8 +29,6 @@ SCREENED = f"{T_INV}::test_the_screened_check_leaves_to_the_exact_norm_where_mat
 EXACT = f"{T_INV}::test_the_screened_check_decides_as_the_exact_norm"
 PROJECTION = f"{T_MODEL}::test_float_projection_is_project_bit_for_bit"
 PINS = f"{T_SOLVERS}::test_solver_results_bit_for_bit"
-OTHER_MAP = (f"{T_SOLVERS}::"
-             "test_a_solve_whose_inverse_checks_another_map_evaluates_v_at_every_iterate")
 RULES = "tests/test_problems.py::test_a_strategy_refuses_in_python_as_it_does_in_a_file"
 
 # (file, old text, new text, test selection, reason[, verdict])
@@ -82,8 +80,6 @@ CATALOG = [
     (INV, "x = x + lu.solve(list(", "x = x + lu._solve(list(",
      f"{T_INV}::test_linear_exact_refinement_that_overflows_raises_as_before",
      "LinearExact's refinement solve goes unchecked"),
-    (INV, "return spec.v_map is v", "return True", f"{OTHER_MAP}[other-matrix-alg1]",
-     "inverts_v holds for a strategy built from another field"),
     (INV, "return _verify(self, x, self._v(x), y)", "return x",
      f"{T_INV}::test_a_scalar_bracket_records_x_minus_v_of_x_bit_for_bit",
      "ScalarBracket returns without recording its check"),
@@ -103,6 +99,14 @@ CATALOG = [
     (SOLVERS, "[a - h * (c - b) for a, b, c in zip(ybar, fx, fz)]",
      "[a - h * c + h * b for a, b, c in zip(ybar, fx, fz)]", f"{PINS}[tseng.example1]",
      "the Tseng update leaves NumPy's operation order"),
+    (SOLVERS, "return x, spec.checked[1]", "return x, None",
+     f"{T_SOLVERS}::test_solves_evaluate_v_once_per_accepted_iterate[alg1.example1]",
+     "_checked hands on no record, so v runs at every iterate"),
+    (SOLVERS, "if 0.0 < (h := formula()) < math.inf:", "if True:",
+     f"{T_SOLVERS}::test_an_auto_step_that_overflows_or_is_not_positive_is_refused",
+     "the auto-step rule is dropped"),
+    (MODEL, "if not 0 < self.value < np.inf:", "if not 0 < self.value:",
+     f"{T_MODEL}::test_constant_validation", "Constant takes a value that is not finite"),
 ]
 
 
