@@ -273,6 +273,8 @@ class PicardContraction(_Strategy):
     those of a loop that tests every step; iterates past the stop are dropped.
     A v_map that is a matrix alone must declare l at least its operator norm,
     less 1e-9 relative (ConfigError), so its iterates stay within |y| / (1 - l).
+    Another may hide a false l: a chunk that ends on a row that is not finite
+    ends the loop, and the check raises NoConvergence as after max_inner steps.
 
     Each step writes into the next row of one buffer, made on first use and
     regrown for a longer chunk (at most 513 rows), in place for a matrix with
@@ -304,7 +306,7 @@ class PicardContraction(_Strategy):
         x, left, k = y.copy(), self.max_inner, min(max(self._steps, 1), _MAX_CHUNK)
         later = _FIRST_CHUNK  # the chunk after a first one that missed the stop
         with np.errstate(all="ignore"):
-            while left > 0:
+            while left > 0 and _all_finite(x):  # a non-finite x goes to the check
                 n, failure = min(k, left), None
                 if len(self._rows) <= n:
                     self._buffer = np.empty((n + 1, len(y)))

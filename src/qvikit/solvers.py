@@ -89,23 +89,21 @@ class SolveReport:
             return None
 
 
-def _run(state0, probe, config, h, x_of=lambda state: state, on_step=None):
+def _run(state0, probe, config, h, on_step=None):
     """The one iteration engine: stop on residual, cap, or divergence.
 
-    ``probe(state)`` returns the stopping residual at ``state`` (None for a
-    run with no residual, which goes on to ``config.max_iter``) and a thunk
-    that takes the next step from the evaluations the residual made. A run
-    diverges on a residual that is not finite or over 10x the one 100 steps back.
+    ``probe(state)`` returns ``(x, r, advance)``: the iterate of ``state``, the
+    stopping residual at it (None for a run with no residual, which goes on to
+    ``config.max_iter``) and a thunk that takes the next state from the evaluations
+    ``r`` made. A run diverges on an ``r`` not finite or over 10x the one 100 steps back.
     ``on_step(x)`` sees each iterate itself, not a copy: x0 first, the final last.
     """
-    state = state0
     residuals = []
     converged = diverged = False
     x_before = None  # the iterate the last step started from
     n = 0
-    r, advance = probe(state)
+    x, r, advance = probe(state0)
     while True:  # once per iterate
-        x = x_of(state)
         if on_step is not None:
             on_step(x)
         if r is not None:
@@ -125,16 +123,16 @@ def _run(state0, probe, config, h, x_of=lambda state: state, on_step=None):
         if n >= config.max_iter:
             break
         try:
-            new_state = advance()
+            state = advance()
         except (NoConvergence, BracketingFailure):
             # The inverse gave up, which only happens on runaway iterates.
             diverged = True
             break
-        x_before, state = x, new_state
+        x_before = x
         n += 1
-        r, advance = probe(state)
+        x, r, advance = probe(state)
 
-    x_final = x_of(state).copy()
+    x_final = x.copy()
     displacement = np.inf if x_before is None else _norm(x_final - x_before)
     return SolveReport(
         x_final=x_final,
@@ -242,11 +240,6 @@ def catching_up_step(problem, x, h):
     return project_moving(problem, x, x - h * problem.f(x))
 
 
-def _checked(spec, x):
-    """``x``, just returned by ``spec``'s invert, and its check's ``x - v(x)``."""
-    return x, spec.checked[1]
-
-
 def solve_alg1(problem, x0, config=SolverConfig(), *, on_step=None):
     """Iterate the modified projection step until the natural residual drops.
 
@@ -259,10 +252,9 @@ def solve_alg1(problem, x0, config=SolverConfig(), *, on_step=None):
 
     def probe(state):
         y, p, _ = _y_and_p(problem, state[0], h, state[1])
-        return _residual(y, p), lambda: _checked(spec, invert(spec, p))
+        return state[0], _residual(y, p), lambda: (invert(spec, p), spec.checked[1])
 
-    return _run((np.asarray(x0, float), None), probe, config, h,
-                x_of=lambda state: state[0], on_step=on_step)
+    return _run((np.asarray(x0, float), None), probe, config, h, on_step=on_step)
 
 
 def solve_catchup(problem, x0, config=SolverConfig(), *, on_step=None):
@@ -270,7 +262,7 @@ def solve_catchup(problem, x0, config=SolverConfig(), *, on_step=None):
     h = config.h if config.h is not None else auto_step(problem)
 
     def probe(x):
-        return natural_residual(problem, x, h), lambda: catching_up_step(problem, x, h)
+        return x, natural_residual(problem, x, h), lambda: catching_up_step(problem, x, h)
 
     return _run(np.asarray(x0, float), probe, config, h, on_step=on_step)
 
@@ -309,12 +301,11 @@ def solve_tseng(problem, x0, config=SolverConfig(), literal=False, *, on_step=No
             fz = _floats(f, invert(spec, ybar))
             yn = ([a + h * (b - c) for a, b, c in zip(y, fx, fz)] if literal
                   else [a - h * (c - b) for a, b, c in zip(ybar, fx, fz)])
-            return *_checked(spec, invert(spec, yn)), yn
+            return invert(spec, yn), spec.checked[1], yn
 
-        return _residual(y_of_x, p), advance
+        return x, _residual(y_of_x, p), advance
 
-    return _run((np.asarray(x0, float), None, None), probe, config, h,
-                x_of=lambda state: state[0], on_step=on_step)
+    return _run((np.asarray(x0, float), None, None), probe, config, h, on_step=on_step)
 
 
 @dataclass(eq=False)
@@ -344,7 +335,7 @@ def solve_zero(f, w, x0, config=SolverConfig(), *, on_step=None):
 
     def probe(x):
         fx = f(x)  # |f(x)| and the step's f(x): one evaluation per iterate
-        return _norm(fx), lambda: zero_step(f, w, x, h, fx=fx)
+        return x, _norm(fx), lambda: zero_step(f, w, x, h, fx=fx)
 
     return _run(np.asarray(x0, float), probe, config, h, on_step=on_step)
 
@@ -385,10 +376,10 @@ def sweep_trajectory(problem, x0, h, t_end):
 
     def probe(state):
         x, y = state
-        return None, lambda: _checked(problem.inverse, alg1_step(problem, x, h, y=y))
+        return x, None, lambda: (alg1_step(problem, x, h, y=y), problem.inverse.checked[1])
 
     report = _run((np.asarray(x0, float), None), probe, SolverConfig(h=h, max_iter=steps), h,
-                  x_of=lambda state: state[0], on_step=lambda x: np.copyto(next(rows), x))
+                  on_step=lambda x: np.copyto(next(rows), x))
     xs = xs[:report.iterations + 1]
     return SweepResult(ts=h * np.arange(len(xs)), xs=xs, diverged=report.diverged)
 

@@ -501,6 +501,19 @@ def test_picard_with_a_remainder_solves_to_its_pinned_output(capsys):
                    "x_final=[-0.37853928702138623, 0.18702548892573995]\n")
 
 
+def test_picard_over_a_false_l_with_a_remainder_diverges_at_its_first_invert(tmp_path, capsys):
+    # The norm rule cannot see v = 3x + 0.5, so the file loads at l 0.5. The
+    # first invert's iterate overflows, and its chunk ends the inner loop
+    # (test_inverse pins the count): the solve reports divergence on one line.
+    doc = {"dim": 1, "f": ["x1"], "v": {"matrix": [[3.0]], "remainder": ["0.5"]},
+           "inverse": {"strategy": "picard", "l": 0.5}, "set": {"type": "whole_space"}}
+    path = tmp_path / "picard-remainder.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "solve", str(path), "--x0", "1", "--h", "0.5")
+    assert (code, out, err) == (
+        2, "status=diverged iterations=0 h_used=0.5 residual=0.5 x_final=[1]\n", "")
+
+
 def test_singular_scaffold_reports_cleanly(tmp_path, capsys):
     doc = {
         "kind": "zero",

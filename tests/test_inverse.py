@@ -490,21 +490,33 @@ def test_a_list_and_an_array_invert_alike(builtin, strategy, request):
         ("ValueError", f"dimension mismatch: ({dim + 1},) vs ({dim},)"), False)
 
 
+def _chunk_ends(steps, max_inner):
+    """The steps after which PicardContraction.invert's chunks end, from the
+    ``_steps`` on its spec: a first chunk of that many steps (1 to _MAX_CHUNK),
+    then 8 steps, doubling up to _MAX_CHUNK, and none past max_inner."""
+    ends, k, later = [0], min(max(steps, 1), _MAX_CHUNK), _FIRST_CHUNK
+    while ends[-1] < max_inner:
+        ends.append(min(ends[-1] + k, max_inner))
+        k, later = later, min(2 * later, _MAX_CHUNK)
+    return set(ends[1:])
+
+
 def reference_picard(spec, y, inner_log=None):
-    """The loop that tested every Picard step before the chunked test: the
-    reference for PicardContraction.invert, bit for bit."""
+    """The loop that tests every Picard step: the reference for
+    PicardContraction.invert, bit for bit. An iterate that is not finite ends
+    it where the chunk holding it ends, the chunks set by the spec's _steps."""
     y = inverse._point(y, getattr(spec.v_map, "dim", None))
     # The evaluator the loop had: a field's evaluate, else the call itself.
     v = (getattr(spec.v_map, "evaluate", None)
          or (lambda x: np.asarray(spec.v_map(x), float)))
-    x = y.copy()
-    for _ in range(spec.max_inner):
+    x, ends = y.copy(), _chunk_ends(spec._steps, spec.max_inner)
+    for i in range(1, spec.max_inner + 1):
         xn = y + v(x)
         step = _norm(xn - x)
         if inner_log is not None:
             inner_log.append(step)
         x = xn
-        if step <= spec.inner_tol:
+        if step <= spec.inner_tol or (i in ends and not np.isfinite(x).all()):
             break
     return _verify(spec, x, v(x), y)
 
@@ -573,13 +585,14 @@ def test_picard_invert_matches_the_reference_loop(dim, kind, entries, offsets, s
         max_inner = max(1, len(_outcome(reference_picard, spec, point, True)[1])
                         + near_stop)
     spec.max_inner = max_inner
-    want = _outcome(reference_picard, spec, point, True)
     # The step count a previous invert left on the spec, the first chunk's
     # length: near the stop, at max_inner or far past both.
-    stop = len(want[1])
+    stop = len(_outcome(reference_picard, spec, point, True)[1])
     if isinstance(hint, str):
         hint = {"stop-1": stop - 1, "stop": stop, "stop+1": stop + 1,
                 "max_inner": max_inner}[hint]
+    spec._steps = hint  # the reference ends on a non-finite iterate where the chunk does
+    want = _outcome(reference_picard, spec, point, True)
     for traced in (True, False):
         spec._steps = hint
         got = _outcome(PicardContraction.invert, spec, point, traced)
@@ -618,6 +631,7 @@ def test_picard_inverts_in_a_row_keep_their_results(dim, kind, entries, offsets,
     cases, kept = [], []
     for y, y_scale, max_inner, hint in runs:
         point = np.array(y[:dim]) * y_scale
+        spec._steps = hint  # the reference ends on a non-finite iterate where the chunk does
         if max_inner == "stop-1":  # ends a step short of the stop, and may pass the check
             spec.max_inner = 2000
             max_inner = max(1, len(_outcome(reference_picard, spec, point, True)[1]) - 1)
@@ -738,19 +752,21 @@ def test_a_picard_l_below_the_norm_of_a_matrix_v_is_refused_where_built(entry):
 
 
 @pytest.mark.parametrize("traced", [True, False])
-def test_picard_on_a_matrix_plus_a_constant_ends_as_the_reference_loop(traced):
+def test_picard_on_a_matrix_plus_a_constant_ends_with_the_chunk_that_overflows(traced):
     # The norm rule sees only a matrix alone: x <- y + 3x + 0.5 passes it at l
-    # 0.5, overflows, and runs every step to the reference loop's outcome.
-    spec = PicardContraction(VectorField.from_matrix([[3.0]], ["0.5"]), 0.5, max_inner=2000)
+    # 0.5. Its iterate overflows at step 646, in the chunk of steps 513 to
+    # 1,024, so the loop ends there and not after max_inner = 100,000 steps,
+    # and the check raises NoConvergence(nan), as the reference loop does.
+    spec = PicardContraction(VectorField.from_matrix([[3.0]], ["0.5"]), 0.5)
     want = _outcome(reference_picard, spec, [1.0], traced)
     assert want[0][:2] == ("NoConvergence", "nan")
-    assert want[1] is None or len(want[1]) == spec.max_inner
+    assert want[1] is None or len(want[1]) == 1024
     assert _outcome(PicardContraction.invert, spec, [1.0], traced) == want
 
 
-def test_picard_runs_on_through_a_repeated_iterate_of_a_callable():
-    # A callable whose iterate overflows and repeats runs every step, as the
-    # reference loop does.
+def test_picard_ends_a_callable_whose_iterate_overflows_with_its_chunk():
+    # 3^n overflows at step 646: the callable runs 1,024 steps of max_inner's
+    # 2,000, and once more in the check, which raises NoConvergence(nan).
     calls = []
 
     def v(x):
@@ -761,7 +777,19 @@ def test_picard_runs_on_through_a_repeated_iterate_of_a_callable():
     want = _outcome(reference_picard, spec, [1.0], True)
     del calls[:]
     assert _outcome(PicardContraction.invert, spec, [1.0], True) == want
-    assert len(calls) == 2000 + 1
+    assert want[0][:2] == ("NoConvergence", "nan") and len(calls) == 1024 + 1
+
+
+@pytest.mark.parametrize("remainder", [None, ["0.0*x1"]])
+def test_picard_runs_on_through_finite_steps_whose_squares_overflow(remainder):
+    # From y = 1e200 every iterate is finite, but the steps halve from 5e199
+    # and their squares overflow: the norms of steps 1 to 52, over four chunks,
+    # read inf. The loop runs on to the fixed point 2y, as the reference does.
+    spec = PicardContraction(VectorField.from_matrix([[0.5]], remainder), 0.5)
+    want = _outcome(reference_picard, spec, [1e200], True)
+    assert want[0] == ("x", np.array([2e200]).tobytes())
+    assert want[1] == [float.hex(math.inf)] * 52 + [float.hex(0.0)]
+    assert _outcome(PicardContraction.invert, spec, [1e200], True) == want
 
 
 def reference_semilinear(spec, y, inner_log=None):

@@ -269,7 +269,7 @@ def test_the_divergence_test_reads_the_residual_history_as_the_window_did(case):
     max_iter = 98 if case == "cap-before-an-inf" else 10_000
 
     def probe(x):
-        return residuals[int(x[0])], lambda: x + 1.0
+        return x, residuals[int(x[0])], lambda: x + 1.0
     report = solvers._run(np.zeros(1), probe,
                           SolverConfig(h=1.0, tol=1e-12, max_iter=max_iter), 1.0)
     got = (report.converged, report.diverged, report.iterations)
@@ -282,7 +282,7 @@ def test_the_divergence_guard_decides_by_the_exact_norm():
     # up: math.hypot reads this iterate below the guard and _norm above it.
     x = np.array([999999999999.9434] + [math.sqrt(0.51) * 2.0 ** -26 * 1e12] * 999)
     assert math.hypot(*x) < solvers._DIVERGENCE_GUARD < math.sqrt(x.dot(x))
-    report = solvers._run(x, lambda x: (None, lambda: x), SolverConfig(h=1.0, max_iter=1), 1.0)
+    report = solvers._run(x, lambda x: (x, None, lambda: x), SolverConfig(h=1.0, max_iter=1), 1.0)
     assert report.diverged and report.iterations == 0
 
 
@@ -489,7 +489,7 @@ def test_a_sweep_over_the_step_cap_is_refused_before_it_runs(ex1, monkeypatch):
     class Ran(Exception):
         pass
 
-    def run(state0, probe, config, h, x_of, on_step):  # records the step count, runs nothing
+    def run(state0, probe, config, h, on_step):  # records the step count, runs nothing
         raise Ran(config.max_iter)
     monkeypatch.setattr(solvers, "_run", run)
     with pytest.raises(ValueError) as info:

@@ -29,6 +29,8 @@ SCREENED = f"{T_INV}::test_the_screened_check_leaves_to_the_exact_norm_where_mat
 EXACT = f"{T_INV}::test_the_screened_check_decides_as_the_exact_norm"
 PROJECTION = f"{T_MODEL}::test_float_projection_is_project_bit_for_bit"
 PINS = f"{T_SOLVERS}::test_solver_results_bit_for_bit"
+ORACLE = ("tests/test_oracle.py::"
+          "test_alg1_and_tseng_end_within_the_error_bound_of_the_exact_solution")
 RULES = "tests/test_problems.py::test_a_strategy_refuses_in_python_as_it_does_in_a_file"
 
 # (file, old text, new text, test selection, reason[, verdict])
@@ -99,14 +101,21 @@ CATALOG = [
     (SOLVERS, "[a - h * (c - b) for a, b, c in zip(ybar, fx, fz)]",
      "[a - h * c + h * b for a, b, c in zip(ybar, fx, fz)]", f"{PINS}[tseng.example1]",
      "the Tseng update leaves NumPy's operation order"),
-    (SOLVERS, "return x, spec.checked[1]", "return x, None",
+    (SOLVERS, "lambda: (invert(spec, p), spec.checked[1])", "lambda: (invert(spec, p), None)",
      f"{T_SOLVERS}::test_solves_evaluate_v_once_per_accepted_iterate[alg1.example1]",
-     "_checked hands on no record, so v runs at every iterate"),
+     "solve_alg1's step hands on no check record, so v runs at every iterate"),
     (SOLVERS, "if 0.0 < (h := formula()) < math.inf:", "if True:",
      f"{T_SOLVERS}::test_an_auto_step_that_overflows_or_is_not_positive_is_refused",
      "the auto-step rule is dropped"),
     (MODEL, "if not 0 < self.value < np.inf:", "if not 0 < self.value:",
      f"{T_MODEL}::test_constant_validation", "Constant takes a value that is not finite"),
+    (INV, "while left > 0 and _all_finite(x):", "while left > 0:",
+     f"{T_INV}::test_picard_on_a_matrix_plus_a_constant_ends_with_the_chunk_that_overflows",
+     "Picard runs on past a chunk that ends on a non-finite row"),
+    (MODEL, "if isinstance(cset, Box):\n        return [m if", "if False:\n        return [m if",
+     ORACLE, "project_floats drops the box projection"),
+    (MODEL, "y = (x - problem.v(x) if y is None", "y = (x + problem.v(x) if y is None", ORACLE,
+     "_y_and_p applies v with the wrong sign"),
 ]
 
 
